@@ -226,3 +226,47 @@ class TestBinomialRangeMass:
     def test_rejects_range_outside_support(self):
         with pytest.raises(DomainError):
             binomial_range_mass(0, 11, 10, 0.5)
+
+
+def _bad_argument_calls():
+    """Calls that must raise DomainError: malformed counts and limits across
+    every public entry point that takes them."""
+    from bitalias.confidence import ci_clopper_pearson, ci_normal, ci_wilson
+    from bitalias.qualification import (acceptance_region, early_stop_p_values,
+                                        p_value_lower, p_value_upper, test_position)
+    limits = (0.45, 0.55)
+    # name -> (call taking x and n, whether n = 0 is a valid count)
+    by_counts = {
+        "ci_normal": (lambda x, n: ci_normal(x, n, 0.01), False),
+        "ci_wilson": (lambda x, n: ci_wilson(x, n, 0.01), False),
+        "ci_clopper_pearson": (lambda x, n: ci_clopper_pearson(x, n, 0.01), False),
+        "test_position": (lambda x, n: test_position(x, n, limits, 0.01), False),
+        "early_stop_p_values": (lambda x, n: early_stop_p_values(x, n, limits), False),
+        "p_value_upper": (lambda x, n: p_value_upper(x, n, 0.55), True),
+        "p_value_lower": (lambda x, n: p_value_lower(x, n, 0.45), True),
+        "binomial_cdf": (lambda x, n: binomial_cdf(x, n, 0.5), True),
+        "binomial_sf": (lambda x, n: binomial_sf(x, n, 0.5), True),
+    }
+    counts = {"x>n": (11, 10), "n=0": (0, 0), "negative-x": (-1, 10),
+              "negative-n": (0, -1), "float-x": (3.0, 10), "float-n": (3, 10.0)}
+    for name, (call, zero_n_ok) in by_counts.items():
+        for label, (x, n) in counts.items():
+            if not (zero_n_ok and label == "n=0"):
+                yield pytest.param(lambda call=call, x=x, n=n: call(x, n),
+                                   id=f"{name}-{label}")
+    for label, n in (("n=0", 0), ("negative-n", -1), ("float-n", 10.0)):
+        yield pytest.param(lambda n=n: acceptance_region(n, limits, 0.01),
+                           id=f"acceptance_region-{label}")
+    for label, bad in (("reversed", (0.55, 0.45)), ("boundary", (0.0, 0.5))):
+        yield pytest.param(lambda bad=bad: test_position(5, 10, bad, 0.01),
+                           id=f"test_position-limits-{label}")
+        yield pytest.param(lambda bad=bad: early_stop_p_values(5, 10, bad),
+                           id=f"early_stop_p_values-limits-{label}")
+        yield pytest.param(lambda bad=bad: acceptance_region(10, bad, 0.01),
+                           id=f"acceptance_region-limits-{label}")
+
+
+@pytest.mark.parametrize("call", _bad_argument_calls())
+def test_rejects_malformed_arguments(call):
+    with pytest.raises(DomainError):
+        call()
