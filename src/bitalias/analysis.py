@@ -5,14 +5,16 @@ estimation, and the qualification test, producing one report per position
 plus a campaign summary.  ``render_report`` serializes the result as an
 aligned text table, JSON, or CSV; all three are byte-stable for fixed input.
 Verdicts always come from the exact test, while the reported interval uses
-the configured estimator (Wilson by default).
+the configured estimator (Wilson by default).  Every statistic depends on a
+position's count alone, so it is evaluated once per distinct count and shared
+by the positions with that count.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .confidence import METHODS, Interval, confidence_interval
 from .entropy import EntropySpec, limits_from_spec, min_entropy_from_limits, shannon_entropy
@@ -20,9 +22,9 @@ from .errors import DomainError
 from .qualification import (AcceptanceRegion, AliasLimits, EarlyStopAdvice,
                             TestVerdict, acceptance_region, early_stop_decision,
                             test_position)
-from .response import MeasurementTensor, PositionCounts, bit_alias, count_ones, \
+from .response import MeasurementTensor, PositionCounts, _per_distinct, count_ones, \
     derive_noise_free_response
-from .special import _as_probability
+from .special import _as_probability, _check_alpha
 
 REPORT_FORMATS = ("text", "json", "csv")
 
@@ -37,7 +39,7 @@ class EarlyStopConfig:
     max_flag_fraction: float = 0.0
 
     def __post_init__(self):
-        _as_probability(self.alpha, "alpha", open_interval=True)
+        _check_alpha(self.alpha)
         _as_probability(self.max_flag_fraction, "max_flag_fraction")
 
 
@@ -57,7 +59,7 @@ class AnalysisConfig:
     output_format: str = "text"
 
     def __post_init__(self):
-        _as_probability(self.alpha, "alpha", open_interval=True)
+        _check_alpha(self.alpha)
         if (self.limits is None) == (self.entropy_spec is None):
             raise DomainError("provide exactly one of limits and entropy_spec")
         if self.ci_method not in METHODS:
@@ -126,24 +128,23 @@ def analyze_counts(counts: PositionCounts, cfg: AnalysisConfig, *,
     limits = cfg.resolved_limits()
     n = counts.devices
     region = acceptance_region(n, limits, cfg.alpha)
-    aliases = bit_alias(counts)
-    reports = []
-    accepted = 0
-    for t, x in enumerate(counts.ones):
-        x = int(x)
+
+    def report(x: int) -> PositionReport:  # for position 0; positions differ only there
         interval = confidence_interval(cfg.ci_method, x, n, cfg.alpha)
-        verdict = test_position(x, n, limits, cfg.alpha, position=t)
-        accepted += verdict.accepted
-        p_hat = float(aliases[t])
+        p_hat = x / n
         worst = interval.lower if abs(interval.lower - 0.5) > abs(interval.upper - 0.5) \
             else interval.upper
-        reports.append(PositionReport(
-            position=t, ones=x, devices=n, alias=p_hat, interval=interval,
-            verdict=verdict,
+        return PositionReport(
+            position=0, ones=x, devices=n, alias=p_hat, interval=interval,
+            verdict=test_position(x, n, limits, cfg.alpha),
             min_entropy=min_entropy_from_limits(p_hat),
             shannon_entropy=shannon_entropy(p_hat),
             min_entropy_worst=min_entropy_from_limits(worst),
-            shannon_entropy_worst=shannon_entropy(worst)))
+            shannon_entropy_worst=shannon_entropy(worst))
+
+    reports = tuple(replace(r, position=t, verdict=replace(r.verdict, position=t))
+                    for t, r in enumerate(_per_distinct(counts.ones, report)))
+    accepted = sum(r.verdict.accepted for r in reports)
     advice = None
     if cfg.early_stop is not None:
         advice = early_stop_decision(counts, limits, cfg.early_stop.alpha,
@@ -152,7 +153,7 @@ def analyze_counts(counts: PositionCounts, cfg: AnalysisConfig, *,
         devices=n, positions=counts.positions, repeats=repeats, tie_count=tie_count,
         accepted=accepted, rejected=counts.positions - accepted,
         region=region, early_stop=advice)
-    return AnalysisResult(config=cfg, reports=tuple(reports), summary=summary)
+    return AnalysisResult(config=cfg, reports=reports, summary=summary)
 
 
 def analyze(m: MeasurementTensor, cfg: AnalysisConfig) -> AnalysisResult:

@@ -16,7 +16,7 @@ from .analysis import (AnalysisConfig, EarlyStopConfig, analyze, analyze_counts,
                        render_report)
 from .confidence import (METHODS, AliasSweep, DeviceSweep, ci_width_curve,
                          plan_devices_exact, plan_devices_normal)
-from .entropy import EntropySpec
+from .entropy import EntropySpec, limits_from_spec
 from .errors import BitAliasError
 from .formats import load_counts, load_measurements, write_measurements
 from .qualification import AliasLimits, early_stop_decision, test_position, \
@@ -38,26 +38,24 @@ def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
                         help="Shannon-entropy floor in bits, converted to limits")
 
 
-def _entropy_spec(args) -> EntropySpec | None:
+def _limit_source(args) -> tuple[AliasLimits | None, EntropySpec | None]:
+    """Explicit limits (defaults filled in) or an entropy floor: exactly one."""
     if args.min_entropy is not None and args.shannon_entropy is not None:
         raise BitAliasError("give at most one of --min-entropy and --shannon-entropy")
-    if args.min_entropy is not None:
-        return EntropySpec(kind="min", value=args.min_entropy)
-    if args.shannon_entropy is not None:
-        return EntropySpec(kind="shannon", value=args.shannon_entropy)
-    return None
+    if args.min_entropy is None and args.shannon_entropy is None:
+        p_low = DEFAULT_LIMITS[0] if args.p_low is None else args.p_low
+        p_high = DEFAULT_LIMITS[1] if args.p_high is None else args.p_high
+        return AliasLimits(p_l=p_low, p_u=p_high), None
+    spec = (EntropySpec(kind="min", value=args.min_entropy) if args.min_entropy is not None
+            else EntropySpec(kind="shannon", value=args.shannon_entropy))
+    if args.p_low is not None or args.p_high is not None:
+        raise BitAliasError("give either explicit limits or an entropy floor, not both")
+    return None, spec
 
 
 def _limits(args) -> AliasLimits:
-    spec = _entropy_spec(args)
-    if spec is not None:
-        if args.p_low is not None or args.p_high is not None:
-            raise BitAliasError("give either explicit limits or an entropy floor, not both")
-        from .entropy import limits_from_spec
-        return limits_from_spec(spec)
-    p_low = DEFAULT_LIMITS[0] if args.p_low is None else args.p_low
-    p_high = DEFAULT_LIMITS[1] if args.p_high is None else args.p_high
-    return AliasLimits(p_l=p_low, p_u=p_high)
+    limits, spec = _limit_source(args)
+    return limits if spec is None else limits_from_spec(spec)
 
 
 def _emit(blob: bytes, out: str | None) -> None:
@@ -68,10 +66,7 @@ def _emit(blob: bytes, out: str | None) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    spec = _entropy_spec(args)
-    if spec is not None and (args.p_low is not None or args.p_high is not None):
-        raise BitAliasError("give either explicit limits or an entropy floor, not both")
-    limits = None if spec is not None else _limits(args)
+    limits, spec = _limit_source(args)
     early = None
     if args.early_stop_alpha is not None:
         early = EarlyStopConfig(alpha=args.early_stop_alpha,

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import CapacityError, DomainError
-from .special import _as_count, _as_probability, beta_quantile, std_normal_quantile
+from .special import (_as_count, _as_probability, _check_alpha, _check_counts,
+                      beta_quantile, std_normal_quantile)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .qualification import AliasLimits
@@ -24,22 +25,23 @@ METHODS = ("normal", "wilson", "clopper_pearson")
 PLANNER_DEVICE_CAP = 10_000_000
 
 
-def _check_alpha(alpha) -> float:
-    return _as_probability(alpha, "alpha", open_interval=True)
-
-
-def _check_x_n(x, n) -> tuple[int, int]:
-    x = _as_count(x, "x")
-    n = _as_count(n, "n")
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if x > n:
-        raise DomainError(f"x must not exceed n, got x={x}, n={n}")
-    return x, n
-
-
 def _z_for(alpha: float) -> float:
     return std_normal_quantile(1.0 - 0.5 * alpha)
+
+
+def _wilson(p: float, n, z: float) -> tuple[float, float]:
+    """Centre and half-width of Wilson's score interval at alias p."""
+    z2_n = z * z / n
+    center = (p + 0.5 * z2_n) / (1.0 + z2_n)
+    half = (z / (1.0 + z2_n)) * math.sqrt(p * (1.0 - p) / n + 0.25 * z2_n / n)
+    return center, half
+
+
+def _clopper_pearson(x, n, alpha: float) -> tuple[float, float]:
+    """Beta-quantile bounds for x 1s out of n; x and n may be real-valued."""
+    lower = 0.0 if x <= 0 else beta_quantile(0.5 * alpha, x, n - x + 1)
+    upper = 1.0 if x >= n else beta_quantile(1.0 - 0.5 * alpha, x + 1, n - x)
+    return lower, upper
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,7 @@ class Interval:
     def __post_init__(self):
         if self.method not in METHODS:
             raise DomainError(f"unknown method {self.method!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError("alpha must lie in (0, 1)")
+        _check_alpha(self.alpha)
         if not 0.0 <= self.lower <= self.upper <= 1.0:
             raise DomainError(f"bounds out of order: [{self.lower}, {self.upper}]")
 
@@ -93,7 +94,7 @@ def ci_normal(x, n, alpha) -> Interval:
     before clamping, and the interval degenerates to a point at alias 0 or 1
     (the well-known failure mode of this estimator).
     """
-    x, n = _check_x_n(x, n)
+    x, n = _check_counts(x, n)
     alpha = _check_alpha(alpha)
     p = x / n
     half = _z_for(alpha) * math.sqrt(p * (1.0 - p) / n)
@@ -108,7 +109,7 @@ def ci_wilson(x, n, alpha) -> Interval:
     exact roots of the score quadratic; the general expression would land one
     ulp inside and lose them.
     """
-    x, n = _check_x_n(x, n)
+    x, n = _check_counts(x, n)
     alpha = _check_alpha(alpha)
     z = _z_for(alpha)
     z2 = z * z
@@ -117,10 +118,7 @@ def ci_wilson(x, n, alpha) -> Interval:
     elif x == n:
         lower, upper = n / (n + z2), 1.0
     else:
-        p = x / n
-        z2_n = z2 / n
-        center = (p + 0.5 * z2_n) / (1.0 + z2_n)
-        half = (z / (1.0 + z2_n)) * math.sqrt(p * (1.0 - p) / n + 0.25 * z2_n / n)
+        center, half = _wilson(x / n, n, z)
         lower, upper = center - half, center + half
     return Interval(lower=lower, upper=upper, alpha=alpha, method="wilson",
                     analytic_width=upper - lower)
@@ -132,10 +130,9 @@ def ci_clopper_pearson(x, n, alpha) -> Interval:
     The boundary counts pin their outer bound: x = 0 forces lower = 0 and
     x = n forces upper = 1.
     """
-    x, n = _check_x_n(x, n)
+    x, n = _check_counts(x, n)
     alpha = _check_alpha(alpha)
-    lower = 0.0 if x == 0 else beta_quantile(0.5 * alpha, x, n - x + 1)
-    upper = 1.0 if x == n else beta_quantile(1.0 - 0.5 * alpha, x + 1, n - x)
+    lower, upper = _clopper_pearson(x, n, alpha)
     return Interval(lower=lower, upper=upper, alpha=alpha,
                     method="clopper_pearson", analytic_width=upper - lower)
 
@@ -170,16 +167,14 @@ def ci_width(method: str, p_hat: float, n: float, alpha: float) -> float:
     n = float(n)
     if not n >= 1.0:
         raise DomainError("n must be >= 1")
-    if method == "normal":
-        return 2.0 * _z_for(alpha) * math.sqrt(p_hat * (1.0 - p_hat) / n)
+    if method == "clopper_pearson":
+        lower, upper = _clopper_pearson(p_hat * n, n, alpha)
+        return upper - lower
+    # twice the half-width, which can differ from upper - lower in the last bits
+    z = _z_for(alpha)
     if method == "wilson":
-        z = _z_for(alpha)
-        z2_n = z * z / n
-        return 2.0 * (z / (1.0 + z2_n)) * math.sqrt(p_hat * (1.0 - p_hat) / n + 0.25 * z2_n / n)
-    x = p_hat * n
-    lower = 0.0 if x <= 0.0 else beta_quantile(0.5 * alpha, x, n - x + 1.0)
-    upper = 1.0 if x >= n else beta_quantile(1.0 - 0.5 * alpha, x + 1.0, n - x)
-    return upper - lower
+        return 2.0 * _wilson(p_hat, n, z)[1]
+    return 2.0 * z * math.sqrt(p_hat * (1.0 - p_hat) / n)
 
 
 def default_device_grid(points: int = 120) -> tuple[int, ...]:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 from .confidence import PlanResult
 from .errors import CapacityError, DomainError
-from .response import PositionCounts
-from .special import (_as_count, _as_probability, binomial_cdf,
-                      binomial_range_mass, binomial_sf)
+from .response import PositionCounts, _per_distinct
+from .special import (_as_count, _as_probability, _check_alpha, _check_counts,
+                      binomial_cdf, binomial_range_mass, binomial_sf)
 
 FRR_DEVICE_CAP = 10_000_000
 _FRR_CERTIFY_WINDOW = 50  # scan below the search result; the FRR curve wiggles
@@ -39,6 +39,11 @@ class AliasLimits:
             raise DomainError(f"limits must satisfy p_l < p_u, got ({p_l}, {p_u})")
         object.__setattr__(self, "p_l", p_l)
         object.__setattr__(self, "p_u", p_u)
+
+
+def _as_limits(limits) -> AliasLimits:
+    """Accept an AliasLimits or a (p_l, p_u) pair."""
+    return limits if isinstance(limits, AliasLimits) else AliasLimits(*limits)
 
 
 @dataclass(frozen=True)
@@ -92,27 +97,9 @@ class EarlyStopAdvice:
     decision: str  # "continue" | "abort"
 
 
-def _check_test_args(x, n, limits, alpha=None):
-    x = _as_count(x, "x")
-    n = _as_count(n, "n")
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if x > n:
-        raise DomainError(f"x must not exceed n, got x={x}, n={n}")
-    if not isinstance(limits, AliasLimits):
-        limits = AliasLimits(*limits)
-    if alpha is not None:
-        alpha = _as_probability(alpha, "alpha", open_interval=True)
-        return x, n, limits, alpha
-    return x, n, limits
-
-
 def p_value_upper(x, n, p_u) -> float:
     """P[X <= x] under Binomial(n, p_u): evidence against alias >= p_u."""
-    x = _as_count(x, "x")
-    n = _as_count(n, "n")
-    if x > n:
-        raise DomainError(f"x must not exceed n, got x={x}, n={n}")
+    x, n = _check_counts(x, n, min_n=0)
     p_u = _as_probability(p_u, "p_u", open_interval=True)
     return binomial_cdf(x, n, p_u)
 
@@ -122,10 +109,7 @@ def p_value_lower(x, n, p_l) -> float:
 
     Computed in the survival form, never as 1 - cdf.
     """
-    x = _as_count(x, "x")
-    n = _as_count(n, "n")
-    if x > n:
-        raise DomainError(f"x must not exceed n, got x={x}, n={n}")
+    x, n = _check_counts(x, n, min_n=0)
     p_l = _as_probability(p_l, "p_l", open_interval=True)
     return binomial_sf(x, n, p_l)
 
@@ -136,12 +120,9 @@ def acceptance_region(n, limits: AliasLimits, alpha) -> AcceptanceRegion:
     x_u is the largest x with p_value_upper(x) < alpha/2 and x_l the smallest
     x with p_value_lower(x) < alpha/2; both searches ride the monotone tails.
     """
-    n = _as_count(n, "n")
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if not isinstance(limits, AliasLimits):
-        limits = AliasLimits(*limits)
-    alpha = _as_probability(alpha, "alpha", open_interval=True)
+    _, n = _check_counts(0, n)
+    limits = _as_limits(limits)
+    alpha = _check_alpha(alpha)
     half = 0.5 * alpha
 
     empty = AcceptanceRegion(devices=n, limits=limits, alpha=alpha, x_l=None, x_u=None)
@@ -183,7 +164,9 @@ def test_position(x, n, limits: AliasLimits, alpha, position: int = 0) -> TestVe
     Accepted exactly when both p-values fall strictly below alpha/2, which is
     equivalent to membership in the acceptance region for the same n.
     """
-    x, n, limits, alpha = _check_test_args(x, n, limits, alpha)
+    x, n = _check_counts(x, n)
+    limits = _as_limits(limits)
+    alpha = _check_alpha(alpha)
     pu = p_value_upper(x, n, limits.p_u)
     pl = p_value_lower(x, n, limits.p_l)
     half = 0.5 * alpha
@@ -214,8 +197,7 @@ def plan_devices_frr(limits: AliasLimits, inner: tuple[float, float],
     binary-search result is certified by scanning a window of 50 counts below
     it, because the discrete FRR curve is not perfectly monotone in n.
     """
-    if not isinstance(limits, AliasLimits):
-        limits = AliasLimits(*limits)
+    limits = _as_limits(limits)
     p_k, p_v = inner
     p_k = _as_probability(p_k, "p_k", open_interval=True)
     p_v = _as_probability(p_v, "p_v", open_interval=True)
@@ -223,7 +205,7 @@ def plan_devices_frr(limits: AliasLimits, inner: tuple[float, float],
         raise DomainError(
             f"inner band must satisfy p_l < p_k < p_v < p_u, got "
             f"({limits.p_l}, {p_k}, {p_v}, {limits.p_u})")
-    alpha = _as_probability(alpha, "alpha", open_interval=True)
+    alpha = _check_alpha(alpha)
     beta = _as_probability(beta, "beta", open_interval=True)
 
     def frr_ok(n: int) -> bool:
@@ -262,7 +244,8 @@ def early_stop_p_values(x, n, limits: AliasLimits) -> tuple[float, float]:
     already implausibly low for any in-range alias.  Second: the symmetric
     P[X >= x] under Binomial(n, p_u) for implausibly high counts.
     """
-    x, n, limits = _check_test_args(x, n, limits)
+    x, n = _check_counts(x, n)
+    limits = _as_limits(limits)
     return (binomial_cdf(x, n, limits.p_l), binomial_sf(x, n, limits.p_u))
 
 
@@ -273,21 +256,14 @@ def early_stop_decision(counts: PositionCounts, limits: AliasLimits, alpha,
 
     The default threshold 0 aborts on any flagged position.
     """
-    if not isinstance(limits, AliasLimits):
-        limits = AliasLimits(*limits)
-    alpha = _as_probability(alpha, "alpha", open_interval=True)
+    limits = _as_limits(limits)
+    alpha = _check_alpha(alpha)
     max_flag_fraction = _as_probability(max_flag_fraction, "max_flag_fraction")
-    n = counts.devices
-    lows: list[float] = []
-    highs: list[float] = []
-    flagged: list[int] = []
-    for t, x in enumerate(counts.ones):
-        p_low, p_high = early_stop_p_values(int(x), n, limits)
-        lows.append(p_low)
-        highs.append(p_high)
-        if min(p_low, p_high) < alpha:
-            flagged.append(t)
+    pairs = list(_per_distinct(counts.ones,
+                               lambda x: early_stop_p_values(x, counts.devices, limits)))
+    flagged = tuple(t for t, pair in enumerate(pairs) if min(pair) < alpha)
     fraction = len(flagged) / counts.positions
-    return EarlyStopAdvice(p_values_low=tuple(lows), p_values_high=tuple(highs),
-                           flagged_positions=tuple(flagged),
+    return EarlyStopAdvice(p_values_low=tuple(low for low, _ in pairs),
+                           p_values_high=tuple(high for _, high in pairs),
+                           flagged_positions=flagged,
                            decision="abort" if fraction > max_flag_fraction else "continue")

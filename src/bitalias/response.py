@@ -120,3 +120,16 @@ def count_ones(r: NoiseFreeResponse) -> PositionCounts:
 def bit_alias(c: PositionCounts) -> np.ndarray:
     """Estimated probability of a 1 at each position: ones / devices."""
     return c.ones / float(c.devices)
+
+
+def _per_distinct(counts, fn):
+    """Iterator over ``fn(x) for x in counts``, calling fn once per distinct count.
+
+    Every per-position statistic depends on the count alone, so positions
+    sharing a count share one evaluation.  The distinct counts come from a
+    tally of size max(counts) + 1, which takes far less memory than sorting
+    a long run of counts.
+    """
+    distinct = np.flatnonzero(np.bincount(counts)).tolist()
+    results = dict(zip(distinct, map(fn, distinct)))
+    return map(results.__getitem__, counts)

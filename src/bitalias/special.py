@@ -15,9 +15,11 @@ All functions are pure and safe to call concurrently.  Implementation notes:
   natively instead of as ``1 - other_tail``, so tail p-values keep their
   leading digits.
 * ``binomial_range_mass`` (the partial sum behind acceptance probabilities)
-  forms every term in log space and, for ranges longer than 64 terms,
-  accumulates with Neumaier compensation, so results at n ~ 7000 keep the
-  1e-4 digits the device planner depends on.
+  forms every term in log space and accumulates with Neumaier compensation,
+  so results at n ~ 7000 keep the 1e-4 digits the device planner depends on.
+
+The argument checks every module shares live here too: ``_check_counts`` for
+a count and its device count, ``_check_alpha`` for a significance level.
 
 Log-scale probabilities are plain floats in natural log; ``-inf`` is the
 distinguished encoding of log(0).
@@ -42,8 +44,6 @@ _BETA_CF_TINY = 1e-300
 _QUANTILE_MAX_ITER = 200
 _QUANTILE_XTOL = 1e-13
 _QUANTILE_FTOL = 1e-12
-
-_DIRECT_SUM_LIMIT = 64  # ranges at most this long are summed without compensation
 
 # Acklam's rational minimax approximation to the normal quantile.
 _ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
@@ -88,12 +88,20 @@ def _as_count(value, name: str) -> int:
     return v
 
 
-def _check_k_n(k, n) -> tuple[int, int]:
-    k = _as_count(k, "k")
+def _check_counts(x, n, name: str = "x", min_n: int = 1) -> tuple[int, int]:
+    """A count ``name`` of 1s out of n trials: integers with 0 <= x <= n and
+    n >= min_n."""
+    x = _as_count(x, name)
     n = _as_count(n, "n")
-    if k > n:
-        raise DomainError(f"k must not exceed n, got k={k}, n={n}")
-    return k, n
+    if n < min_n:
+        raise DomainError(f"n must be >= {min_n}")
+    if x > n:
+        raise DomainError(f"{name} must not exceed n, got {name}={x}, n={n}")
+    return x, n
+
+
+def _check_alpha(alpha) -> float:
+    return _as_probability(alpha, "alpha", open_interval=True)
 
 
 def std_normal_cdf(z: float) -> float:
@@ -247,7 +255,7 @@ def binomial_pmf_log(k, n, p) -> LogProb:
     The coefficient goes through lgamma, so n ~ 1e7 cannot overflow; p = 0 and
     p = 1 are explicit point masses, never log(0) arithmetic.
     """
-    k, n = _check_k_n(k, n)
+    k, n = _check_counts(k, n, "k", min_n=0)
     p = _as_probability(p, "p")
     if p == 0.0:
         return 0.0 if k == 0 else -math.inf
@@ -260,7 +268,7 @@ def binomial_pmf_log(k, n, p) -> LogProb:
 def binomial_cdf(k, n, p) -> float:
     """P[X <= k] for X ~ Binomial(n, p), via the incomplete-beta identity
     P[X <= k] = I_{1-p}(n - k, k + 1)."""
-    k, n = _check_k_n(k, n)
+    k, n = _check_counts(k, n, "k", min_n=0)
     p = _as_probability(p, "p")
     if k == n:
         return 1.0
@@ -277,7 +285,7 @@ def binomial_sf(k, n, p) -> float:
     Computed natively in the upper tail, never as 1 - cdf, so small values
     keep their leading digits.
     """
-    k, n = _check_k_n(k, n)
+    k, n = _check_counts(k, n, "k", min_n=0)
     p = _as_probability(p, "p")
     if k == 0:
         return 1.0
@@ -292,8 +300,8 @@ def binomial_range_mass(lo, hi, n, p) -> float:
     """P[lo <= X <= hi] for X ~ Binomial(n, p), as a direct mass sum.
 
     Preferred over cdf(hi) - cdf(lo - 1), which cancels catastrophically when
-    both tails are tiny.  Terms are built in log space; ranges longer than 64
-    terms accumulate with Neumaier compensation.
+    both tails are tiny.  Terms are built in log space and accumulate with
+    Neumaier compensation.
     """
     lo = _as_count(lo, "lo")
     hi = _as_count(hi, "hi")
@@ -311,19 +319,11 @@ def binomial_range_mass(lo, hi, n, p) -> float:
     log_p = math.log(p)
     log_q = math.log1p(-p)
 
-    def term(i: int) -> float:
-        return math.exp(lg_np1 - math.lgamma(i + 1) - math.lgamma(n - i + 1)
-                        + i * log_p + (n - i) * log_q)
-
-    if hi - lo + 1 <= _DIRECT_SUM_LIMIT:
-        total = 0.0
-        for i in range(lo, hi + 1):
-            total += term(i)
-        return min(1.0, total)
     total = 0.0
     comp = 0.0
     for i in range(lo, hi + 1):
-        t = term(i)
+        t = math.exp(lg_np1 - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+                     + i * log_p + (n - i) * log_q)
         s = total + t
         if abs(total) >= abs(t):
             comp += (total - s) + t

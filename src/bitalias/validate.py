@@ -4,7 +4,7 @@ Each run simulates the relevant experiment under a known true alias and
 reports the observed frequency with its binomial standard error: interval
 coverage for a chosen estimator, the false acceptance rate at an out-of-range
 alias, or the false rejection rate at an in-range alias.  Draw counts repeat
-heavily, so frequencies are tallied per distinct count rather than per trial.
+heavily, so each interval is computed once per distinct count, not per trial.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 from .confidence import METHODS, confidence_interval
 from .errors import DomainError
 from .qualification import AliasLimits, acceptance_region
+from .response import _per_distinct
 from .simulate import rng_stream
 from .special import _as_probability
 
@@ -80,12 +81,9 @@ def _coverage_frequency(params: CoverageParams, trials: int,
     p = _as_probability(params.p, "p")
     n = params.devices
     draws = rng.binomial(n, p, size=trials)
-    tally = np.bincount(draws, minlength=n + 1)
-    hits = 0
-    for x in np.nonzero(tally)[0]:
-        if confidence_interval(params.method, int(x), n, params.alpha).contains(p):
-            hits += int(tally[x])
-    return hits / trials
+    covered = _per_distinct(
+        draws, lambda x: confidence_interval(params.method, x, n, params.alpha).contains(p))
+    return sum(covered) / trials
 
 
 def _acceptance_frequency(params: QualificationParams, trials: int,

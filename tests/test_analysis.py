@@ -5,8 +5,9 @@ import pytest
 
 from bitalias import qualification as qual
 from bitalias.analysis import (CSV_HEADER, AnalysisConfig, EarlyStopConfig,
-                               analyze, analyze_counts, render_report)
-from bitalias.entropy import EntropySpec
+                               PositionReport, analyze, analyze_counts, render_report)
+from bitalias.confidence import confidence_interval
+from bitalias.entropy import EntropySpec, min_entropy_from_limits, shannon_entropy
 from bitalias.errors import DomainError
 from bitalias.qualification import AliasLimits
 from bitalias.response import MeasurementTensor, PositionCounts
@@ -72,6 +73,23 @@ class TestAnalyze:
             again = qual.test_position(rep.ones, rep.devices, LIMITS, 0.01,
                                        position=rep.position)
             assert again == rep.verdict
+        # repeated counts, including 0 and N: each position matches its own rebuild
+        ones = np.array([0, 680, 340, 340, 0, 100, 680, 100, 339, 340, 0, 1, 679])
+        for method in ("normal", "wilson", "clopper_pearson"):
+            cfg = AnalysisConfig(alpha=0.01, limits=LIMITS, ci_method=method)
+            result = analyze_counts(PositionCounts(devices=680, ones=ones), cfg)
+            assert len(result.reports) == ones.size
+            for t, x in enumerate(ones.tolist()):
+                interval = confidence_interval(method, x, 680, 0.01)
+                worst = interval.lower if abs(interval.lower - 0.5) > \
+                    abs(interval.upper - 0.5) else interval.upper
+                assert result.reports[t] == PositionReport(
+                    position=t, ones=x, devices=680, alias=x / 680, interval=interval,
+                    verdict=qual.test_position(x, 680, LIMITS, 0.01, position=t),
+                    min_entropy=min_entropy_from_limits(x / 680),
+                    shannon_entropy=shannon_entropy(x / 680),
+                    min_entropy_worst=min_entropy_from_limits(worst),
+                    shannon_entropy_worst=shannon_entropy(worst))
 
     def test_deterministic(self):
         a = balanced_result(positions=8)

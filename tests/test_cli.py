@@ -50,6 +50,16 @@ class TestAnalyzeCommand:
         rc = main(["analyze", str(balanced_file), "--min-entropy", "0.9",
                    "--p-low", "0.4"])
         assert rc == 2
+        for argv in (["check", "--x", "5", "--n", "10", "--min-entropy", "0.9",
+                      "--p-high", "0.6"],
+                     ["check", "--x", "5", "--n", "10", "--min-entropy", "0.9",
+                      "--shannon-entropy", "0.9"],
+                     ["analyze", str(balanced_file), "--min-entropy", "0.9",
+                      "--shannon-entropy", "0.9"]):
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("explicit limits or an entropy floor, not both") == 2
+        assert err.count("at most one of --min-entropy and --shannon-entropy") == 2
 
     def test_parse_error_exits_two(self, tmp_path):
         bad = tmp_path / "bad.csv"

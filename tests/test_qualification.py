@@ -246,3 +246,12 @@ class TestEarlyStop:
             flagged = t in advice.flagged_positions
             assert flagged == (min(advice.p_values_low[t],
                                    advice.p_values_high[t]) < 0.01)
+
+    def test_repeated_counts_match_per_position_p_values(self):
+        ones = np.array([0, 50, 25, 10, 25, 0, 50, 10, 49, 1, 25, 0])
+        advice = early_stop_decision(PositionCounts(devices=50, ones=ones), LIMITS, 0.01)
+        for t, x in enumerate(ones.tolist()):
+            p_low, p_high = early_stop_p_values(x, 50, LIMITS)
+            assert advice.p_values_low[t] == p_low
+            assert advice.p_values_high[t] == p_high
+            assert (t in advice.flagged_positions) == (min(p_low, p_high) < 0.01)

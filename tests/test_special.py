@@ -212,7 +212,7 @@ class TestBinomialRangeMass:
                 exact_binomial_range(lo, hi, n, p), abs=1e-13)
 
     def test_long_range_compensated_sum(self):
-        # crosses the direct-sum threshold; compare against the tail identity
+        # a 461-term range; compare against the tail identity
         v = binomial_range_mass(3100, 3560, 6674, 0.5)
         ref = binomial_cdf(3560, 6674, 0.5) - binomial_cdf(3099, 6674, 0.5)
         assert v == pytest.approx(ref, abs=1e-11)
