@@ -11,6 +11,95 @@ from bitalias.formats import (load_counts, load_measurements, write_counts,
 from bitalias.response import MeasurementTensor, PositionCounts
 
 
+def _binary_header(devices, positions, repeats, version=1):
+    return b"PUFB" + bytes([version]) + devices.to_bytes(4, "little") \
+        + positions.to_bytes(4, "little") + repeats.to_bytes(4, "little")
+
+
+# (loader, file bytes, exact FormatError message or the parsed result)
+FILE_CASES = [
+    # text measurements
+    (load_measurements, b"1,2,1\n\xff,1\n", "byte 6: not a text measurement file"),
+    (load_measurements, b"", "line 1: empty file, expected header 'N,T,M'"),
+    (load_measurements, b"\n\n", "line 1: malformed header, expected 'N,T,M'"),
+    (load_measurements, b"banana\n0,1\n", "line 1: malformed header, expected 'N,T,M'"),
+    (load_measurements, b"1,2\n0,1\n", "line 1: malformed header, expected 'N,T,M'"),
+    (load_measurements, b"1,x,1\n0,1\n", "line 1: malformed header, non-integer 'x'"),
+    (load_measurements, b"1,,1\n0,1\n", "line 1: malformed header, non-integer ''"),
+    (load_measurements, b"0,2,1\n", "line 1: dimensions must all be >= 1"),
+    (load_measurements, b"1,-2,1\n", "line 1: dimensions must all be >= 1"),
+    (load_measurements, b"2,2,1\n0,1\n",
+     "line 3: truncated payload, expected 2 data lines, found 1"),
+    (load_measurements, b"2,2,1\n0,1\n\n",
+     "line 4: truncated payload, expected 2 data lines, found 1"),
+    (load_measurements, b"1,2,1\n", "line 2: truncated payload, expected 1 data lines, found 0"),
+    (load_measurements, b"1,2,1\n0,1\n1,1\n",
+     "line 3: dimension mismatch, expected exactly 1 data lines"),
+    (load_measurements, b"2,2,1\n0,1\n\n1,1\n",
+     "line 4: dimension mismatch, expected exactly 2 data lines"),
+    (load_measurements, b"1,3,1\n0,1,0,1\n", "line 2: expected 3 values, found 4"),
+    (load_measurements, b"1,3,1\n0,1\n", "line 2: expected 3 values, found 2"),
+    (load_measurements, b"1,2,2\n0,1\n0,2\n", "line 3: non-binary symbol '2' in field 2"),
+    (load_measurements, b"1,2,1\n1,1\x00\n", "line 2: non-binary symbol '1\\x00' in field 2"),
+    (load_measurements, "1,2,1\n1,\u0661\n".encode(),
+     "line 2: non-binary symbol '\u0661' in field 2"),
+    (load_measurements, b"1,2,1\n01,1\n", "line 2: non-binary symbol '01' in field 1"),
+    (load_measurements, b"1,2,1\n1,\n", "line 2: non-binary symbol '' in field 2"),
+    (load_measurements, b"1,2,1\n+1,0\n", "line 2: non-binary symbol '+1' in field 1"),
+    (load_measurements, b"1,2,1\n1,1 0\n", "line 2: non-binary symbol '1 0' in field 2"),
+    (load_measurements, b"1,2,1\r\n0,1\r\n", [[[0], [1]]]),
+    (load_measurements, b" 1 , 2 ,1\n 0 ,\t1 \n", [[[0], [1]]]),
+    (load_measurements, b"1,2,1\n0,1\n\n  \n", [[[0], [1]]]),
+    (load_measurements, b"PUF", "line 1: malformed header, expected 'N,T,M'"),
+    # binary measurements
+    (load_measurements, b"PUFB\x01\x00\x00\x00", "byte 8: truncated header, need 17 bytes"),
+    (load_measurements, _binary_header(0, 0, 0, version=2),
+     "byte 4: unsupported version 2, expected 1"),
+    (load_measurements, _binary_header(0, 3, 1), "byte 5: dimensions must all be >= 1"),
+    (load_measurements, _binary_header(2, 2, 2) + b"\x00",
+     "byte 18: truncated payload, expected 4 bit-packed bytes, found 1"),
+    (load_measurements, _binary_header(1, 3, 1) + b"\x00\x00",
+     "byte 18: trailing data after bit payload"),
+    (load_measurements, _binary_header(1, 3, 1) + bytes([0b1000]),
+     "byte 17: nonzero padding bits"),
+    (load_measurements, _binary_header(2, 9, 1) + bytes([0, 0, 0, 2]),
+     "byte 20: nonzero padding bits"),
+    (load_measurements, _binary_header(1, 9, 2) + bytes([0xff, 1, 0xff, 1]), [[[1, 1]] * 9]),
+    # counts
+    (load_counts, b"5,2\n\xff\n", "byte 4: not a text counts file"),
+    (load_counts, b"", "line 1: empty file, expected header 'N,T'"),
+    (load_counts, b" \n", "line 1: empty file, expected header 'N,T'"),
+    (load_counts, b"5\n1\n", "line 1: malformed header, expected 'N,T'"),
+    (load_counts, b"5,y\n1\n", "line 1: malformed header, non-integer 'y'"),
+    (load_counts, b"0,2\n1,1\n", "line 1: dimensions must all be >= 1"),
+    (load_counts, b"5,2\n", "line 2: truncated payload, expected one line of counts"),
+    (load_counts, b"5,2\n1,1\n1,1\n",
+     "line 3: dimension mismatch, expected exactly one line of counts"),
+    (load_counts, b"5,3\n1,2\n", "line 2: expected 3 values, found 2"),
+    (load_counts, b"5,2\n3,x\n", "line 2: non-integer count 'x' in field 2"),
+    (load_counts, b"5,2\n3,\n", "line 2: non-integer count '' in field 2"),
+    (load_counts, b"5,2\n3,6\n", "line 2: count 6 in field 2 outside 0..5"),
+    (load_counts, b"5,2\n3,-1\n", "line 2: count -1 in field 2 outside 0..5"),
+    (load_counts, b"5,2\n9,x\n", "line 2: count 9 in field 1 outside 0..5"),
+    (load_counts, "5,2\n\u0661,+2\n".encode(), (5, [1, 2])),
+    (load_counts, b"5,2\r\n 3 ,\t5\r\n\n", (5, [3, 5])),
+    (load_counts, b"5,2\n\n3,5\n", (5, [3, 5])),
+]
+
+
+@pytest.mark.parametrize("loader, blob, outcome", FILE_CASES)
+def test_parser_outcomes_are_exact(loader, blob, outcome):
+    if isinstance(outcome, str):
+        with pytest.raises(FormatError) as info:
+            loader(io.BytesIO(blob))
+        assert str(info.value) == outcome
+    elif loader is load_counts:
+        c = loader(io.BytesIO(blob))
+        assert (c.devices, c.ones.tolist()) == outcome
+    else:
+        assert loader(io.BytesIO(blob)).bits.tolist() == outcome
+
+
 def roundtrip(m: MeasurementTensor, fmt: str) -> MeasurementTensor:
     buf = io.BytesIO()
     write_measurements(m, buf, fmt=fmt)
