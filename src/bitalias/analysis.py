@@ -210,8 +210,8 @@ def _config_payload(cfg: AnalysisConfig, limits: AliasLimits) -> dict:
 
 
 def _render_json(result: AnalysisResult) -> bytes:
-    limits = result.config.resolved_limits()
     region = result.summary.region
+    limits = region.limits
     advice = result.summary.early_stop
     payload = {
         "config": _config_payload(result.config, limits),
@@ -250,9 +250,9 @@ def _render_json(result: AnalysisResult) -> bytes:
 
 
 def _render_text(result: AnalysisResult) -> bytes:
-    limits = result.config.resolved_limits()
     s = result.summary
     region = s.region
+    limits = region.limits
     out = io.StringIO()
     repeats = "-" if s.repeats is None else str(s.repeats)
     ties = "-" if s.tie_count is None else str(s.tie_count)

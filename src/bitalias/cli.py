@@ -21,6 +21,7 @@ from .errors import BitAliasError
 from .formats import load_counts, load_measurements, write_measurements
 from .qualification import AliasLimits, early_stop_decision, test_position, \
     plan_devices_frr
+from .response import count_ones, derive_noise_free_response
 from .simulate import ALIAS_PROFILES, PopulationSpec, simulate_population
 from .validate import CoverageParams, QualificationParams, monte_carlo_validate
 
@@ -108,9 +109,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_early_stop(args) -> int:
-    counts = load_counts(args.file) if args.counts else None
-    if counts is None:
-        from .response import count_ones, derive_noise_free_response
+    if args.counts:
+        counts = load_counts(args.file)
+    else:
         counts = count_ones(derive_noise_free_response(load_measurements(args.file)))
     advice = early_stop_decision(counts, _limits(args), args.alpha,
                                  args.max_flag_fraction)

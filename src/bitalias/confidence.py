@@ -25,6 +25,29 @@ METHODS = ("normal", "wilson", "clopper_pearson")
 PLANNER_DEVICE_CAP = 10_000_000
 
 
+def _bisect(ok, lo: int, hi: int, step: int = 1) -> int:
+    """Smallest count in (lo, hi] on the grid lo + k*step meeting ok, given
+    that ok fails at lo and holds at hi and flips once in between."""
+    while hi - lo > step:
+        mid = lo + (hi - lo) // (2 * step) * step
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _bracket(ok, start: int, what: str) -> tuple[int, int]:
+    """(lo, hi] with ok failing at lo and holding at hi, found by doubling
+    from start and clamping the last probe to the planner cap."""
+    lo, hi = 0, start
+    while not ok(hi):
+        if hi >= PLANNER_DEVICE_CAP:
+            raise CapacityError(f"{what} unreachable below {PLANNER_DEVICE_CAP} devices")
+        lo, hi = hi, min(2 * hi, PLANNER_DEVICE_CAP)
+    return lo, hi
+
+
 def _z_for(alpha: float) -> float:
     return std_normal_quantile(1.0 - 0.5 * alpha)
 
@@ -268,20 +291,7 @@ def plan_devices_exact(method: str, target_width, alpha) -> PlanResult:
     def ok(n: int) -> bool:
         return worst_case_width(method, n, alpha) <= target_width
 
-    lo, hi = 0, 2
-    while not ok(hi):
-        lo = hi
-        hi *= 2
-        if hi > PLANNER_DEVICE_CAP:
-            raise CapacityError(
-                f"width {target_width} unreachable below {PLANNER_DEVICE_CAP} devices")
-    while hi - lo > 2:
-        mid = lo + (hi - lo) // 4 * 2  # even midpoint
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    n = hi
+    n = _bisect(ok, *_bracket(ok, 2, f"width {target_width}"), step=2)
     while n > 2 and ok(n - 2):
         n -= 2
     return PlanResult(devices=n, alpha=alpha, method=method, target_width=target_width)

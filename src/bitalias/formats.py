@@ -13,12 +13,10 @@ Two interchangeable encodings carry raw measurement tensors:
 A third, pre-counted format carries just the sufficient statistic: a header
 line ``N,T`` and one line of T comma-separated counts of 1s.  All formats are
 version 1; parsers reject anything else with an error naming the offending
-line or byte offset.
+line or byte offset.  The text parsers accept whitespace around fields, CRLF
+line ends and trailing blank lines; the writers never emit them.
 """
 
-from __future__ import annotations
-
-import io
 from pathlib import Path
 
 import numpy as np
@@ -29,18 +27,30 @@ from .response import MeasurementTensor, PositionCounts
 MAGIC = b"PUFB"
 VERSION = 1
 _HEADER_LEN = 4 + 1 + 12  # magic, version, three uint32 dims
+_ZERO = ord("0")
 
 
-def _open_for_read(source):
+def _read(source) -> bytes:
     if hasattr(source, "read"):
-        return source, False
-    return open(Path(source), "rb"), True
+        return source.read()
+    return Path(source).read_bytes()
 
 
-def _open_for_write(dest):
+def _write(dest, blob: bytes) -> None:
     if hasattr(dest, "write"):
-        return dest, False
-    return open(Path(dest), "wb"), True
+        dest.write(blob)
+    else:
+        Path(dest).write_bytes(blob)
+
+
+def _rows(m: MeasurementTensor) -> np.ndarray:
+    """One row of T symbols per (device, repeat) pair, device-major."""
+    return np.transpose(m.bits, (0, 2, 1)).reshape(m.devices * m.repeats, m.positions)
+
+
+def _from_rows(rows: np.ndarray, devices: int, repeats: int) -> MeasurementTensor:
+    """Inverse of `_rows`."""
+    return MeasurementTensor(bits=np.transpose(rows.reshape(devices, repeats, -1), (0, 2, 1)))
 
 
 def load_measurements(source) -> MeasurementTensor:
@@ -49,12 +59,7 @@ def load_measurements(source) -> MeasurementTensor:
     The binary format is detected by its magic bytes; everything else is
     parsed as text CSV.
     """
-    fh, owned = _open_for_read(source)
-    try:
-        payload = fh.read()
-    finally:
-        if owned:
-            fh.close()
+    payload = _read(source)
     if payload[:4] == MAGIC:
         return _parse_binary(payload)
     return _parse_csv(payload)
@@ -62,38 +67,21 @@ def load_measurements(source) -> MeasurementTensor:
 
 def write_measurements(m: MeasurementTensor, dest, fmt: str = "csv") -> None:
     """Write a measurement tensor as ``csv`` or ``binary``."""
+    rows = _rows(m)
     if fmt == "csv":
-        blob = _encode_csv(m)
+        # digits in the even columns, commas between, a newline in the last
+        grid = np.full((rows.shape[0], 2 * m.positions), ord(","), dtype=np.uint8)
+        grid[:, ::2] = rows + _ZERO
+        grid[:, -1] = ord("\n")
+        blob = f"{m.devices},{m.positions},{m.repeats}\n".encode("ascii") + grid.tobytes()
     elif fmt == "binary":
-        blob = _encode_binary(m)
+        # packbits pads each row with zero bits
+        blob = (MAGIC + bytes([VERSION]) + m.devices.to_bytes(4, "little")
+                + m.positions.to_bytes(4, "little") + m.repeats.to_bytes(4, "little")
+                + np.packbits(rows, axis=1, bitorder="little").tobytes())
     else:
         raise FormatError(f"unknown measurement format {fmt!r}, expected 'csv' or 'binary'")
-    fh, owned = _open_for_write(dest)
-    try:
-        fh.write(blob)
-    finally:
-        if owned:
-            fh.close()
-
-
-def _encode_csv(m: MeasurementTensor) -> bytes:
-    out = io.StringIO()
-    out.write(f"{m.devices},{m.positions},{m.repeats}\n")
-    for n in range(m.devices):
-        for k in range(m.repeats):
-            out.write(",".join("1" if b else "0" for b in m.bits[n, :, k]))
-            out.write("\n")
-    return out.getvalue().encode("ascii")
-
-
-def _encode_binary(m: MeasurementTensor) -> bytes:
-    header = MAGIC + bytes([VERSION])
-    header += m.devices.to_bytes(4, "little") + m.positions.to_bytes(4, "little") \
-        + m.repeats.to_bytes(4, "little")
-    # rows ordered (device, repeat); packbits pads each row with zero bits
-    rows = np.transpose(m.bits, (0, 2, 1)).reshape(m.devices * m.repeats, m.positions)
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return header + packed.tobytes()
+    _write(dest, blob)
 
 
 def _parse_csv(payload: bytes) -> MeasurementTensor:
@@ -119,22 +107,18 @@ def _parse_csv(payload: bytes) -> MeasurementTensor:
     if len(data_lines) > expected:
         raise FormatError(
             f"line {expected + 2}: dimension mismatch, expected exactly {expected} data lines")
-    bits = np.empty((devices, repeats, positions), dtype=np.uint8)
+    rows = np.empty((expected, positions), dtype=np.uint8)
     for row, line in enumerate(data_lines):
-        fields = line.split(",")
+        fields = [token.strip() for token in line.split(",")]
         if len(fields) != positions:
             raise FormatError(
                 f"line {row + 2}: expected {positions} values, found {len(fields)}")
-        for col, token in enumerate(fields):
-            token = token.strip()
-            if token == "0":
-                bits[row // repeats, row % repeats, col] = 0
-            elif token == "1":
-                bits[row // repeats, row % repeats, col] = 1
-            else:
-                raise FormatError(
-                    f"line {row + 2}: non-binary symbol {token!r} in field {col + 1}")
-    return MeasurementTensor(bits=np.transpose(bits, (0, 2, 1)))
+        if not {"0", "1"}.issuperset(fields):
+            col, token = next((c, t) for c, t in enumerate(fields) if t not in ("0", "1"))
+            raise FormatError(f"line {row + 2}: non-binary symbol {token!r} in field {col + 1}")
+        rows[row] = np.frombuffer("".join(fields).encode("ascii"), dtype=np.uint8)
+    rows -= _ZERO
+    return _from_rows(rows, devices, repeats)
 
 
 def _parse_binary(payload: bytes) -> MeasurementTensor:
@@ -164,20 +148,13 @@ def _parse_binary(payload: bytes) -> MeasurementTensor:
         bad_row = int(np.argwhere(padding.any(axis=1))[0][0])
         offset = _HEADER_LEN + bad_row * row_bytes + positions // 8
         raise FormatError(f"byte {offset}: nonzero padding bits")
-    rows_bits = unpacked[:, :positions].reshape(devices, repeats, positions)
-    return MeasurementTensor(bits=np.transpose(rows_bits, (0, 2, 1)))
+    return _from_rows(unpacked[:, :positions], devices, repeats)
 
 
 def load_counts(source) -> PositionCounts:
     """Read a pre-counted (counts of 1s, device count) file."""
-    fh, owned = _open_for_read(source)
     try:
-        payload = fh.read()
-    finally:
-        if owned:
-            fh.close()
-    try:
-        text = payload.decode("utf-8")
+        text = _read(source).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"byte {exc.start}: not a text counts file") from None
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -210,12 +187,7 @@ def write_counts(c: PositionCounts, dest) -> None:
     """Write pre-counted sufficient statistics."""
     blob = (f"{c.devices},{c.positions}\n"
             + ",".join(str(int(v)) for v in c.ones) + "\n").encode("ascii")
-    fh, owned = _open_for_write(dest)
-    try:
-        fh.write(blob)
-    finally:
-        if owned:
-            fh.close()
+    _write(dest, blob)
 
 
 def _parse_int_fields(line: str, count: int, lineno: int, shape: str) -> tuple[int, ...]:

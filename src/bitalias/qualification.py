@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .confidence import PlanResult
-from .errors import CapacityError, DomainError
+from .confidence import PlanResult, _bisect, _bracket
+from .errors import DomainError
 from .response import PositionCounts, _per_distinct
 from .special import (_as_count, _as_probability, _check_alpha, _check_counts,
                       binomial_cdf, binomial_range_mass, binomial_sf)
 
-FRR_DEVICE_CAP = 10_000_000
 _FRR_CERTIFY_WINDOW = 50  # scan below the search result; the FRR curve wiggles
 
 
@@ -131,27 +130,13 @@ def acceptance_region(n, limits: AliasLimits, alpha) -> AcceptanceRegion:
     # cdf(n) = 1 >= alpha/2, so the qualifying set is a (possibly empty) prefix.
     if not binomial_cdf(0, n, limits.p_u) < half:
         return empty
-    lo, hi = 0, n
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if binomial_cdf(mid, n, limits.p_u) < half:
-            lo = mid
-        else:
-            hi = mid
-    x_u = lo
+    x_u = _bisect(lambda x: not binomial_cdf(x, n, limits.p_u) < half, 0, n) - 1
 
     # Smallest x with sf(x; n, p_l) < alpha/2.  sf is decreasing in x and
     # sf(0) = 1 >= alpha/2, so the qualifying set is a (possibly empty) suffix.
     if not binomial_sf(n, n, limits.p_l) < half:
         return empty
-    lo, hi = 0, n
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if binomial_sf(mid, n, limits.p_l) < half:
-            hi = mid
-        else:
-            lo = mid
-    x_l = hi
+    x_l = _bisect(lambda x: binomial_sf(x, n, limits.p_l) < half, 0, n)
 
     if x_l > x_u:
         return empty
@@ -215,21 +200,8 @@ def plan_devices_frr(limits: AliasLimits, inner: tuple[float, float],
         return all(1.0 - acceptance_probability(n, p, region) <= beta
                    for p in (p_k, p_v))
 
-    lo, hi = 0, 1
-    while not frr_ok(hi):
-        lo = hi
-        hi *= 2
-        if hi > FRR_DEVICE_CAP:
-            raise CapacityError(
-                f"beta {beta} unreachable below {FRR_DEVICE_CAP} devices")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if frr_ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    best = hi
-    for m in range(max(1, hi - _FRR_CERTIFY_WINDOW), hi):
+    best = _bisect(frr_ok, *_bracket(frr_ok, 1, f"beta {beta}"))
+    for m in range(max(1, best - _FRR_CERTIFY_WINDOW), best):
         if frr_ok(m):
             best = m
             break

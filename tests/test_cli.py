@@ -5,7 +5,7 @@ import pytest
 
 from bitalias.cli import main
 from bitalias.formats import write_counts, write_measurements
-from bitalias.response import PositionCounts
+from bitalias.response import MeasurementTensor, PositionCounts
 from bitalias.simulate import PopulationSpec, simulate_population
 
 
@@ -114,6 +114,19 @@ class TestEarlyStopCommand:
         out = capsys.readouterr().out
         assert "decision=abort" in out
         assert "flagged=1/3" in out
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_measurement_file_is_voted_then_counted(self, tmp_path, capsys, fmt):
+        # 50 devices whose voted counts are 25, 10 and 26; the third repeat
+        # of every device disagrees with the first two and must be outvoted.
+        voted = np.zeros((50, 3), dtype=np.uint8)
+        for t, x in enumerate((25, 10, 26)):
+            voted[:x, t] = 1
+        bits = np.stack([voted, voted, 1 - voted], axis=2)
+        path = tmp_path / "m.dat"
+        write_measurements(MeasurementTensor(bits=bits), path, fmt=fmt)
+        assert main(["early-stop", str(path)]) == 1
+        assert capsys.readouterr().out == "decision=abort flagged=1/3 positions=1\n"
 
 
 class TestSimulateCommand:

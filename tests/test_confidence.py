@@ -193,6 +193,18 @@ class TestPlanDevicesExact:
         with pytest.raises(CapacityError):
             plan_devices_exact("wilson", 1e-5, 0.01)
 
+    def test_searches_up_to_the_device_cap(self):
+        # The answer lies between 2**23 and the 10**7 cap, where doubling
+        # alone never probes.
+        n = plan_devices_exact("wilson", 0.00086, 0.01).devices
+        assert 2**23 < n <= 10**7
+        assert worst_case_width("wilson", n, 0.01) <= 0.00086
+        assert worst_case_width("wilson", n - 2, 0.01) > 0.00086
+        # (z / width)^2 is about 1.04e7, just above the cap
+        with pytest.raises(CapacityError,
+                           match="^width 0.0008 unreachable below 10000000 devices$"):
+            plan_devices_exact("wilson", 0.0008, 0.01)
+
     def test_rejects_normal_method(self):
         with pytest.raises(DomainError):
             plan_devices_exact("normal", 0.1, 0.01)

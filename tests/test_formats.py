@@ -210,6 +210,16 @@ class TestRoundTrips:
             write_measurements(m, path, fmt=fmt)
             assert (load_measurements(path).bits == m.bits).all()
 
+    def test_csv_bytes_match_symbol_loop(self):
+        rng = np.random.default_rng(4)
+        bits = rng.integers(0, 2, size=(3, 7, 2), dtype=np.uint8)
+        expected = "3,7,2\n" + "".join(
+            ",".join(str(b) for b in bits[n, :, k]) + "\n"
+            for n in range(3) for k in range(2))
+        buf = io.BytesIO()
+        write_measurements(MeasurementTensor(bits=bits), buf, fmt="csv")
+        assert buf.getvalue() == expected.encode("ascii")
+
     def test_write_is_byte_stable(self):
         rng = np.random.default_rng(3)
         m = MeasurementTensor(bits=rng.integers(0, 2, size=(3, 9, 2), dtype=np.uint8))
