@@ -19,7 +19,8 @@ from .entropy import (EntropySpec, limits_from_min_entropy,
                       min_entropy_from_limits, shannon_entropy)
 from .errors import (BitAliasError, CapacityError, ConvergenceError, DomainError,
                      FormatError, PerfectEntropyError)
-from .formats import load_counts, load_measurements, write_counts, write_measurements
+from .formats import (load_counts, load_measurement_counts, load_measurements, write_counts,
+                      write_measurements)
 from .qualification import (AcceptanceRegion, AliasLimits, EarlyStopAdvice,
                             TestVerdict, acceptance_probability, acceptance_region,
                             early_stop_decision, early_stop_p_values,
@@ -51,7 +52,7 @@ __all__ = [
     "ci_width_curve", "ci_wilson", "confidence_interval", "count_ones",
     "derive_noise_free_response", "early_stop_decision", "early_stop_p_values",
     "limits_from_min_entropy", "limits_from_shannon_entropy", "limits_from_spec",
-    "load_counts", "load_measurements", "min_entropy_from_limits",
+    "load_counts", "load_measurement_counts", "load_measurements", "min_entropy_from_limits",
     "monte_carlo_validate", "p_value_lower", "p_value_upper",
     "plan_devices_exact", "plan_devices_frr", "plan_devices_normal",
     "regularized_incomplete_beta", "render_report", "rng_stream",

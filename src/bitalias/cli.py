@@ -12,16 +12,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analysis import (AnalysisConfig, EarlyStopConfig, analyze, analyze_counts,
-                       render_report)
+from .analysis import AnalysisConfig, EarlyStopConfig, analyze_counts, render_report
 from .confidence import (METHODS, AliasSweep, DeviceSweep, ci_width_curve,
                          plan_devices_exact, plan_devices_normal)
 from .entropy import EntropySpec, limits_from_spec
 from .errors import BitAliasError
-from .formats import load_counts, load_measurements, write_measurements
+from .formats import load_counts, load_measurement_counts, write_measurements
 from .qualification import AliasLimits, early_stop_decision, test_position, \
     plan_devices_frr
-from .response import count_ones, derive_noise_free_response
 from .simulate import ALIAS_PROFILES, PopulationSpec, simulate_population
 from .validate import CoverageParams, QualificationParams, monte_carlo_validate
 
@@ -78,7 +76,8 @@ def _cmd_analyze(args) -> int:
     if args.counts:
         result = analyze_counts(load_counts(args.file), cfg)
     else:
-        result = analyze(load_measurements(args.file), cfg)
+        counts, repeats, ties = load_measurement_counts(args.file)
+        result = analyze_counts(counts, cfg, repeats=repeats, tie_count=ties)
     _emit(render_report(result), args.out)
     return 0 if result.all_accepted else 1
 
@@ -109,10 +108,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_early_stop(args) -> int:
-    if args.counts:
-        counts = load_counts(args.file)
-    else:
-        counts = count_ones(derive_noise_free_response(load_measurements(args.file)))
+    counts = load_counts(args.file) if args.counts else load_measurement_counts(args.file)[0]
     advice = early_stop_decision(counts, _limits(args), args.alpha,
                                  args.max_flag_fraction)
     flagged = ",".join(str(t) for t in advice.flagged_positions) or "-"

@@ -22,12 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .response import MeasurementTensor, PositionCounts
+from .response import MeasurementTensor, PositionCounts, _vote
 
 MAGIC = b"PUFB"
 VERSION = 1
 _HEADER_LEN = 4 + 1 + 12  # magic, version, three uint32 dims
 _ZERO = ord("0")
+# Unpacked bytes per block of devices voted by `load_measurement_counts`; a
+# block holds at least one device, however wide.  1 MiB votes as fast as
+# larger blocks and keeps the peak memory small.
+_BLOCK_BYTES = 1 << 20
 
 
 def _read(source) -> bytes:
@@ -48,9 +52,9 @@ def _rows(m: MeasurementTensor) -> np.ndarray:
     return np.transpose(m.bits, (0, 2, 1)).reshape(m.devices * m.repeats, m.positions)
 
 
-def _from_rows(rows: np.ndarray, devices: int, repeats: int) -> MeasurementTensor:
-    """Inverse of `_rows`."""
-    return MeasurementTensor(bits=np.transpose(rows.reshape(devices, repeats, -1), (0, 2, 1)))
+def _from_rows(rows: np.ndarray, repeats: int) -> np.ndarray:
+    """Inverse of `_rows`: the devices x positions x repeats view of the rows."""
+    return np.transpose(rows.reshape(-1, repeats, rows.shape[1]), (0, 2, 1))
 
 
 def load_measurements(source) -> MeasurementTensor:
@@ -61,8 +65,37 @@ def load_measurements(source) -> MeasurementTensor:
     """
     payload = _read(source)
     if payload[:4] == MAGIC:
-        return _parse_binary(payload)
-    return _parse_csv(payload)
+        _, positions, repeats, packed = _binary_rows(payload)
+        rows = np.unpackbits(packed, axis=1, count=positions, bitorder="little")
+    else:
+        _, _, repeats, rows = _csv_rows(payload)
+    return MeasurementTensor(bits=_from_rows(rows, repeats))
+
+
+def load_measurement_counts(source) -> tuple[PositionCounts, int, int]:
+    """Read a measurement file straight to ``(counts, repeats, tie_count)``.
+
+    Gives what ``count_ones(derive_noise_free_response(load_measurements(f)))``
+    gives, with the same repeat count, ties and error messages, but never
+    builds the devices x positions x repeats tensor: the rows are voted one
+    block of devices at a time and only the per-position sums are kept.  A
+    binary file is unpacked a block at a time too, so its peak memory is
+    about the file size plus one block.
+    """
+    payload = _read(source)
+    binary = payload[:4] == MAGIC
+    devices, positions, repeats, rows = (_binary_rows if binary else _csv_rows)(payload)
+    per_block = max(1, _BLOCK_BYTES // (positions * repeats))
+    ones = np.zeros(positions, dtype=np.int64)
+    tie_count = 0
+    for first in range(0, devices, per_block):
+        block = rows[first * repeats:(first + per_block) * repeats]
+        if binary:
+            block = np.unpackbits(block, axis=1, count=positions, bitorder="little")
+        voted, ties = _vote(_from_rows(block, repeats), first)
+        ones += voted.sum(axis=0)
+        tie_count += ties
+    return PositionCounts(devices=devices, ones=ones), repeats, tie_count
 
 
 def write_measurements(m: MeasurementTensor, dest, fmt: str = "csv") -> None:
@@ -84,7 +117,8 @@ def write_measurements(m: MeasurementTensor, dest, fmt: str = "csv") -> None:
     _write(dest, blob)
 
 
-def _parse_csv(payload: bytes) -> MeasurementTensor:
+def _csv_rows(payload: bytes) -> tuple[int, int, int, np.ndarray]:
+    """Check a CSV measurement file; return N, T, M and its (N*M, T) rows."""
     try:
         text = payload.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -102,7 +136,7 @@ def _parse_csv(payload: bytes) -> MeasurementTensor:
         data_lines.pop()
     if len(data_lines) < expected:
         raise FormatError(
-            f"line {len(lines) + 1}: truncated payload, expected {expected} data lines, "
+            f"line {len(data_lines) + 2}: truncated payload, expected {expected} data lines, "
             f"found {len(data_lines)}")
     if len(data_lines) > expected:
         raise FormatError(
@@ -118,10 +152,12 @@ def _parse_csv(payload: bytes) -> MeasurementTensor:
             raise FormatError(f"line {row + 2}: non-binary symbol {token!r} in field {col + 1}")
         rows[row] = np.frombuffer("".join(fields).encode("ascii"), dtype=np.uint8)
     rows -= _ZERO
-    return _from_rows(rows, devices, repeats)
+    return devices, positions, repeats, rows
 
 
-def _parse_binary(payload: bytes) -> MeasurementTensor:
+def _binary_rows(payload: bytes) -> tuple[int, int, int, np.ndarray]:
+    """Check a binary measurement file; return N, T, M and its (N*M, ceil(T/8))
+    packed rows, a view of the payload."""
     if len(payload) < _HEADER_LEN:
         raise FormatError(f"byte {len(payload)}: truncated header, need {_HEADER_LEN} bytes")
     if payload[4] != VERSION:
@@ -133,22 +169,22 @@ def _parse_binary(payload: bytes) -> MeasurementTensor:
         raise FormatError("byte 5: dimensions must all be >= 1")
     row_bytes = (positions + 7) // 8
     rows = devices * repeats
-    body = payload[_HEADER_LEN:]
-    if len(body) < rows * row_bytes:
+    body = len(payload) - _HEADER_LEN
+    if body < rows * row_bytes:
         raise FormatError(
-            f"byte {_HEADER_LEN + len(body)}: truncated payload, expected "
-            f"{rows * row_bytes} bit-packed bytes, found {len(body)}")
-    if len(body) > rows * row_bytes:
+            f"byte {len(payload)}: truncated payload, expected "
+            f"{rows * row_bytes} bit-packed bytes, found {body}")
+    if body > rows * row_bytes:
         raise FormatError(
             f"byte {_HEADER_LEN + rows * row_bytes}: trailing data after bit payload")
-    packed = np.frombuffer(body, dtype=np.uint8).reshape(rows, row_bytes)
-    unpacked = np.unpackbits(packed, axis=1, bitorder="little")
-    padding = unpacked[:, positions:]
-    if padding.any():
-        bad_row = int(np.argwhere(padding.any(axis=1))[0][0])
-        offset = _HEADER_LEN + bad_row * row_bytes + positions // 8
-        raise FormatError(f"byte {offset}: nonzero padding bits")
-    return _from_rows(unpacked[:, :positions], devices, repeats)
+    packed = np.frombuffer(payload, dtype=np.uint8, offset=_HEADER_LEN).reshape(rows, row_bytes)
+    if positions % 8:
+        # the padding bits are the high bits of each row's last byte
+        bad_rows = np.flatnonzero(packed[:, -1] >> (positions % 8))
+        if bad_rows.size:
+            offset = _HEADER_LEN + int(bad_rows[0]) * row_bytes + positions // 8
+            raise FormatError(f"byte {offset}: nonzero padding bits")
+    return devices, positions, repeats, packed
 
 
 def load_counts(source) -> PositionCounts:

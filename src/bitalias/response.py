@@ -96,6 +96,29 @@ class PositionCounts:
         return int(self.ones.size)
 
 
+def _vote(block: np.ndarray, first_device: int) -> tuple[np.ndarray, int]:
+    """Majority vote of a devices x positions x repeats block of 0/1 bits.
+
+    ``first_device`` is the global index of the block's first device, so a
+    campaign voted one block of devices at a time resolves its ties exactly
+    as when voted whole.  Returns the voted devices x positions bits (bool)
+    and the number of tied cells.  Totals are int32 and are compared with
+    ``repeats // 2`` rather than doubled, so they cannot overflow below 2**31
+    repeats.
+    """
+    devices, positions, repeats = block.shape
+    totals = block.sum(axis=2, dtype=np.int32)
+    voted = totals > repeats // 2
+    if repeats % 2:
+        return voted, 0
+    ties = totals == repeats // 2
+    # tie -> 1 exactly when device index + position index is even
+    parity_even = np.equal.outer((first_device + np.arange(devices)) % 2,
+                                 np.arange(positions) % 2)
+    voted |= ties & parity_even
+    return voted, int(np.count_nonzero(ties))
+
+
 def derive_noise_free_response(m: MeasurementTensor) -> NoiseFreeResponse:
     """Majority vote across repeats, per device and position.
 
@@ -104,12 +127,8 @@ def derive_noise_free_response(m: MeasurementTensor) -> NoiseFreeResponse:
     index parity: 1 when device index + position index is even, else 0.  Ties
     flag unreliable cells, so their total is surfaced as ``tie_count``.
     """
-    totals = m.bits.sum(axis=2, dtype=np.int64)
-    majority = 2 * totals > m.repeats
-    ties = 2 * totals == m.repeats
-    parity_even = (np.arange(m.devices)[:, None] + np.arange(m.positions)[None, :]) % 2 == 0
-    bits = np.where(ties, parity_even, majority)
-    return NoiseFreeResponse(bits=bits.astype(np.uint8), tie_count=int(ties.sum()))
+    voted, ties = _vote(m.bits, 0)
+    return NoiseFreeResponse(bits=voted, tie_count=ties)
 
 
 def count_ones(r: NoiseFreeResponse) -> PositionCounts:

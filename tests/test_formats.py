@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitalias import formats
 from bitalias.errors import FormatError
-from bitalias.formats import (load_counts, load_measurements, write_counts,
-                              write_measurements)
-from bitalias.response import MeasurementTensor, PositionCounts
+from bitalias.formats import (load_counts, load_measurement_counts, load_measurements,
+                              write_counts, write_measurements)
+from bitalias.response import (MeasurementTensor, PositionCounts, count_ones,
+                               derive_noise_free_response)
 
 
 def _binary_header(devices, positions, repeats, version=1):
@@ -31,7 +33,7 @@ FILE_CASES = [
     (load_measurements, b"2,2,1\n0,1\n",
      "line 3: truncated payload, expected 2 data lines, found 1"),
     (load_measurements, b"2,2,1\n0,1\n\n",
-     "line 4: truncated payload, expected 2 data lines, found 1"),
+     "line 3: truncated payload, expected 2 data lines, found 1"),
     (load_measurements, b"1,2,1\n", "line 2: truncated payload, expected 1 data lines, found 0"),
     (load_measurements, b"1,2,1\n0,1\n1,1\n",
      "line 3: dimension mismatch, expected exactly 1 data lines"),
@@ -84,6 +86,14 @@ FILE_CASES = [
     (load_counts, "5,2\n\u0661,+2\n".encode(), (5, [1, 2])),
     (load_counts, b"5,2\r\n 3 ,\t5\r\n\n", (5, [3, 5])),
     (load_counts, b"5,2\n\n3,5\n", (5, [3, 5])),
+    # pytest names the cases without a message by list position, so new
+    # cases go last
+    (load_measurements, b"3,2,1\n0,1\n1,0\n\n \r\n\n",
+     "line 4: truncated payload, expected 3 data lines, found 2"),
+    (load_measurements, _binary_header(3, 9, 2) + bytes(11) + bytes([2]),
+     "byte 28: nonzero padding bits"),
+    (load_measurements, _binary_header(3, 9, 2) + bytes(5) + bytes([4]) + bytes(5) + bytes([2]),
+     "byte 22: nonzero padding bits"),
 ]
 
 
@@ -98,6 +108,49 @@ def test_parser_outcomes_are_exact(loader, blob, outcome):
         assert (c.devices, c.ones.tolist()) == outcome
     else:
         assert loader(io.BytesIO(blob)).bits.tolist() == outcome
+
+
+def tensor_path(blob: bytes) -> tuple[PositionCounts, int, int]:
+    """What `load_measurement_counts` must return, by way of the whole tensor."""
+    m = load_measurements(io.BytesIO(blob))
+    response = derive_noise_free_response(m)
+    return count_ones(response), m.repeats, response.tie_count
+
+
+def assert_same_counts(got, expected):
+    (counts, repeats, ties), (want, want_repeats, want_ties) = got, expected
+    assert counts.devices == want.devices
+    assert counts.ones.tolist() == want.ones.tolist()
+    assert (repeats, ties) == (want_repeats, want_ties)
+
+
+@pytest.mark.parametrize("blob, outcome", [
+    (blob, outcome) for loader, blob, outcome in FILE_CASES if loader is load_measurements])
+def test_streamed_counts_give_the_same_outcome(blob, outcome):
+    if isinstance(outcome, str):
+        with pytest.raises(FormatError) as info:
+            load_measurement_counts(io.BytesIO(blob))
+        assert str(info.value) == outcome
+    else:
+        assert_same_counts(load_measurement_counts(io.BytesIO(blob)), tensor_path(blob))
+
+
+@given(devices=st.integers(1, 40), positions=st.integers(1, 29), repeats=st.integers(1, 6),
+       block_bytes=st.integers(1, 300), fmt=st.sampled_from(["csv", "binary"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_streamed_counts_match_tensor_path(devices, positions, repeats, block_bytes, fmt,
+                                           seed):
+    # a small block budget splits the devices over many blocks, one device
+    # each when a device alone is over budget
+    rng = np.random.default_rng(seed)
+    m = MeasurementTensor(bits=rng.integers(0, 2, size=(devices, positions, repeats),
+                                            dtype=np.uint8))
+    buf = io.BytesIO()
+    write_measurements(m, buf, fmt=fmt)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "_BLOCK_BYTES", block_bytes)
+        got = load_measurement_counts(io.BytesIO(buf.getvalue()))
+    assert_same_counts(got, tensor_path(buf.getvalue()))
 
 
 def roundtrip(m: MeasurementTensor, fmt: str) -> MeasurementTensor:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from bitalias.errors import DomainError
 from bitalias.response import (MeasurementTensor, NoiseFreeResponse, PositionCounts,
-                               bit_alias, count_ones, derive_noise_free_response)
+                               _vote, bit_alias, count_ones, derive_noise_free_response)
 
 
 def tensor(arr):
@@ -77,6 +77,22 @@ class TestDeriveNoiseFreeResponse:
         shuffled = bits[:, :, rng.permutation(4)]
         again = bit_alias(count_ones(derive_noise_free_response(tensor(shuffled))))
         assert (base == again).all()
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_per_cell_rule_in_any_blocks(self, seed):
+        rng = np.random.default_rng(seed)
+        n, t, k = (int(v) for v in rng.integers(1, 9, size=3))
+        bits = rng.integers(0, 2, size=(n, t, k), dtype=np.uint8)
+        expected = [[int(2 * bits[d, p].sum() > k
+                         or (2 * bits[d, p].sum() == k and (d + p) % 2 == 0))
+                     for p in range(t)] for d in range(n)]
+        ties = sum(2 * int(bits[d, p].sum()) == k for d in range(n) for p in range(t))
+        r = derive_noise_free_response(tensor(bits))
+        assert (r.bits.tolist(), r.tie_count) == (expected, ties)
+        cuts = sorted(int(c) for c in rng.integers(0, n + 1, size=2))
+        parts = [_vote(bits[a:b], a) for a, b in zip([0, *cuts], [*cuts, n])]
+        assert np.concatenate([v for v, _ in parts]).tolist() == expected
+        assert sum(c for _, c in parts) == ties
 
 
 class TestCountOnes:
