@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -143,10 +144,20 @@ class TestRenderReport:
         payload = json.loads(blob)
         assert payload["summary"]["devices"] == 680
         assert len(payload["positions"]) == 8
-        for rep, entry in zip(result.reports, payload["positions"]):
-            assert entry["p_hat"] == rep.alias  # full precision, exact
-            assert entry["ci"]["lower"] == rep.interval.lower
+        for t, (rep, entry) in enumerate(zip(result.reports, payload["positions"])):
+            assert entry["t"] == t
+            assert (entry["x"], entry["n"]) == (rep.ones, rep.devices)
+            # full precision, exact
+            assert entry["p_hat"] == rep.alias
+            assert entry["ci"] == {"method": rep.interval.method, "lower": rep.interval.lower,
+                                   "upper": rep.interval.upper, "alpha": rep.interval.alpha}
+            assert entry["p_value_lower"] == rep.verdict.p_value_lower
+            assert entry["p_value_upper"] == rep.verdict.p_value_upper
             assert entry["accepted"] == rep.verdict.accepted
+            assert entry["min_entropy"] == rep.min_entropy
+            assert entry["shannon_entropy"] == rep.shannon_entropy
+            assert entry["min_entropy_ci_worst"] == rep.min_entropy_worst
+            assert entry["shannon_entropy_ci_worst"] == rep.shannon_entropy_worst
         # byte-stable: rendering twice is identical
         assert render_report(result, "json") == blob
 
@@ -169,3 +180,54 @@ class TestRenderReport:
     def test_unknown_format_rejected(self):
         with pytest.raises(DomainError):
             render_report(balanced_result(positions=2), "yaml")
+
+
+# sha256 of the text and csv reports, early stop on.  JSON is left out: its
+# full-precision floats may differ in the last bits between libm builds.
+PINNED_REPORTS = {
+    ("normal", "campaign", "text"):
+        "d6172b0f7320b2a15ad2f675a2666bcebd04e3989fa1c53155bb11caab1dd20c",
+    ("normal", "campaign", "csv"):
+        "a08762869986fb8e3cda02d979293b6c764f3bab79c692feba93481158157cad",
+    ("normal", "counts", "text"):
+        "3be32314d7adb8d8414afa919d879ef6d22c196a6fe87df36081fce850885dd0",
+    ("normal", "counts", "csv"):
+        "0519159d1a10942eaa17d0ef7c6e16c3df9d6fb790fe5944716bbe1d139734f5",
+    ("wilson", "campaign", "text"):
+        "6370b78f84d6a47ace4b8f31d5896a8224fb0b559a8bec82d8138a850e381800",
+    ("wilson", "campaign", "csv"):
+        "9a610108629e9cc567927ff83ba19b7c064b131eb93377c139c4ac6c8aef2653",
+    ("wilson", "counts", "text"):
+        "b2f7f3ad9370882aa3eb3c4b370a5876720c18d3f3aa351ca5146fd98dc75499",
+    ("wilson", "counts", "csv"):
+        "2eac0edd1c40ebb387761c7b166324593dcc6de4de4bff1976311a1f34eeb68e",
+    ("clopper_pearson", "campaign", "text"):
+        "68f682366adc8d0ee9669c2cfd2c21e5c39bb826af652541611a5c1fc2db5dcc",
+    ("clopper_pearson", "campaign", "csv"):
+        "d1f596f9dedfd3a2a8da73453924a8cd9a2432782f336e24f176741fe7026e8d",
+    ("clopper_pearson", "counts", "text"):
+        "ccaffb5137b2e515c0c2ab89bb1400b297a9873d90636fd66f35724369c7c6fe",
+    ("clopper_pearson", "counts", "csv"):
+        "380d7585bb4b955cf9306456fc5b18c9dd9d07938c783ffb4eedd3ed4035cb1c",
+}
+
+REPEATED_ONES = np.array([0, 680, 340, 340, 0, 100, 680, 100, 339, 340, 0, 1, 679, 340, 341, 679])
+
+
+@pytest.fixture(scope="module")
+def paper_campaign():
+    """The paper's 680 devices x 256 positions x 5 repeats, seed 42."""
+    return simulate_population(PopulationSpec(devices=680, positions=256, repeats=5,
+                                              seed=42, alias="linear", flip_noise=0.05))
+
+
+@pytest.mark.parametrize("method,source,fmt", sorted(PINNED_REPORTS))
+def test_report_bytes_pinned(paper_campaign, method, source, fmt):
+    cfg = AnalysisConfig(alpha=0.01, limits=LIMITS, ci_method=method,
+                         early_stop=EarlyStopConfig(alpha=0.01))
+    if source == "campaign":
+        result = analyze(paper_campaign, cfg)
+    else:
+        result = analyze_counts(PositionCounts(devices=680, ones=REPEATED_ONES), cfg)
+    digest = hashlib.sha256(render_report(result, fmt)).hexdigest()
+    assert digest == PINNED_REPORTS[method, source, fmt]

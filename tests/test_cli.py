@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -173,6 +174,20 @@ class TestCurveCommand:
     def test_malformed_grid_exits_two(self, capsys):
         assert main(["curve", "--grid", "abc"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method,sweep,digest", [
+        ("normal", "devices", "ade5a4d2bf091c6abc18de9b26d042ec70804c74f0dfaf826addde028b10dfd4"),
+        ("normal", "alias", "1bdf879eccd204de5fb71c09312a88c373ab95d97f26250ab4d09fc7f3a080ed"),
+        ("wilson", "devices", "76c0f1001a2c0aa4eacadc9e6d56d053f1739e92e77dd05e2d83fe27dd0263b0"),
+        ("wilson", "alias", "ef614949781c76377b2f3436f6f00d8e3036ba31fceda78379a020b72e80e18c"),
+        ("clopper_pearson", "devices",
+         "8b474b366dd83f40ac27aca2090c3299b1ea872eaa345024f08b55d982174dee"),
+        ("clopper_pearson", "alias",
+         "658e3d0eec614b8dc73a0be95d4dfc943cdc7fcd60c258c9391aeba1c4e59e2d"),
+    ])
+    def test_default_grid_output_pinned(self, capsys, method, sweep, digest):
+        assert main(["curve", "--method", method, "--sweep", sweep]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest
 
 
 class TestModuleEntryPoint:
