@@ -1,20 +1,20 @@
 """End-to-end analysis: pipeline orchestration and report rendering.
 
 ``analyze`` runs measurements through noise removal, counting, interval
-estimation, and the qualification test, producing one report per position
+estimation, and the qualification test, producing a report for every position
 plus a campaign summary.  ``render_report`` serializes the result as an
 aligned text table, JSON, or CSV; all three are byte-stable for fixed input.
 Verdicts always come from the exact test, while the reported interval uses
 the configured estimator (Wilson by default).  Every statistic depends on a
-position's count alone, so it is evaluated once per distinct count and shared
-by the positions with that count.
+position's count alone, so it is evaluated once per distinct count:
+``reports[t]`` is position t's report, and equal counts share one object.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .confidence import METHODS, Interval, confidence_interval
 from .entropy import EntropySpec, limits_from_spec, min_entropy_from_limits, shannon_entropy
@@ -25,8 +25,6 @@ from .qualification import (AcceptanceRegion, AliasLimits, EarlyStopAdvice,
 from .response import MeasurementTensor, PositionCounts, _per_distinct, count_ones, \
     derive_noise_free_response
 from .special import _as_probability, _check_alpha
-
-REPORT_FORMATS = ("text", "json", "csv")
 
 CSV_HEADER = "t,x,N,p_hat,ci_lo,ci_hi,p_val_lo,p_val_hi,accepted,min_entropy,shannon_entropy"
 
@@ -76,14 +74,15 @@ class AnalysisConfig:
 
 @dataclass(frozen=True)
 class PositionReport:
-    """Everything the report knows about one position.
+    """Everything the report knows about a position with a given count.
 
+    ``AnalysisResult.reports[t]`` is position t's report; positions with
+    equal counts share one object, and ``enumerate`` gives the index.
     Entropies are given twice: at the point estimate and at the worst case
     over the interval (the endpoint farther from 0.5), the conservative
     figure a security analysis should quote.
     """
 
-    position: int
     ones: int
     devices: int
     alias: float
@@ -129,26 +128,23 @@ def analyze_counts(counts: PositionCounts, cfg: AnalysisConfig, *,
     n = counts.devices
     region = acceptance_region(n, limits, cfg.alpha)
 
-    def report(x: int) -> PositionReport:  # for position 0; positions differ only there
+    def report(x: int) -> PositionReport:
         interval = confidence_interval(cfg.ci_method, x, n, cfg.alpha)
         p_hat = x / n
         worst = interval.lower if abs(interval.lower - 0.5) > abs(interval.upper - 0.5) \
             else interval.upper
         return PositionReport(
-            position=0, ones=x, devices=n, alias=p_hat, interval=interval,
+            ones=x, devices=n, alias=p_hat, interval=interval,
             verdict=test_position(x, n, limits, cfg.alpha),
             min_entropy=min_entropy_from_limits(p_hat),
             shannon_entropy=shannon_entropy(p_hat),
             min_entropy_worst=min_entropy_from_limits(worst),
             shannon_entropy_worst=shannon_entropy(worst))
 
-    reports = tuple(replace(r, position=t, verdict=replace(r.verdict, position=t))
-                    for t, r in enumerate(_per_distinct(counts.ones, report)))
+    reports = tuple(_per_distinct(counts.ones, report))
     accepted = sum(r.verdict.accepted for r in reports)
-    advice = None
-    if cfg.early_stop is not None:
-        advice = early_stop_decision(counts, limits, cfg.early_stop.alpha,
-                                     cfg.early_stop.max_flag_fraction)
+    advice = None if cfg.early_stop is None else early_stop_decision(
+        counts, limits, cfg.early_stop.alpha, cfg.early_stop.max_flag_fraction)
     summary = AnalysisSummary(
         devices=n, positions=counts.positions, repeats=repeats, tie_count=tie_count,
         accepted=accepted, rejected=counts.positions - accepted,
@@ -167,13 +163,9 @@ def analyze(m: MeasurementTensor, cfg: AnalysisConfig) -> AnalysisResult:
 def render_report(result: AnalysisResult, fmt: str | None = None) -> bytes:
     """Serialize an analysis result; the format defaults to the config's."""
     fmt = result.config.output_format if fmt is None else fmt
-    if fmt == "text":
-        return _render_text(result)
-    if fmt == "json":
-        return _render_json(result)
-    if fmt == "csv":
-        return _render_csv(result)
-    raise DomainError(f"unknown report format {fmt!r}, expected one of {REPORT_FORMATS}")
+    if fmt not in REPORT_FORMATS:
+        raise DomainError(f"unknown report format {fmt!r}, expected one of {REPORT_FORMATS}")
+    return _RENDERERS[fmt](result)
 
 
 def _num(v: float) -> str:
@@ -183,9 +175,9 @@ def _num(v: float) -> str:
 def _render_csv(result: AnalysisResult) -> bytes:
     out = io.StringIO()
     out.write(CSV_HEADER + "\n")
-    for r in result.reports:
+    for t, r in enumerate(result.reports):
         out.write(",".join((
-            str(r.position), str(r.ones), str(r.devices), _num(r.alias),
+            str(t), str(r.ones), str(r.devices), _num(r.alias),
             _num(r.interval.lower), _num(r.interval.upper),
             _num(r.verdict.p_value_lower), _num(r.verdict.p_value_upper),
             "1" if r.verdict.accepted else "0",
@@ -194,7 +186,7 @@ def _render_csv(result: AnalysisResult) -> bytes:
 
 
 def _config_payload(cfg: AnalysisConfig, limits: AliasLimits) -> dict:
-    payload = {
+    return {
         "alpha": cfg.alpha,
         "p_l": limits.p_l,
         "p_u": limits.p_u,
@@ -206,15 +198,13 @@ def _config_payload(cfg: AnalysisConfig, limits: AliasLimits) -> dict:
              "max_flag_fraction": cfg.early_stop.max_flag_fraction},
         "per_position_alpha": True,  # no multiple-testing correction across positions
     }
-    return payload
 
 
 def _render_json(result: AnalysisResult) -> bytes:
     region = result.summary.region
-    limits = region.limits
     advice = result.summary.early_stop
     payload = {
-        "config": _config_payload(result.config, limits),
+        "config": _config_payload(result.config, region.limits),
         "summary": {
             "devices": result.summary.devices,
             "positions": result.summary.positions,
@@ -231,7 +221,7 @@ def _render_json(result: AnalysisResult) -> bytes:
             },
         },
         "positions": [{
-            "t": r.position,
+            "t": t,
             "x": r.ones,
             "n": r.devices,
             "p_hat": r.alias,
@@ -244,7 +234,7 @@ def _render_json(result: AnalysisResult) -> bytes:
             "shannon_entropy": r.shannon_entropy,
             "min_entropy_ci_worst": r.min_entropy_worst,
             "shannon_entropy_ci_worst": r.shannon_entropy_worst,
-        } for r in result.reports],
+        } for t, r in enumerate(result.reports)],
     }
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii")
 
@@ -252,12 +242,11 @@ def _render_json(result: AnalysisResult) -> bytes:
 def _render_text(result: AnalysisResult) -> bytes:
     s = result.summary
     region = s.region
-    limits = region.limits
     out = io.StringIO()
     repeats = "-" if s.repeats is None else str(s.repeats)
     ties = "-" if s.tie_count is None else str(s.tie_count)
     out.write(f"devices={s.devices} positions={s.positions} repeats={repeats} ties={ties}\n")
-    out.write(f"limits: p_l={_num(limits.p_l)} p_u={_num(limits.p_u)} "
+    out.write(f"limits: p_l={_num(region.limits.p_l)} p_u={_num(region.limits.p_u)} "
               f"alpha={_num(result.config.alpha)} ci_method={result.config.ci_method}\n")
     if region.is_empty:
         out.write("acceptance region: empty (no count can qualify at this device count)\n")
@@ -272,10 +261,14 @@ def _render_text(result: AnalysisResult) -> bytes:
     out.write("\n")
     out.write(f"{'t':>6} {'x':>8} {'p_hat':>10} {'ci_lo':>10} {'ci_hi':>10} "
               f"{'p_val_lo':>10} {'p_val_hi':>10} {'ok':>3} {'h_min':>9} {'h_shan':>9}\n")
-    for r in result.reports:
-        out.write(f"{r.position:>6d} {r.ones:>8d} {r.alias:>10.6g} "
+    for t, r in enumerate(result.reports):
+        out.write(f"{t:>6d} {r.ones:>8d} {r.alias:>10.6g} "
                   f"{r.interval.lower:>10.6g} {r.interval.upper:>10.6g} "
                   f"{r.verdict.p_value_lower:>10.3g} {r.verdict.p_value_upper:>10.3g} "
                   f"{'yes' if r.verdict.accepted else 'no':>3} "
                   f"{r.min_entropy:>9.6g} {r.shannon_entropy:>9.6g}\n")
     return out.getvalue().encode("ascii")
+
+
+_RENDERERS = {"text": _render_text, "json": _render_json, "csv": _render_csv}
+REPORT_FORMATS = tuple(_RENDERERS)

@@ -12,7 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analysis import AnalysisConfig, EarlyStopConfig, analyze_counts, render_report
+from .analysis import (REPORT_FORMATS, AnalysisConfig, EarlyStopConfig, analyze_counts,
+                       render_report)
 from .confidence import (METHODS, AliasSweep, DeviceSweep, ci_width_curve,
                          plan_devices_exact, plan_devices_normal)
 from .entropy import EntropySpec, limits_from_spec
@@ -66,10 +67,8 @@ def _emit(blob: bytes, out: str | None) -> None:
 
 def _cmd_analyze(args) -> int:
     limits, spec = _limit_source(args)
-    early = None
-    if args.early_stop_alpha is not None:
-        early = EarlyStopConfig(alpha=args.early_stop_alpha,
-                                max_flag_fraction=args.max_flag_fraction)
+    early = None if args.early_stop_alpha is None else EarlyStopConfig(
+        alpha=args.early_stop_alpha, max_flag_fraction=args.max_flag_fraction)
     cfg = AnalysisConfig(alpha=args.alpha, limits=limits, entropy_spec=spec,
                          ci_method=args.ci_method, early_stop=early,
                          output_format=args.format)
@@ -177,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.01)
     _add_limit_flags(p)
     p.add_argument("--ci-method", choices=METHODS, default="wilson")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--format", choices=REPORT_FORMATS, default="text")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--early-stop-alpha", type=float, default=None,
                    help="also run the early-stop forecast at this level")

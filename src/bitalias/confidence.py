@@ -52,6 +52,11 @@ def _z_for(alpha: float) -> float:
     return std_normal_quantile(1.0 - 0.5 * alpha)
 
 
+def _normal_half(p: float, n, z: float) -> float:
+    """Half-width of the normal-approximation interval at alias p."""
+    return z * math.sqrt(p * (1.0 - p) / n)
+
+
 def _wilson(p: float, n, z: float) -> tuple[float, float]:
     """Centre and half-width of Wilson's score interval at alias p."""
     z2_n = z * z / n
@@ -120,7 +125,7 @@ def ci_normal(x, n, alpha) -> Interval:
     x, n = _check_counts(x, n)
     alpha = _check_alpha(alpha)
     p = x / n
-    half = _z_for(alpha) * math.sqrt(p * (1.0 - p) / n)
+    half = _normal_half(p, n, _z_for(alpha))
     return Interval(lower=max(0.0, p - half), upper=min(1.0, p + half),
                     alpha=alpha, method="normal", analytic_width=2.0 * half)
 
@@ -195,9 +200,8 @@ def ci_width(method: str, p_hat: float, n: float, alpha: float) -> float:
         return upper - lower
     # twice the half-width, which can differ from upper - lower in the last bits
     z = _z_for(alpha)
-    if method == "wilson":
-        return 2.0 * _wilson(p_hat, n, z)[1]
-    return 2.0 * z * math.sqrt(p_hat * (1.0 - p_hat) / n)
+    half = _wilson(p_hat, n, z)[1] if method == "wilson" else _normal_half(p_hat, n, z)
+    return 2.0 * half
 
 
 def default_device_grid(points: int = 120) -> tuple[int, ...]:

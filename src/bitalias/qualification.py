@@ -76,9 +76,8 @@ class AcceptanceRegion:
 
 @dataclass(frozen=True)
 class TestVerdict:
-    """Outcome of the two-sided qualification test at one position."""
+    """Outcome of the two-sided qualification test for one count of 1s."""
 
-    position: int
     ones: int
     p_value_upper: float
     p_value_lower: float
@@ -143,7 +142,7 @@ def acceptance_region(n, limits: AliasLimits, alpha) -> AcceptanceRegion:
     return AcceptanceRegion(devices=n, limits=limits, alpha=alpha, x_l=x_l, x_u=x_u)
 
 
-def test_position(x, n, limits: AliasLimits, alpha, position: int = 0) -> TestVerdict:
+def test_position(x, n, limits: AliasLimits, alpha) -> TestVerdict:
     """Two-sided qualification verdict for one position's count of 1s.
 
     Accepted exactly when both p-values fall strictly below alpha/2, which is
@@ -155,8 +154,8 @@ def test_position(x, n, limits: AliasLimits, alpha, position: int = 0) -> TestVe
     pu = p_value_upper(x, n, limits.p_u)
     pl = p_value_lower(x, n, limits.p_l)
     half = 0.5 * alpha
-    return TestVerdict(position=position, ones=x, p_value_upper=pu, p_value_lower=pl,
-                       alpha=alpha, accepted=pu < half and pl < half)
+    return TestVerdict(ones=x, p_value_upper=pu, p_value_lower=pl, alpha=alpha,
+                       accepted=pu < half and pl < half)
 
 
 def acceptance_probability(n, p, region: AcceptanceRegion) -> float:
@@ -178,9 +177,11 @@ def plan_devices_frr(limits: AliasLimits, inner: tuple[float, float],
     """Smallest device count keeping the false rejection rate at or below beta
     for every alias inside the inner band.
 
-    By tail monotonicity it suffices to check the band's endpoints.  The
-    binary-search result is certified by scanning a window of 50 counts below
-    it, because the discrete FRR curve is not perfectly monotone in n.
+    By tail monotonicity it suffices to check the band's endpoints.  The FRR
+    curve is not monotone in n, so the answer is the smallest count meeting
+    beta among the binary-search result and the 50 counts below it; it is not
+    always the smallest overall (limits (0.497, 0.503) with inner band
+    (0.4985, 0.5015) give 2671077, though 2671027 also meets beta).
     """
     limits = _as_limits(limits)
     p_k, p_v = inner

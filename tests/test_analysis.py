@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -71,9 +72,7 @@ class TestAnalyze:
     def test_verdicts_recomputable(self):
         result = balanced_result(positions=16)
         for rep in result.reports:
-            again = qual.test_position(rep.ones, rep.devices, LIMITS, 0.01,
-                                       position=rep.position)
-            assert again == rep.verdict
+            assert qual.test_position(rep.ones, rep.devices, LIMITS, 0.01) == rep.verdict
         # repeated counts, including 0 and N: each position matches its own rebuild
         ones = np.array([0, 680, 340, 340, 0, 100, 680, 100, 339, 340, 0, 1, 679])
         for method in ("normal", "wilson", "clopper_pearson"):
@@ -85,12 +84,19 @@ class TestAnalyze:
                 worst = interval.lower if abs(interval.lower - 0.5) > \
                     abs(interval.upper - 0.5) else interval.upper
                 assert result.reports[t] == PositionReport(
-                    position=t, ones=x, devices=680, alias=x / 680, interval=interval,
-                    verdict=qual.test_position(x, 680, LIMITS, 0.01, position=t),
+                    ones=x, devices=680, alias=x / 680, interval=interval,
+                    verdict=qual.test_position(x, 680, LIMITS, 0.01),
                     min_entropy=min_entropy_from_limits(x / 680),
                     shannon_entropy=shannon_entropy(x / 680),
                     min_entropy_worst=min_entropy_from_limits(worst),
                     shannon_entropy_worst=shannon_entropy(worst))
+
+    def test_equal_counts_share_one_report(self):
+        cfg = AnalysisConfig(alpha=0.01, limits=LIMITS)
+        result = analyze_counts(PositionCounts(devices=680, ones=REPEATED_ONES), cfg)
+        for i, j in itertools.combinations(range(REPEATED_ONES.size), 2):
+            same = REPEATED_ONES[i] == REPEATED_ONES[j]
+            assert (result.reports[i] is result.reports[j]) == same
 
     def test_deterministic(self):
         a = balanced_result(positions=8)
@@ -128,9 +134,9 @@ class TestRenderReport:
     def test_csv_values_reparse(self):
         result = balanced_result(positions=8)
         lines = render_report(result, "csv").decode().strip().splitlines()
-        for rep, line in zip(result.reports, lines[1:]):
+        for t, (rep, line) in enumerate(zip(result.reports, lines[1:])):
             fields = line.split(",")
-            assert int(fields[0]) == rep.position
+            assert int(fields[0]) == t
             assert int(fields[1]) == rep.ones
             assert int(fields[2]) == rep.devices
             assert float(fields[3]) == pytest.approx(rep.alias, rel=1e-5)
