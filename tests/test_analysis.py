@@ -16,6 +16,8 @@ from bitalias.response import MeasurementTensor, PositionCounts
 from bitalias.simulate import PopulationSpec, simulate_population
 
 LIMITS = AliasLimits(0.45, 0.55)
+# repeated counts, including 0 and N = 680
+REPEATED_ONES = np.array([0, 680, 340, 340, 0, 100, 680, 100, 339, 340, 0, 1, 679, 340, 341, 679])
 
 
 def balanced_result(positions=8, seed=3, **cfg_kw):
@@ -216,9 +218,6 @@ PINNED_REPORTS = {
     ("clopper_pearson", "counts", "csv"):
         "380d7585bb4b955cf9306456fc5b18c9dd9d07938c783ffb4eedd3ed4035cb1c",
 }
-
-REPEATED_ONES = np.array([0, 680, 340, 340, 0, 100, 680, 100, 339, 340, 0, 1, 679, 340, 341, 679])
-
 
 @pytest.fixture(scope="module")
 def paper_campaign():
