@@ -193,28 +193,33 @@ def load_counts(source) -> PositionCounts:
         text = _read(source).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"byte {exc.start}: not a text counts file") from None
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    # (line number in the file, text) of the non-blank lines
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise FormatError("line 1: empty file, expected header 'N,T'")
-    devices, positions = _parse_int_fields(lines[0], 2, 1, "N,T")
+    head, header = lines[0]
+    devices, positions = _parse_int_fields(header, 2, head, "N,T")
     if devices < 1 or positions < 1:
-        raise FormatError("line 1: dimensions must all be >= 1")
+        raise FormatError(f"line {head}: dimensions must all be >= 1")
     if len(lines) < 2:
-        raise FormatError("line 2: truncated payload, expected one line of counts")
+        raise FormatError(f"line {head + 1}: truncated payload, expected one line of counts")
     if len(lines) > 2:
-        raise FormatError("line 3: dimension mismatch, expected exactly one line of counts")
-    fields = lines[1].split(",")
+        raise FormatError(
+            f"line {lines[2][0]}: dimension mismatch, expected exactly one line of counts")
+    row, line = lines[1]
+    fields = line.split(",")
     if len(fields) != positions:
-        raise FormatError(f"line 2: expected {positions} values, found {len(fields)}")
+        raise FormatError(f"line {row}: expected {positions} values, found {len(fields)}")
     ones = []
     for col, token in enumerate(fields):
         token = token.strip()
         try:
             value = int(token)
         except ValueError:
-            raise FormatError(f"line 2: non-integer count {token!r} in field {col + 1}") from None
+            raise FormatError(
+                f"line {row}: non-integer count {token!r} in field {col + 1}") from None
         if not 0 <= value <= devices:
-            raise FormatError(f"line 2: count {value} in field {col + 1} outside 0..{devices}")
+            raise FormatError(f"line {row}: count {value} in field {col + 1} outside 0..{devices}")
         ones.append(value)
     return PositionCounts(devices=devices, ones=np.array(ones, dtype=np.int64))
 

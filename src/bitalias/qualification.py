@@ -198,8 +198,10 @@ def plan_devices_frr(limits: AliasLimits, inner: tuple[float, float],
         region = acceptance_region(n, limits, alpha)
         if region.is_empty:
             return False
-        return all(1.0 - acceptance_probability(n, p, region) <= beta
-                   for p in (p_k, p_v))
+        # both tails natively, since 1 - acceptance_probability cancels at
+        # small beta; sf(0) = cdf(n) = 1, so x_l >= 1 and x_u <= n - 1
+        return all(binomial_cdf(region.x_l - 1, n, p) + binomial_sf(region.x_u + 1, n, p)
+                   <= beta for p in (p_k, p_v))
 
     best = _bisect(frr_ok, *_bracket(frr_ok, 1, f"beta {beta}"))
     for m in range(max(1, best - _FRR_CERTIFY_WINDOW), best):

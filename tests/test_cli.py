@@ -83,6 +83,12 @@ class TestPlanCommand:
                      "clopper_pearson"]) == 0
         assert "devices=680" in capsys.readouterr().out
 
+    def test_normal_width_at_tiny_alpha(self, capsys):
+        # 1 - alpha/2 rounds to 1.0 here; alpha/2 itself does not
+        assert main(["plan", "width", "--width", "0.01", "--method", "normal",
+                     "--alpha", "1e-20"]) == 0
+        assert "devices=871618" in capsys.readouterr().out
+
     def test_frr_planning_smoke(self, capsys):
         rc = main(["plan", "frr", "--inner-low", "0.3", "--inner-high", "0.7",
                    "--p-low", "0.1", "--p-high", "0.9", "--beta", "0.2",
@@ -205,6 +211,61 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "devices=658" in proc.stdout
+
+
+# Runs CLI commands in a fresh interpreter and prints, as JSON, every module
+# imported along the way whose file lies outside the stdlib, numpy and bitalias.
+# Modules loaded at startup (editable-install finders, site hooks) are left out;
+# modules without a file (built-ins, Cython's shared modules) are allowed.
+_IMPORT_PROBE = """
+import sys
+started = set(sys.modules)
+import io, json, os, sysconfig
+from contextlib import redirect_stdout
+from bitalias.cli import main
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) in (0, 1), argv
+import numpy, bitalias
+def under(*dirs):
+    return tuple(os.path.realpath(d) + os.sep for d in dirs)
+paths = sysconfig.get_paths()
+packages = under(os.path.dirname(numpy.__file__), os.path.dirname(bitalias.__file__))
+stdlib = under(paths["stdlib"], paths["platstdlib"])
+site = under(paths["purelib"], paths["platlib"])  # may sit inside the stdlib
+def allowed(path):
+    path = os.path.realpath(path)
+    return path.startswith(packages) or (path.startswith(stdlib)
+                                         and not path.startswith(site))
+foreign = sorted(
+    name for name, mod in list(sys.modules.items()) if name not in started
+    and getattr(mod, "__file__", None) and not allowed(mod.__file__))
+print(json.dumps(foreign))
+"""
+
+
+class TestRuntimeDependencies:
+    def test_commands_import_only_stdlib_numpy_and_bitalias(self):
+        import os
+        import subprocess
+        import sys
+
+        import bitalias
+        src = os.path.dirname(os.path.dirname(bitalias.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        commands = [
+            ["plan", "width", "--width", "0.1", "--method", "clopper_pearson"],
+            ["plan", "frr", "--inner-low", "0.48", "--inner-high", "0.52"],
+            ["check", "--x", "340", "--n", "680"],
+            ["curve", "--method", "wilson", "--sweep", "alias"],
+            ["validate", "--kind", "coverage", "--p", "0.5", "--devices", "50",
+             "--trials", "1000", "--seed", "1"],
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
 
 
 class TestValidateCommand:

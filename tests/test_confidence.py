@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bitalias.confidence import (AliasSweep, DeviceSweep, ci_clopper_pearson,
-                                 ci_normal, ci_width, ci_width_curve, ci_wilson,
-                                 confidence_interval, plan_devices_exact,
-                                 plan_devices_normal, worst_case_width)
+from bitalias.confidence import (AliasSweep, DeviceSweep, _z_for,
+                                 ci_clopper_pearson, ci_normal, ci_width,
+                                 ci_width_curve, ci_wilson, confidence_interval,
+                                 plan_devices_exact, plan_devices_normal,
+                                 worst_case_width)
 from bitalias.errors import CapacityError, DomainError
 from bitalias.special import std_normal_quantile
 
@@ -171,6 +172,33 @@ class TestPlanDevicesNormal:
         plan = plan_devices_normal(0.999, 0.01)
         assert plan.devices == math.ceil((Z995 / 0.999) ** 2)
         assert plan.devices >= Z995**2 // 1
+
+
+class TestTinyAlpha:
+    """z comes from alpha/2, which stays exact where 1 - alpha/2 rounds to 1."""
+
+    def test_z_matches_scipy_isf(self):
+        from scipy.stats import norm
+        for i in range(300):
+            alpha = 10.0 ** (-300 + i * (300 + math.log10(0.999)) / 299)
+            want = norm.isf(0.5 * alpha)
+            assert abs(_z_for(alpha) - want) <= 1e-14 * want, alpha
+
+    @pytest.mark.parametrize("alpha", [1e-17, 1e-40, 1e-300])
+    def test_intervals_and_planners_accept_tiny_alpha(self, alpha):
+        from scipy.stats import norm
+        z = norm.isf(0.5 * alpha)
+        wilson = ci_wilson(5, 10, alpha)
+        assert 0.0 < wilson.lower < 0.5 < wilson.upper < 1.0
+        assert wilson.width > ci_wilson(5, 10, 1e-16).width
+        normal = ci_normal(5, 10, alpha)
+        assert normal.analytic_width == pytest.approx(2 * z * math.sqrt(0.025), rel=1e-14)
+        plan = plan_devices_normal(0.01, alpha)
+        assert plan.devices == pytest.approx((z / 0.01) ** 2, abs=1)
+        for method in ("normal", "wilson"):
+            series = ci_width_curve(method, alpha, DeviceSweep(devices=(2, 20, 200)))
+            widths = [w for _, w in series]
+            assert widths == sorted(widths, reverse=True)
 
 
 class TestPlanDevicesExact:

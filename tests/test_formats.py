@@ -94,6 +94,10 @@ FILE_CASES = [
      "byte 28: nonzero padding bits"),
     (load_measurements, _binary_header(3, 9, 2) + bytes(5) + bytes([4]) + bytes(5) + bytes([2]),
      "byte 22: nonzero padding bits"),
+    # counts files name the line as it stands in the file, blank lines included
+    (load_counts, b"2,2\n\n\n0,x\n", "line 4: non-integer count 'x' in field 2"),
+    (load_counts, b"2,2\n0,1\n\n5\n",
+     "line 4: dimension mismatch, expected exactly one line of counts"),
 ]
 
 

@@ -184,6 +184,12 @@ class TestPlanDevicesFrr:
         assert frr_ok(plan.devices)
         assert not frr_ok(plan.devices - 1)
 
+    @pytest.mark.parametrize("beta, devices", [(1e-12, 25550), (1e-20, 38758)])
+    def test_small_beta_answer_is_smallest(self, beta, devices):
+        # the smallest counts meeting beta, from a scipy scan up from n = 1;
+        # FRR taken as 1 - acceptance mass cancels here and answers 108056
+        assert plan_devices_frr(LIMITS, (0.48, 0.52), 0.01, beta).devices == devices
+
     def test_weak_requirement_needs_few_devices(self):
         plan = plan_devices_frr(AliasLimits(0.05, 0.95), (0.45, 0.55), 0.2, 0.9)
         assert plan.devices < 100
