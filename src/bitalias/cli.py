@@ -12,19 +12,20 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analysis import (REPORT_FORMATS, AnalysisConfig, EarlyStopConfig, analyze_counts,
-                       render_report)
 from .confidence import (METHODS, AliasSweep, DeviceSweep, ci_width_curve,
                          plan_devices_exact, plan_devices_normal)
 from .entropy import EntropySpec, limits_from_spec
 from .errors import BitAliasError
-from .formats import load_counts, load_measurement_counts, write_measurements
 from .qualification import AliasLimits, early_stop_decision, test_position, \
     plan_devices_frr
-from .simulate import ALIAS_PROFILES, PopulationSpec, simulate_population
-from .validate import CoverageParams, QualificationParams, monte_carlo_validate
+from .report import REPORT_FORMATS
+
+# The array modules (analysis, formats, simulate, validate) load numpy, so
+# only the commands that need them import them; plan, check and curve do not.
 
 DEFAULT_LIMITS = (0.45, 0.55)
+# simulate.ALIAS_PROFILES, named here so that building the parser needs no numpy
+ALIAS_PROFILE_NAMES = ("balanced", "linear")
 
 
 def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
@@ -66,6 +67,9 @@ def _emit(blob: bytes, out: str | None) -> None:
 
 
 def _cmd_analyze(args) -> int:
+    from .analysis import AnalysisConfig, EarlyStopConfig, analyze_counts, render_report
+    from .formats import load_counts, load_measurement_counts
+
     limits, spec = _limit_source(args)
     early = None if args.early_stop_alpha is None else EarlyStopConfig(
         alpha=args.early_stop_alpha, max_flag_fraction=args.max_flag_fraction)
@@ -107,6 +111,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_early_stop(args) -> int:
+    from .formats import load_counts, load_measurement_counts
+
     counts = load_counts(args.file) if args.counts else load_measurement_counts(args.file)[0]
     advice = early_stop_decision(counts, _limits(args), args.alpha,
                                  args.max_flag_fraction)
@@ -117,6 +123,9 @@ def _cmd_early_stop(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .formats import write_measurements
+    from .simulate import ALIAS_PROFILES, PopulationSpec, simulate_population
+
     alias: float | str | list[float]
     if "," in args.alias:
         alias = [float(tok) for tok in args.alias.split(",")]
@@ -150,6 +159,8 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .validate import CoverageParams, QualificationParams, monte_carlo_validate
+
     if args.kind == "coverage":
         params = CoverageParams(method=args.method, p=args.p,
                                 devices=args.devices, alpha=args.alpha)
@@ -219,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--alias", default="0.5",
                    help="true alias: scalar, comma list, or profile "
-                        f"({', '.join(sorted(ALIAS_PROFILES))})")
+                        f"({', '.join(ALIAS_PROFILE_NAMES)})")
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)

@@ -14,12 +14,15 @@ verdict is per-position, and reports state that explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .confidence import PlanResult, _bisect, _bracket
 from .errors import DomainError
-from .response import PositionCounts, _per_distinct
 from .special import (_as_count, _as_probability, _check_alpha, _check_counts,
                       binomial_cdf, binomial_range_mass, binomial_sf)
+
+if TYPE_CHECKING:  # response loads numpy; the planners and tests need none
+    from .response import PositionCounts
 
 _FRR_CERTIFY_WINDOW = 50  # scan below the search result; the FRR curve wiggles
 
@@ -231,6 +234,8 @@ def early_stop_decision(counts: PositionCounts, limits: AliasLimits, alpha,
 
     The default threshold 0 aborts on any flagged position.
     """
+    from .response import _per_distinct
+
     limits = _as_limits(limits)
     alpha = _check_alpha(alpha)
     max_flag_fraction = _as_probability(max_flag_fraction, "max_flag_fraction")

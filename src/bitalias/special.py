@@ -96,7 +96,13 @@ def _check_counts(x, n, name: str = "x", min_n: int = 1) -> tuple[int, int]:
 
 
 def _check_alpha(alpha) -> float:
-    return _as_probability(alpha, "alpha", open_interval=True)
+    """A significance level in (0, 1) whose half, the per-tail level every
+    test and interval uses, is still a positive float."""
+    alpha = _as_probability(alpha, "alpha", open_interval=True)
+    if 0.5 * alpha == 0.0:
+        raise DomainError(f"alpha must be at least 1e-323, where alpha/2 is still "
+                          f"positive, got {alpha!r}")
+    return alpha
 
 
 def std_normal_cdf(z: float) -> float:

@@ -89,6 +89,14 @@ class TestPlanCommand:
                      "--alpha", "1e-20"]) == 0
         assert "devices=871618" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("method", ["normal", "wilson", "clopper_pearson"])
+    def test_alpha_whose_half_underflows_exits_two(self, capsys, method):
+        assert main(["plan", "width", "--width", "0.1", "--method", method,
+                     "--alpha", "5e-324"]) == 2
+        assert capsys.readouterr().err == (
+            "error: alpha must be at least 1e-323, where alpha/2 is still positive, "
+            "got 5e-324\n")
+
     def test_frr_planning_smoke(self, capsys):
         rc = main(["plan", "frr", "--inner-low", "0.3", "--inner-high", "0.7",
                    "--p-low", "0.1", "--p-high", "0.9", "--beta", "0.2",
@@ -266,6 +274,37 @@ class TestRuntimeDependencies:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == []
+
+
+# Runs `python -m bitalias ARGS...` and reports on stderr, at exit, whether
+# numpy was loaded.
+_NUMPY_PROBE = """
+import atexit, runpy, sys
+atexit.register(lambda: print(f"numpy loaded: {'numpy' in sys.modules}", file=sys.stderr))
+runpy.run_module("bitalias", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestNumpyFreeCommands:
+    @pytest.mark.parametrize("argv,code", [
+        (["plan", "width", "--width", "0.1", "--method", "clopper_pearson"], 0),
+        (["plan", "frr", "--inner-low", "0.48", "--inner-high", "0.52"], 0),
+        (["check", "--x", "300", "--n", "680"], 1),
+        (["curve", "--method", "wilson", "--sweep", "alias"], 0),
+        (["analyze", "--help"], 0),
+    ])
+    def test_command_never_loads_numpy(self, argv, code):
+        import os
+        import subprocess
+        import sys
+
+        import bitalias
+        src = os.path.dirname(os.path.dirname(bitalias.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "numpy loaded: False"
 
 
 class TestValidateCommand:

@@ -200,6 +200,23 @@ class TestTinyAlpha:
             widths = [w for _, w in series]
             assert widths == sorted(widths, reverse=True)
 
+    def test_smallest_alpha_with_a_positive_half(self):
+        # 1e-323 is twice the smallest subnormal, so alpha/2 is still exact
+        assert _z_for(1e-323) == pytest.approx(38.467, abs=5e-4)
+        assert ci_wilson(5, 10, 1e-323).lower > 0.0
+
+    @pytest.mark.parametrize("call", [
+        lambda a: ci_wilson(5, 10, a),
+        lambda a: ci_normal(5, 10, a),
+        lambda a: ci_clopper_pearson(5, 10, a),
+        lambda a: plan_devices_normal(0.1, a),
+    ])
+    def test_alpha_whose_half_underflows_is_rejected(self, call):
+        # 0.5 * 5e-324 rounds to 0.0; before the check, the Clopper-Pearson
+        # lower bound came back as exactly 0.0 and the others failed on q
+        with pytest.raises(DomainError, match="^alpha must be at least 1e-323"):
+            call(5e-324)
+
 
 class TestPlanDevicesExact:
     def test_reported_counts(self):
