@@ -12,11 +12,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bitalias import (AliasLimits, CoverageParams, QualificationParams,
-                      monte_carlo_validate)
+                      monte_carlo_validate, plan_devices_frr)
 
 SEED = 20260808
 TRIALS = 100_000
 LIMITS = AliasLimits(0.45, 0.55)
+INNER = (0.48, 0.52)
 
 
 def main() -> None:
@@ -47,12 +48,14 @@ def main() -> None:
             task += 1
             print(f"  far  n={devices:>5} p={p:.2f}: {est.value:.5f} "
                   f"(+3sg {est.value + 3 * est.std_error:.5f}, bound 0.01)")
-    for p in (0.48, 0.52):
+    devices = plan_devices_frr(LIMITS, INNER, 0.01, 0.01).devices
+    print(f"  planned devices for inner band {INNER}, beta=0.01: {devices}")
+    for p in INNER:
         est = monte_carlo_validate(
-            "frr", QualificationParams(devices=6674, limits=LIMITS, alpha=0.01, p=p),
+            "frr", QualificationParams(devices=devices, limits=LIMITS, alpha=0.01, p=p),
             trials=10_000, seed=SEED, task=task)
         task += 1
-        print(f"  frr  n= 6674 p={p:.2f}: {est.value:.5f} "
+        print(f"  frr  n={devices:>5} p={p:.2f}: {est.value:.5f} "
               f"(+3sg {est.value + 3 * est.std_error:.5f}, bound 0.01)")
 
     print(f"\ntotal {time.perf_counter() - start:.1f}s")

@@ -37,15 +37,25 @@ def _bisect(ok, lo: int, hi: int, step: int = 1) -> int:
     return hi
 
 
-def _bracket(ok, start: int, what: str) -> tuple[int, int]:
-    """(lo, hi] with ok failing at lo and holding at hi, found by doubling
-    from start and clamping the last probe to the planner cap."""
-    lo, hi = 0, start
-    while not ok(hi):
-        if hi >= PLANNER_DEVICE_CAP:
-            raise CapacityError(f"{what} unreachable below {PLANNER_DEVICE_CAP} devices")
-        lo, hi = hi, min(2 * hi, PLANNER_DEVICE_CAP)
-    return lo, hi
+def _bracket(ok, start: int, what: str, step: int = 1,
+             limit: int = PLANNER_DEVICE_CAP) -> tuple[int, int]:
+    """(lo, hi] with ok failing at lo and holding at hi, for an ok that flips
+    once on the grid start + k*step and fails at 0.  Probes outward from start
+    (clamped into [0, limit]) by 1, 2, 4, ... grid steps: down while ok holds,
+    up while it fails, with the last upward probe clamped to limit, where a
+    failure raises CapacityError.  From start = 1: 1, 2, 4, ..., 2^23, limit."""
+    lo, gap = min(max(start, 0), limit), step
+    if lo > 0 and ok(lo):
+        hi = lo
+        while (lo := hi - gap) > 0 and ok(lo):
+            hi, gap = lo, 2 * gap
+        return max(lo, 0), hi
+    while lo < limit:
+        hi = min(lo + gap, limit)
+        if ok(hi):
+            return lo, hi
+        lo, gap = hi, 2 * gap
+    raise CapacityError(f"{what} unreachable below {limit} devices")
 
 
 def _z_for(alpha: float) -> float:
@@ -290,10 +300,10 @@ def plan_devices_exact(method: str, target_width, alpha) -> PlanResult:
     """Smallest device count whose worst-case width meets the target.
 
     Candidates are even counts, so the balanced worst case is realizable at
-    every probe.  Exponential bracketing plus binary search, then a linear
-    walk-down so the result N is certified: width(N) <= target < width(N - 2)
-    even if the discrete width curve wiggles.  Targets unreachable below the
-    device cap raise CapacityError.
+    every probe.  Outward probes from the normal-approximation count (rounded
+    up to even) and binary search, then a linear walk-down so the result N is
+    certified: width(N) <= target < width(N - 2) even if the discrete width
+    curve wiggles.  Targets unreachable below the device cap raise CapacityError.
     """
     if method not in ("wilson", "clopper_pearson"):
         raise DomainError("exact planning supports 'wilson' and 'clopper_pearson'")
@@ -303,7 +313,8 @@ def plan_devices_exact(method: str, target_width, alpha) -> PlanResult:
     def ok(n: int) -> bool:
         return worst_case_width(method, n, alpha) <= target_width
 
-    n = _bisect(ok, *_bracket(ok, 2, f"width {target_width}"), step=2)
+    guess = plan_devices_normal(target_width, alpha).devices
+    n = _bisect(ok, *_bracket(ok, guess + guess % 2, f"width {target_width}", 2), step=2)
     while n > 2 and ok(n - 2):
         n -= 2
     return PlanResult(devices=n, alpha=alpha, method=method, target_width=target_width)

@@ -13,10 +13,11 @@ verdict is per-position, and reports state that explicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .confidence import PlanResult, _bisect, _bracket
+from .confidence import PlanResult, _bisect, _bracket, _normal_half, _z_for
 from .errors import DomainError
 from .special import (_as_count, _as_probability, _check_alpha, _check_counts,
                       binomial_cdf, binomial_range_mass, binomial_sf)
@@ -120,25 +121,33 @@ def acceptance_region(n, limits: AliasLimits, alpha) -> AcceptanceRegion:
 
     x_u is the largest x with p_value_upper(x) < alpha/2 and x_l the smallest
     x with p_value_lower(x) < alpha/2; both searches ride the monotone tails.
+    Each search starts at its normal-approximation count n*p -+ z*sqrt(n*p*(1-p))
+    and probes outward, so a region costs a handful of tail calls.
     """
     _, n = _check_counts(0, n)
     limits = _as_limits(limits)
     alpha = _check_alpha(alpha)
     half = 0.5 * alpha
+    z = _z_for(alpha)
 
     empty = AcceptanceRegion(devices=n, limits=limits, alpha=alpha, x_l=None, x_u=None)
+
+    def first(ok, start: int) -> int:  # ok fails at 0 and holds at n
+        return _bisect(ok, *_bracket(ok, start, "region endpoint", limit=n))
 
     # Largest x with cdf(x; n, p_u) < alpha/2.  cdf is increasing in x and
     # cdf(n) = 1 >= alpha/2, so the qualifying set is a (possibly empty) prefix.
     if not binomial_cdf(0, n, limits.p_u) < half:
         return empty
-    x_u = _bisect(lambda x: not binomial_cdf(x, n, limits.p_u) < half, 0, n) - 1
+    x_u = first(lambda x: not binomial_cdf(x, n, limits.p_u) < half,
+                math.floor(n * (limits.p_u - _normal_half(limits.p_u, n, z))) + 1) - 1
 
     # Smallest x with sf(x; n, p_l) < alpha/2.  sf is decreasing in x and
     # sf(0) = 1 >= alpha/2, so the qualifying set is a (possibly empty) suffix.
     if not binomial_sf(n, n, limits.p_l) < half:
         return empty
-    x_l = _bisect(lambda x: binomial_sf(x, n, limits.p_l) < half, 0, n)
+    x_l = first(lambda x: binomial_sf(x, n, limits.p_l) < half,
+                math.ceil(n * (limits.p_l + _normal_half(limits.p_l, n, z))))
 
     if x_l > x_u:
         return empty

@@ -8,10 +8,12 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bitalias import confidence as conf
 from bitalias import qualification as qual
-from bitalias.confidence import plan_devices_exact
+from bitalias.confidence import PLANNER_DEVICE_CAP, _bisect, _bracket, plan_devices_exact
 from bitalias.errors import CapacityError
 from bitalias.qualification import AliasLimits, acceptance_region, plan_devices_frr
 from bitalias.special import binomial_cdf, binomial_sf
@@ -132,3 +134,62 @@ def test_region_equals_full_range_bisection_at_random_scale():
         limits = AliasLimits(p_l, p_u)
         r = acceptance_region(n, limits, alpha)
         assert (r.x_l, r.x_u) == _full_range_region(n, (p_l, p_u), alpha), (n, limits, alpha)
+
+
+def test_bracket_from_one_doubles_to_the_cap():
+    probes = []
+
+    def never(n):
+        probes.append(n)
+        return False
+
+    with pytest.raises(CapacityError) as err:
+        _bracket(never, 1, "beta 0.01")
+    assert str(err.value) == "beta 0.01 unreachable below 10000000 devices"
+    assert probes == [2 ** k for k in range(24)] + [PLANNER_DEVICE_CAP]
+
+
+@given(st.sampled_from([1, 2]), st.integers(1, 3000), st.data())
+def test_outward_search_matches_plain_bisection(step, cells, data):
+    limit = cells * step
+    threshold = data.draw(st.integers(1, limit + 2 * step), label="threshold")
+    start = step * data.draw(st.integers(-100, cells + 100), label="start / step")
+    probes = []
+
+    def ok(x):
+        probes.append(x)
+        return x >= threshold
+
+    if threshold > limit:
+        with pytest.raises(CapacityError) as err:
+            _bracket(ok, start, "target", step, limit)
+        assert str(err.value) == f"target unreachable below {limit} devices"
+        return
+    lo, hi = _bracket(ok, start, "target", step, limit)
+    assert 0 <= lo < hi <= limit and not (lo and ok(lo)) and ok(hi)
+    assert _bisect(ok, lo, hi, step) == _bisect(ok, 0, limit, step)
+    assert all(0 < x <= limit and x % step == 0 for x in probes)
+
+
+def _counting(monkeypatch, module, *names):
+    calls = []
+    for name in names:
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, fn=fn: calls.append(args) or fn(*args))
+    return calls
+
+
+@pytest.mark.parametrize("n, limits", [
+    (6008979, (0.4975, 0.5025)), (961460, (0.495, 0.505)),
+    (6653, (0.45, 0.55)), (4096, (0.45, 0.55))])
+def test_region_costs_a_handful_of_tail_calls(monkeypatch, n, limits):
+    calls = _counting(monkeypatch, qual, "binomial_cdf", "binomial_sf")
+    assert not acceptance_region(n, limits, 0.01).is_empty
+    assert len(calls) <= 8
+
+
+def test_width_plan_beta_quantile_budget(monkeypatch):
+    calls = _counting(monkeypatch, conf, "beta_quantile")
+    assert plan_devices_exact("clopper_pearson", 0.001, 0.01).devices == 6636894
+    assert len(calls) <= 50
