@@ -1,9 +1,16 @@
+import itertools
+import math
+import random
+from collections import Counter
+
 import pytest
 
+from bitalias.confidence import METHODS, confidence_interval
 from bitalias.errors import DomainError
 from bitalias.qualification import AliasLimits
 from bitalias.validate import (CoverageParams, QualificationParams,
                                monte_carlo_validate)
+from bitalias.simulate import rng_stream
 
 LIMITS = AliasLimits(0.45, 0.55)
 
@@ -67,3 +74,42 @@ class TestMonteCarloValidate:
             monte_carlo_validate(
                 "volume", CoverageParams("wilson", p=0.5, devices=30, alpha=0.05),
                 trials=5000, seed=1)
+
+
+def _per_draw_coverage(method, p, n, alpha, trials, seed, task=0):
+    """Coverage by building the interval for every draw: the share of seeded
+    draws whose interval contains p, with its binomial standard error."""
+    draws = rng_stream(seed, task).binomial(n, p, size=trials).tolist()
+    tally = Counter(draws)
+    covered = sum(k for x, k in tally.items()
+                  if confidence_interval(method, x, n, alpha).contains(p))
+    value = covered / trials
+    return value, math.sqrt(value * (1.0 - value) / trials)
+
+
+IDENTITY_DEVICES = (1, 2, 10, 100, 680, 6653)
+IDENTITY_ALIASES = (0.0, 0.001, 0.3, 0.5, 0.999, 1.0)
+IDENTITY_ALPHAS = (0.5, 0.05, 1e-6)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_coverage_matches_per_draw_reference_on_grid(method):
+    for task, (n, p, alpha) in enumerate(itertools.product(
+            IDENTITY_DEVICES, IDENTITY_ALIASES, IDENTITY_ALPHAS)):
+        est = monte_carlo_validate("coverage", CoverageParams(method, p, n, alpha),
+                                   trials=1000, seed=17, task=task)
+        expected = _per_draw_coverage(method, p, n, alpha, 1000, 17, task)
+        assert (est.value, est.std_error) == expected, (n, p, alpha)
+
+
+def test_coverage_matches_per_draw_reference_at_random_shapes():
+    rng = random.Random(20261018)
+    for task in range(50):
+        method = rng.choice(METHODS)
+        n = int(10 ** rng.uniform(0, 5))
+        p = rng.random()
+        alpha = 10 ** -rng.uniform(0.3, 9)
+        est = monte_carlo_validate("coverage", CoverageParams(method, p, n, alpha),
+                                   trials=1000, seed=23, task=task)
+        expected = _per_draw_coverage(method, p, n, alpha, 1000, 23, task)
+        assert (est.value, est.std_error) == expected, (method, n, p, alpha)
