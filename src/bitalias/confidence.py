@@ -58,6 +58,12 @@ def _bracket(ok, start: int, what: str, step: int = 1,
     raise CapacityError(f"{what} unreachable below {limit} devices")
 
 
+def _run_end(ok, start: int, n: int) -> int:
+    """Smallest x in (0, n] meeting ok, given that ok fails at 0, holds at n and
+    flips once (callers settle the ends): outward probes from start, bisection."""
+    return _bisect(ok, *_bracket(ok, start, "run end", limit=n))
+
+
 def _z_for(alpha: float) -> float:
     """z = Phi^-1(1 - alpha/2), taken from the lower tail, where alpha/2 is
     exact and 1 - alpha/2 would round to 1.0 for tiny alpha."""

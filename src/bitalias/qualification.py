@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .confidence import PlanResult, _bisect, _bracket, _normal_half, _z_for
+from .confidence import PlanResult, _bisect, _bracket, _normal_half, _run_end, _z_for
 from .errors import DomainError
 from .special import (_as_count, _as_probability, _check_alpha, _check_counts,
                       binomial_cdf, binomial_range_mass, binomial_sf)
@@ -120,9 +120,9 @@ def acceptance_region(n, limits: AliasLimits, alpha) -> AcceptanceRegion:
     """Largest count range whose members reject both one-sided nulls.
 
     x_u is the largest x with p_value_upper(x) < alpha/2 and x_l the smallest
-    x with p_value_lower(x) < alpha/2; both searches ride the monotone tails.
-    Each search starts at its normal-approximation count n*p -+ z*sqrt(n*p*(1-p))
-    and probes outward, so a region costs a handful of tail calls.
+    x with p_value_lower(x) < alpha/2.  Each is one end of a count run, found
+    by ``_run_end`` from its normal-approximation count n*p -+ z*sqrt(n*p*(1-p)),
+    so a region costs a handful of tail calls.
     """
     _, n = _check_counts(0, n)
     limits = _as_limits(limits)
@@ -130,28 +130,17 @@ def acceptance_region(n, limits: AliasLimits, alpha) -> AcceptanceRegion:
     half = 0.5 * alpha
     z = _z_for(alpha)
 
-    empty = AcceptanceRegion(devices=n, limits=limits, alpha=alpha, x_l=None, x_u=None)
-
-    def first(ok, start: int) -> int:  # ok fails at 0 and holds at n
-        return _bisect(ok, *_bracket(ok, start, "region endpoint", limit=n))
-
-    # Largest x with cdf(x; n, p_u) < alpha/2.  cdf is increasing in x and
-    # cdf(n) = 1 >= alpha/2, so the qualifying set is a (possibly empty) prefix.
-    if not binomial_cdf(0, n, limits.p_u) < half:
-        return empty
-    x_u = first(lambda x: not binomial_cdf(x, n, limits.p_u) < half,
-                math.floor(n * (limits.p_u - _normal_half(limits.p_u, n, z))) + 1) - 1
-
-    # Smallest x with sf(x; n, p_l) < alpha/2.  sf is decreasing in x and
-    # sf(0) = 1 >= alpha/2, so the qualifying set is a (possibly empty) suffix.
-    if not binomial_sf(n, n, limits.p_l) < half:
-        return empty
-    x_l = first(lambda x: binomial_sf(x, n, limits.p_l) < half,
-                math.ceil(n * (limits.p_l + _normal_half(limits.p_l, n, z))))
-
-    if x_l > x_u:
-        return empty
-    return AcceptanceRegion(devices=n, limits=limits, alpha=alpha, x_l=x_l, x_u=x_u)
+    # cdf(x; n, p_u) rises in x to cdf(n) = 1, so x_u ends a prefix run, and
+    # sf(x; n, p_l) falls in x from sf(0) = 1, so x_l starts a suffix run.  One
+    # tail call each settles the other end: whether the run is empty.
+    if binomial_cdf(0, n, limits.p_u) < half and binomial_sf(n, n, limits.p_l) < half:
+        x_u = _run_end(lambda x: not binomial_cdf(x, n, limits.p_u) < half,
+                       math.floor(n * (limits.p_u - _normal_half(limits.p_u, n, z))) + 1, n) - 1
+        x_l = _run_end(lambda x: binomial_sf(x, n, limits.p_l) < half,
+                       math.ceil(n * (limits.p_l + _normal_half(limits.p_l, n, z))), n)
+        if x_l <= x_u:
+            return AcceptanceRegion(devices=n, limits=limits, alpha=alpha, x_l=x_l, x_u=x_u)
+    return AcceptanceRegion(devices=n, limits=limits, alpha=alpha, x_l=None, x_u=None)
 
 
 def test_position(x, n, limits: AliasLimits, alpha) -> TestVerdict:

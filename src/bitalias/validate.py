@@ -3,8 +3,9 @@
 Each run simulates the relevant experiment under a known true alias and
 reports the observed frequency with its binomial standard error: interval
 coverage for a chosen estimator, the false acceptance rate at an out-of-range
-alias, or the false rejection rate at an in-range alias.  Draw counts repeat
-heavily, so each interval is computed once per distinct count, not per trial.
+alias, or the false rejection rate at an in-range alias.  Every kind counts
+the draws inside one count range: the acceptance region (for false rejection,
+one minus that share), or the run of counts whose interval contains the alias.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confidence import METHODS, confidence_interval
+from .confidence import METHODS, _normal_half, _run_end, _z_for, confidence_interval
 from .errors import DomainError
 from .qualification import AliasLimits, acceptance_region
-from .response import _per_distinct
 from .simulate import rng_stream
-from .special import _as_probability
+from .special import _as_probability, _check_alpha, _check_counts
 
 KINDS = ("coverage", "far", "frr")
 
@@ -65,34 +65,36 @@ def monte_carlo_validate(kind: str, params, trials: int, seed: int,
         raise DomainError("trials must be at least 1000")
     rng = rng_stream(seed, task)
     if kind == "coverage":
-        value = _coverage_frequency(params, trials, rng)
+        p, n, counted = _coverage_run(params)
     else:
-        accept = _acceptance_frequency(params, trials, rng)
-        value = accept if kind == "far" else 1.0 - accept
+        p = _as_probability(params.p, "p")
+        region = acceptance_region(params.devices, params.limits, params.alpha)
+        n, counted = region.devices, None if region.is_empty else (region.x_l, region.x_u)
+    draws = rng.binomial(n, p, size=trials)
+    inside = 0 if counted is None else int(
+        np.count_nonzero((draws >= counted[0]) & (draws <= counted[1])))
+    value = 1.0 - inside / trials if kind == "frr" else inside / trials
     return MonteCarloEstimate(kind=kind, value=value,
                               std_error=math.sqrt(value * (1.0 - value) / trials),
                               trials=trials)
 
 
-def _coverage_frequency(params: CoverageParams, trials: int,
-                        rng: np.random.Generator) -> float:
+def _coverage_run(params: CoverageParams):
+    """(p, n, (first, last) or None): the counts whose interval contains p.
+    Both bounds rise with the count, so they form one run; lower(0) = 0 <= p
+    and upper(n) = 1 >= p, so only its other two ends take a call to settle."""
     if params.method not in METHODS:
         raise DomainError(f"method must be one of {METHODS}, got {params.method!r}")
     p = _as_probability(params.p, "p")
-    n = params.devices
-    draws = rng.binomial(n, p, size=trials)
-    covered = _per_distinct(
-        draws, lambda x: confidence_interval(params.method, x, n, params.alpha).contains(p))
-    return sum(covered) / trials
+    _, n = _check_counts(0, params.devices)
+    alpha = _check_alpha(params.alpha)
+    half = _normal_half(p, n, _z_for(alpha))
 
+    def interval(x: int):
+        return confidence_interval(params.method, x, n, alpha)
 
-def _acceptance_frequency(params: QualificationParams, trials: int,
-                          rng: np.random.Generator) -> float:
-    p = _as_probability(params.p, "p")
-    n = params.devices
-    region = acceptance_region(n, params.limits, params.alpha)
-    draws = rng.binomial(n, p, size=trials)
-    if region.is_empty:
-        return 0.0
-    inside = np.count_nonzero((draws >= region.x_l) & (draws <= region.x_u))
-    return inside / trials
+    first = 0 if interval(0).upper >= p else _run_end(
+        lambda x: interval(x).upper >= p, math.ceil(n * (p - half)), n)
+    last = n if interval(n).lower <= p else _run_end(
+        lambda x: interval(x).lower > p, math.floor(n * (p + half)) + 1, n) - 1
+    return p, n, (first, last) if first <= last else None

@@ -130,13 +130,14 @@ def test_criterion_7_monte_carlo_guarantees():
                 far_failures.append((devices, p, est.value))
 
     frr_failures = []
+    frr_devices = plan_devices_frr(LIMITS, (0.48, 0.52), 0.01, 0.01).devices
     for p in (0.48, 0.52):
         est = monte_carlo_validate(
-            "frr", QualificationParams(devices=6674, limits=LIMITS, alpha=0.01, p=p),
+            "frr", QualificationParams(devices=frr_devices, limits=LIMITS, alpha=0.01, p=p),
             trials=10_000, seed=seed, task=task)
         task += 1
         if est.value > 0.01 + 3 * est.std_error:
-            frr_failures.append((6674, p, est.value))
+            frr_failures.append((frr_devices, p, est.value))
 
     elapsed = time.perf_counter() - start
     print(f"criterion 7: PASS - 30 coverage cells, 4 far cells, 2 frr cells, "

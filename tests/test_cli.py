@@ -321,3 +321,21 @@ class TestValidateCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "kind=far" in out
+
+    @pytest.mark.parametrize("kind", ["coverage", "far", "frr"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--devices", "-1"], "n must be >= 0, got -1"),
+        (["--devices", "0"], "n must be >= 1"),
+        (["--alpha", "0"], "alpha must lie in (0, 1), got 0.0"),
+        (["--p", "1.5"], "p must lie in [0, 1], got 1.5"),
+        (["--trials", "999"], "trials must be at least 1000"),
+    ])
+    def test_invalid_input_messages(self, capsys, kind, flags, message):
+        args = {"--p": "0.5", "--devices": "50", "--alpha": "0.01", "--trials": "1000"}
+        args.update(zip(flags[::2], flags[1::2]))
+        rc = main(["validate", "--kind", kind, "--seed", "1",
+                   *(token for pair in args.items() for token in pair)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"

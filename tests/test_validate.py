@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -8,7 +9,8 @@ import pytest
 from bitalias.confidence import METHODS, confidence_interval
 from bitalias.errors import DomainError
 from bitalias.qualification import AliasLimits
-from bitalias.validate import (CoverageParams, QualificationParams,
+from bitalias import validate
+from bitalias.validate import (KINDS, CoverageParams, QualificationParams, _coverage_run,
                                monte_carlo_validate)
 from bitalias.simulate import rng_stream
 
@@ -113,3 +115,48 @@ def test_coverage_matches_per_draw_reference_at_random_shapes():
                                    trials=1000, seed=23, task=task)
         expected = _per_draw_coverage(method, p, n, alpha, 1000, 23, task)
         assert (est.value, est.std_error) == expected, (method, n, p, alpha)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_covering_run_equals_linear_scan(monkeypatch, method):
+    # the scan computes every interval, so the search reuses them
+    interval = functools.lru_cache(maxsize=None)(confidence_interval)
+    monkeypatch.setattr(validate, "confidence_interval", interval)
+    for n, alpha in itertools.product(range(1, 151), IDENTITY_ALPHAS):
+        intervals = [interval(method, x, n, alpha) for x in range(n + 1)]
+        for p in IDENTITY_ALIASES:
+            covering = [x for x, ci in enumerate(intervals) if ci.contains(p)]
+            run = _coverage_run(CoverageParams(method, p, n, alpha))
+            if covering:
+                assert covering == list(range(covering[0], covering[-1] + 1))
+                assert run == (p, n, (covering[0], covering[-1])), (n, p, alpha)
+            else:
+                assert run == (p, n, None), (n, p, alpha)
+
+
+def test_coverage_takes_a_handful_of_interval_calls(monkeypatch):
+    calls = []
+    monkeypatch.setattr(validate, "confidence_interval",
+                        lambda *args: calls.append(args) or confidence_interval(*args))
+    monte_carlo_validate("coverage", CoverageParams("clopper_pearson", 0.5, 6653, 0.01),
+                         trials=100_000, seed=1)
+    assert len(calls) <= 12
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("coverage", CoverageParams("wilson", p=0.5, devices=680, alpha=0.01)),
+    ("far", QualificationParams(devices=680, limits=LIMITS, alpha=0.01, p=0.55)),
+    ("frr", QualificationParams(devices=680, limits=LIMITS, alpha=0.01, p=0.5)),
+    ("far", QualificationParams(devices=10, limits=LIMITS, alpha=0.01, p=0.5)),
+])
+def test_value_is_a_plain_float(kind, params):
+    est = monte_carlo_validate(kind, params, trials=1000, seed=4)
+    assert type(est.value) is float and type(est.std_error) is float
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_negative_devices_get_the_package_message(kind):
+    params = (CoverageParams("wilson", p=0.5, devices=-1, alpha=0.01) if kind == "coverage"
+              else QualificationParams(devices=-1, limits=LIMITS, alpha=0.01, p=0.5))
+    with pytest.raises(DomainError, match=r"^n must be >= 0, got -1$"):
+        monte_carlo_validate(kind, params, trials=1000, seed=1)
