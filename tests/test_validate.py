@@ -6,13 +6,13 @@ from collections import Counter
 
 import pytest
 
+from bitalias import validate
 from bitalias.confidence import METHODS, confidence_interval
 from bitalias.errors import DomainError
 from bitalias.qualification import AliasLimits
-from bitalias import validate
-from bitalias.validate import (KINDS, CoverageParams, QualificationParams, _coverage_run,
-                               monte_carlo_validate)
 from bitalias.simulate import rng_stream
+from bitalias.validate import (CoverageParams, QualificationParams, _coverage_run,
+                               monte_carlo_validate)
 
 LIMITS = AliasLimits(0.45, 0.55)
 
@@ -153,10 +153,3 @@ def test_value_is_a_plain_float(kind, params):
     est = monte_carlo_validate(kind, params, trials=1000, seed=4)
     assert type(est.value) is float and type(est.std_error) is float
 
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_negative_devices_get_the_package_message(kind):
-    params = (CoverageParams("wilson", p=0.5, devices=-1, alpha=0.01) if kind == "coverage"
-              else QualificationParams(devices=-1, limits=LIMITS, alpha=0.01, p=0.5))
-    with pytest.raises(DomainError, match=r"^n must be >= 0, got -1$"):
-        monte_carlo_validate(kind, params, trials=1000, seed=1)
