@@ -144,6 +144,40 @@ class TestEarlyStopCommand:
         assert capsys.readouterr().out == "decision=abort flagged=1/3 positions=1\n"
 
 
+# sha256 of `analyze FILE` on a campaign with an even repeat count, so with
+# ties, and a position count that leaves padding bits in each packed row.
+TIED_REPORTS = {
+    "text": "1e283facb95f239c54de0ff7b917a03e4107c9db6b600440b20aa89a9bc67702",
+    "csv": "66be7ad01072ef9c718343326b9007cf4e5e72fbe06646f4c7f67f279d3004b9",
+}
+WIDE_LIMITS = ["--p-low", "0.3", "--p-high", "0.7"]
+
+
+class TestTiedCampaignPinned:
+    @pytest.fixture(params=["csv", "binary"])
+    def tied_file(self, request, tmp_path):
+        spec = PopulationSpec(devices=64, positions=77, repeats=4, seed=11, alias="linear",
+                              flip_noise=0.2)
+        path = tmp_path / f"tied.{request.param}"
+        write_measurements(simulate_population(spec), path, fmt=request.param)
+        return path
+
+    @pytest.mark.parametrize("fmt", sorted(TIED_REPORTS))
+    def test_analyze_report_bytes(self, tied_file, capsys, fmt):
+        rc = main(["analyze", str(tied_file), "--format", fmt,
+                   "--early-stop-alpha", "0.01", *WIDE_LIMITS])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == TIED_REPORTS[fmt]
+        if fmt == "text":
+            assert out.startswith("devices=64 positions=77 repeats=4 ties=776\n")
+
+    def test_early_stop_output(self, tied_file, capsys):
+        assert main(["early-stop", str(tied_file), *WIDE_LIMITS]) == 1
+        assert capsys.readouterr().out == \
+            "decision=abort flagged=7/77 positions=0,1,3,4,71,74,75\n"
+
+
 class TestSimulateCommand:
     def test_deterministic_binary_output(self, tmp_path):
         args = ["simulate", "--devices", "20", "--positions", "64", "--repeats", "3",
