@@ -14,7 +14,12 @@ A third, pre-counted format carries just the sufficient statistic: a header
 line ``N,T`` and one line of T comma-separated counts of 1s.  All formats are
 version 1; parsers reject anything else with an error naming the offending
 line or byte offset.  The text parsers accept whitespace around fields, CRLF
-line ends and trailing blank lines; the writers never emit them.
+line ends and trailing blank lines; the writers never emit them.  Only
+``"\n"`` ends a line.
+
+Both measurement encodings parse to the binary format's packed rows, so
+`load_measurement_counts` never holds a file's bits one byte per symbol: a
+CSV file is packed a line at a time, and a binary file is used in place.
 """
 
 from pathlib import Path
@@ -22,15 +27,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .response import MeasurementTensor, PositionCounts, _vote
+from .response import MeasurementTensor, PositionCounts, _vote_packed
 
 MAGIC = b"PUFB"
 VERSION = 1
 _HEADER_LEN = 4 + 1 + 12  # magic, version, three uint32 dims
 _ZERO = ord("0")
-# Unpacked bytes per block of devices voted by `load_measurement_counts`; a
-# block holds at least one device, however wide.  1 MiB votes as fast as
-# larger blocks and keeps the peak memory small.
+# Counter-plane bytes per block of devices voted by `load_measurement_counts`
+# (ceil(log2(M + 1)) planes of ceil(T/8) bytes per device); a block holds at
+# least one device, however wide.  1 MiB votes about as fast per device as
+# smaller blocks and keeps the peak memory small.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -63,12 +69,8 @@ def load_measurements(source) -> MeasurementTensor:
     The binary format is detected by its magic bytes; everything else is
     parsed as text CSV.
     """
-    payload = _read(source)
-    if payload[:4] == MAGIC:
-        _, positions, repeats, packed = _binary_rows(payload)
-        rows = np.unpackbits(packed, axis=1, count=positions, bitorder="little")
-    else:
-        _, _, repeats, rows = _csv_rows(payload)
+    _, positions, repeats, packed = _packed_rows(_read(source))
+    rows = np.unpackbits(packed, axis=1, count=positions, bitorder="little")
     return MeasurementTensor(bits=_from_rows(rows, repeats))
 
 
@@ -77,23 +79,21 @@ def load_measurement_counts(source) -> tuple[PositionCounts, int, int]:
 
     Gives what ``count_ones(derive_noise_free_response(load_measurements(f)))``
     gives, with the same repeat count, ties and error messages, but never
-    builds the devices x positions x repeats tensor: the rows are voted one
-    block of devices at a time and only the per-position sums are kept.  A
-    binary file is unpacked a block at a time too, so its peak memory is
-    about the file size plus one block.
+    builds the devices x positions x repeats tensor: the packed rows are
+    voted one block of devices at a time, and only the voted bits are
+    unpacked to add up the per-position sums.  Peak memory is about the file
+    size plus one block.
     """
-    payload = _read(source)
-    binary = payload[:4] == MAGIC
-    devices, positions, repeats, rows = (_binary_rows if binary else _csv_rows)(payload)
-    per_block = max(1, _BLOCK_BYTES // (positions * repeats))
+    devices, positions, repeats, rows = _packed_rows(_read(source))
+    row_bytes = rows.shape[1]
+    per_block = max(1, _BLOCK_BYTES // (repeats.bit_length() * row_bytes))
     ones = np.zeros(positions, dtype=np.int64)
     tie_count = 0
     for first in range(0, devices, per_block):
         block = rows[first * repeats:(first + per_block) * repeats]
-        if binary:
-            block = np.unpackbits(block, axis=1, count=positions, bitorder="little")
-        voted, ties = _vote(_from_rows(block, repeats), first)
-        ones += voted.sum(axis=0)
+        voted, ties = _vote_packed(block.reshape(-1, repeats, row_bytes), first)
+        bits = np.unpackbits(voted, axis=1, count=positions, bitorder="little")
+        ones += bits.sum(axis=0, dtype=np.int32)  # a block has < 2**31 devices
         tie_count += ties
     return PositionCounts(devices=devices, ones=ones), repeats, tie_count
 
@@ -117,15 +117,23 @@ def write_measurements(m: MeasurementTensor, dest, fmt: str = "csv") -> None:
     _write(dest, blob)
 
 
+def _packed_rows(payload: bytes) -> tuple[int, int, int, np.ndarray]:
+    """Check a measurement file of either encoding; return N, T, M and its
+    (N*M, ceil(T/8)) rows, bit-packed as in the binary format."""
+    return (_binary_rows if payload[:4] == MAGIC else _csv_rows)(payload)
+
+
 def _csv_rows(payload: bytes) -> tuple[int, int, int, np.ndarray]:
-    """Check a CSV measurement file; return N, T, M and its (N*M, T) rows."""
+    """Check a CSV measurement file; return N, T, M and its (N*M, ceil(T/8))
+    rows, packed a line at a time."""
     try:
         text = payload.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"byte {exc.start}: not a text measurement file") from None
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise FormatError("line 1: empty file, expected header 'N,T,M'")
+    # only "\n" ends a line; strip() takes the "\r" of a CRLF
+    lines = text.split("\n")
     dims = _parse_int_fields(lines[0], 3, 1, "N,T,M")
     devices, positions, repeats = dims
     if min(dims) < 1:
@@ -141,7 +149,7 @@ def _csv_rows(payload: bytes) -> tuple[int, int, int, np.ndarray]:
     if len(data_lines) > expected:
         raise FormatError(
             f"line {expected + 2}: dimension mismatch, expected exactly {expected} data lines")
-    rows = np.empty((expected, positions), dtype=np.uint8)
+    rows = np.empty((expected, (positions + 7) // 8), dtype=np.uint8)
     for row, line in enumerate(data_lines):
         fields = [token.strip() for token in line.split(",")]
         if len(fields) != positions:
@@ -150,8 +158,9 @@ def _csv_rows(payload: bytes) -> tuple[int, int, int, np.ndarray]:
         if not {"0", "1"}.issuperset(fields):
             col, token = next((c, t) for c, t in enumerate(fields) if t not in ("0", "1"))
             raise FormatError(f"line {row + 2}: non-binary symbol {token!r} in field {col + 1}")
-        rows[row] = np.frombuffer("".join(fields).encode("ascii"), dtype=np.uint8)
-    rows -= _ZERO
+        # the low bit of "0" is 0 and of "1" is 1
+        symbols = np.frombuffer("".join(fields).encode("ascii"), dtype=np.uint8)
+        rows[row] = np.packbits(symbols & 1, bitorder="little")
     return devices, positions, repeats, rows
 
 
@@ -194,7 +203,7 @@ def load_counts(source) -> PositionCounts:
     except UnicodeDecodeError as exc:
         raise FormatError(f"byte {exc.start}: not a text counts file") from None
     # (line number in the file, text) of the non-blank lines
-    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    lines = [(i, ln) for i, ln in enumerate(text.split("\n"), 1) if ln.strip()]
     if not lines:
         raise FormatError("line 1: empty file, expected header 'N,T'")
     head, header = lines[0]

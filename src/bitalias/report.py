@@ -32,17 +32,29 @@ def _num(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _row_texts(reports, fmt) -> list[str]:
+    """``fmt(r)`` for every report, formatted once per distinct report.
+
+    Positions with equal counts share one report object, so the text after
+    each position's index is formatted once and reused."""
+    distinct = {id(r): r for r in reports}
+    text = {key: fmt(r) for key, r in distinct.items()}
+    return [text[id(r)] for r in reports]
+
+
+def _csv_row(r) -> str:
+    return ",".join((
+        str(r.ones), str(r.devices), _num(r.alias),
+        _num(r.interval.lower), _num(r.interval.upper),
+        _num(r.verdict.p_value_lower), _num(r.verdict.p_value_upper),
+        "1" if r.verdict.accepted else "0",
+        _num(r.min_entropy), _num(r.shannon_entropy)))
+
+
 def _render_csv(result: AnalysisResult) -> bytes:
-    out = io.StringIO()
-    out.write(CSV_HEADER + "\n")
-    for t, r in enumerate(result.reports):
-        out.write(",".join((
-            str(t), str(r.ones), str(r.devices), _num(r.alias),
-            _num(r.interval.lower), _num(r.interval.upper),
-            _num(r.verdict.p_value_lower), _num(r.verdict.p_value_upper),
-            "1" if r.verdict.accepted else "0",
-            _num(r.min_entropy), _num(r.shannon_entropy))) + "\n")
-    return out.getvalue().encode("ascii")
+    rows = _row_texts(result.reports, _csv_row)
+    body = "".join(f"{t},{row}\n" for t, row in enumerate(rows))
+    return (CSV_HEADER + "\n" + body).encode("ascii")
 
 
 def _config_payload(cfg: AnalysisConfig, limits: AliasLimits) -> dict:
@@ -121,13 +133,17 @@ def _render_text(result: AnalysisResult) -> bytes:
     out.write("\n")
     out.write(f"{'t':>6} {'x':>8} {'p_hat':>10} {'ci_lo':>10} {'ci_hi':>10} "
               f"{'p_val_lo':>10} {'p_val_hi':>10} {'ok':>3} {'h_min':>9} {'h_shan':>9}\n")
-    for t, r in enumerate(result.reports):
-        out.write(f"{t:>6d} {r.ones:>8d} {r.alias:>10.6g} "
-                  f"{r.interval.lower:>10.6g} {r.interval.upper:>10.6g} "
-                  f"{r.verdict.p_value_lower:>10.3g} {r.verdict.p_value_upper:>10.3g} "
-                  f"{'yes' if r.verdict.accepted else 'no':>3} "
-                  f"{r.min_entropy:>9.6g} {r.shannon_entropy:>9.6g}\n")
+    rows = _row_texts(result.reports, _text_row)
+    out.write("".join(f"{t:>6d} {row}\n" for t, row in enumerate(rows)))
     return out.getvalue().encode("ascii")
+
+
+def _text_row(r) -> str:
+    return (f"{r.ones:>8d} {r.alias:>10.6g} "
+            f"{r.interval.lower:>10.6g} {r.interval.upper:>10.6g} "
+            f"{r.verdict.p_value_lower:>10.3g} {r.verdict.p_value_upper:>10.3g} "
+            f"{'yes' if r.verdict.accepted else 'no':>3} "
+            f"{r.min_entropy:>9.6g} {r.shannon_entropy:>9.6g}")
 
 
 _RENDERERS = {"text": _render_text, "json": _render_json, "csv": _render_csv}

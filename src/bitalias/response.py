@@ -3,6 +3,10 @@
 Everything downstream consumes the pair (count of 1s, device count), the
 sufficient statistic for a per-position Bernoulli alias, so the statistical
 modules never touch raw tensors or files.
+
+The vote works on bit-packed rows, eight positions to a byte, with bytewise
+logic alone (`_vote_packed`); ``formats`` feeds it a file's rows as they are
+stored, and `derive_noise_free_response` packs a tensor first.
 """
 
 from __future__ import annotations
@@ -96,27 +100,50 @@ class PositionCounts:
         return int(self.ones.size)
 
 
-def _vote(block: np.ndarray, first_device: int) -> tuple[np.ndarray, int]:
-    """Majority vote of a devices x positions x repeats block of 0/1 bits.
+# set bits per byte value; np.bitwise_count needs numpy 2
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
 
+
+def _vote_packed(block: np.ndarray, first_device: int) -> tuple[np.ndarray, int]:
+    """Majority vote of a devices x repeats x bytes block of packed rows.
+
+    Each row holds a device's bits for one repeat, packed least-significant
+    bit first, so bit j of byte b is position 8b + j; padding bits must be 0.
     ``first_device`` is the global index of the block's first device, so a
     campaign voted one block of devices at a time resolves its ties exactly
-    as when voted whole.  Returns the voted devices x positions bits (bool)
-    and the number of tied cells.  Totals are int32 and are compared with
-    ``repeats // 2`` rather than doubled, so they cannot overflow below 2**31
-    repeats.
+    as when voted whole.  Returns the voted devices x bytes rows, packed the
+    same way, and the number of tied cells.
+
+    The repeats are added into bit-planes of each cell's total (plane i holds
+    bit i), one ripple-carry add per repeat, and the totals are compared with
+    ``repeats // 2`` from the top plane down, all with bytewise logic.
     """
-    devices, positions, repeats = block.shape
-    totals = block.sum(axis=2, dtype=np.int32)
-    voted = totals > repeats // 2
+    devices, repeats, _ = block.shape
+    planes = []
+    for r in range(repeats):
+        carry = block[:, r]
+        for i, plane in enumerate(planes):
+            planes[i], carry = plane ^ carry, plane & carry
+        if len(planes) < (r + 1).bit_length():
+            planes.append(carry)
+    # gt: total > repeats // 2; eq: total == repeats // 2 so far, from the top
+    half = repeats // 2
+    gt = np.zeros_like(planes[0])
+    eq = np.full_like(planes[0], 0xFF)
+    for i in reversed(range(len(planes))):
+        if (half >> i) & 1:
+            eq &= planes[i]
+        else:
+            gt |= eq & planes[i]
+            eq &= ~planes[i]
     if repeats % 2:
-        return voted, 0
-    ties = totals == repeats // 2
-    # tie -> 1 exactly when device index + position index is even
-    parity_even = np.equal.outer((first_device + np.arange(devices)) % 2,
-                                 np.arange(positions) % 2)
-    voted |= ties & parity_even
-    return voted, int(np.count_nonzero(ties))
+        return gt, 0
+    # tie -> 1 exactly when device index + position index is even: the even
+    # bits (0x55) of an even device, the odd bits (0xAA) of an odd one.
+    # Padding bits total 0 < repeats // 2, so they never tie.
+    parity = np.where((first_device + np.arange(devices)) % 2, 0xAA, 0x55).astype(np.uint8)
+    gt |= eq & parity[:, None]
+    return gt, int(np.bincount(eq.ravel(), minlength=256) @ _POPCOUNT)
 
 
 def derive_noise_free_response(m: MeasurementTensor) -> NoiseFreeResponse:
@@ -127,8 +154,10 @@ def derive_noise_free_response(m: MeasurementTensor) -> NoiseFreeResponse:
     index parity: 1 when device index + position index is even, else 0.  Ties
     flag unreliable cells, so their total is surfaced as ``tie_count``.
     """
-    voted, ties = _vote(m.bits, 0)
-    return NoiseFreeResponse(bits=voted, tie_count=ties)
+    packed = np.packbits(m.bits.transpose(0, 2, 1), axis=2, bitorder="little")
+    voted, ties = _vote_packed(packed, 0)
+    bits = np.unpackbits(voted, axis=1, count=m.positions, bitorder="little")
+    return NoiseFreeResponse(bits=bits, tie_count=ties)
 
 
 def count_ones(r: NoiseFreeResponse) -> PositionCounts:

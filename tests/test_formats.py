@@ -98,6 +98,11 @@ FILE_CASES = [
     (load_counts, b"2,2\n\n\n0,x\n", "line 4: non-integer count 'x' in field 2"),
     (load_counts, b"2,2\n0,1\n\n5\n",
      "line 4: dimension mismatch, expected exactly one line of counts"),
+    # only "\n" ends a line: form feeds, file separators and a lone "\r" do not
+    (load_measurements, b"2,2,1\n0\x0c,1\n0,2\n", "line 3: non-binary symbol '2' in field 2"),
+    (load_counts, b"2,3\n1,\x1c2,9\n", "line 2: count 9 in field 3 outside 0..2"),
+    (load_measurements, b"1,2,1\r0,1\r", "line 1: malformed header, expected 'N,T,M'"),
+    (load_counts, b"5,2\r3,5\r", "line 1: malformed header, expected 'N,T'"),
 ]
 
 
@@ -139,7 +144,7 @@ def test_streamed_counts_give_the_same_outcome(blob, outcome):
         assert_same_counts(load_measurement_counts(io.BytesIO(blob)), tensor_path(blob))
 
 
-@given(devices=st.integers(1, 40), positions=st.integers(1, 29), repeats=st.integers(1, 6),
+@given(devices=st.integers(1, 40), positions=st.integers(1, 29), repeats=st.integers(1, 17),
        block_bytes=st.integers(1, 300), fmt=st.sampled_from(["csv", "binary"]),
        seed=st.integers(0, 2**32 - 1))
 def test_streamed_counts_match_tensor_path(devices, positions, repeats, block_bytes, fmt,

@@ -1,15 +1,41 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitalias.errors import DomainError
 from bitalias.response import (MeasurementTensor, NoiseFreeResponse, PositionCounts,
-                               _vote, bit_alias, count_ones, derive_noise_free_response)
+                               _vote_packed, bit_alias, count_ones,
+                               derive_noise_free_response)
 
 
 def tensor(arr):
     return MeasurementTensor(bits=np.array(arr, dtype=np.uint8))
+
+
+def per_cell_rule(bits):
+    """The voted bits and tie count of a devices x positions x repeats array,
+    cell by cell: 1 when 2 * sum > repeats, a tie to 1 when d + t is even."""
+    n, t, k = bits.shape
+    totals = bits.sum(axis=2).tolist()
+    voted = [[int(2 * totals[d][p] > k or (2 * totals[d][p] == k and (d + p) % 2 == 0))
+              for p in range(t)] for d in range(n)]
+    ties = sum(2 * totals[d][p] == k for d in range(n) for p in range(t))
+    return voted, ties
+
+
+def vote_in_blocks(bits, cuts):
+    """`_vote_packed` over the device blocks that `cuts` mark, each block
+    packed as the binary format packs it; the unpacked voted bits and the
+    summed tie count."""
+    n, t, _ = bits.shape
+    packed = np.packbits(bits.transpose(0, 2, 1), axis=2, bitorder="little")
+    parts = [_vote_packed(packed[a:b], a) for a, b in zip([0, *cuts], [*cuts, n]) if b > a]
+    voted = np.concatenate([v for v, _ in parts])
+    if t % 8:
+        assert not (voted[:, -1] >> t % 8).any()  # padding bits stay 0
+    bits_out = np.unpackbits(voted, axis=1, count=t, bitorder="little")
+    return bits_out.tolist(), sum(c for _, c in parts)
 
 
 class TestMeasurementTensor:
@@ -83,16 +109,46 @@ class TestDeriveNoiseFreeResponse:
         rng = np.random.default_rng(seed)
         n, t, k = (int(v) for v in rng.integers(1, 9, size=3))
         bits = rng.integers(0, 2, size=(n, t, k), dtype=np.uint8)
-        expected = [[int(2 * bits[d, p].sum() > k
-                         or (2 * bits[d, p].sum() == k and (d + p) % 2 == 0))
-                     for p in range(t)] for d in range(n)]
-        ties = sum(2 * int(bits[d, p].sum()) == k for d in range(n) for p in range(t))
+        expected, ties = per_cell_rule(bits)
         r = derive_noise_free_response(tensor(bits))
         assert (r.bits.tolist(), r.tie_count) == (expected, ties)
         cuts = sorted(int(c) for c in rng.integers(0, n + 1, size=2))
-        parts = [_vote(bits[a:b], a) for a, b in zip([0, *cuts], [*cuts, n])]
-        assert np.concatenate([v for v, _ in parts]).tolist() == expected
-        assert sum(c for _, c in parts) == ties
+        assert vote_in_blocks(bits, cuts) == (expected, ties)
+
+
+class TestPackedVote:
+    @pytest.mark.parametrize("repeats", [*range(1, 18), 300])
+    @settings(max_examples=10)
+    @given(st.integers(1, 30), st.integers(1, 40), st.floats(0.0, 1.0),
+           st.integers(0, 2**32 - 1))
+    def test_matches_per_cell_rule(self, repeats, devices, positions, p_one, seed):
+        # a skewed share of 1s makes ties rare or common at every repeat count
+        rng = np.random.default_rng(seed)
+        bits = (rng.random((devices, positions, repeats)) < p_one).astype(np.uint8)
+        cuts = sorted(int(c) for c in rng.integers(0, devices + 1, size=3))
+        assert vote_in_blocks(bits, cuts) == per_cell_rule(bits)
+
+    @pytest.mark.parametrize("positions", [1, 7, 8, 13, 64, 77])
+    def test_padding_bits_never_tie(self, positions):
+        # every real cell ties, so the count is devices x positions exactly
+        for repeats in (2, 4, 16):
+            bits = np.zeros((5, positions, repeats), dtype=np.uint8)
+            bits[:, :, :repeats // 2] = 1
+            voted, ties = vote_in_blocks(bits, [2])
+            assert ties == 5 * positions
+            assert voted == per_cell_rule(bits)[0]
+
+    def test_three_hundred_repeats_use_nine_planes(self):
+        # totals reach 300, which takes 9 bits; ties sit at 150 and around
+        # 256, where a counter one plane short would wrap
+        rng = np.random.default_rng(7)
+        devices, positions, repeats = 6, 21, 300
+        totals = rng.choice([0, 1, 149, 150, 151, 255, 256, 257, 299, 300],
+                            size=(devices, positions))
+        order = rng.random((devices, positions, repeats)).argsort(axis=2)
+        bits = (order < totals[:, :, None]).astype(np.uint8)
+        assert (bits.sum(axis=2) == totals).all()
+        assert vote_in_blocks(bits, [1, 4]) == per_cell_rule(bits)
 
 
 class TestCountOnes:
