@@ -35,9 +35,11 @@ _HEADER_LEN = 4 + 1 + 12  # magic, version, three uint32 dims
 _ZERO = ord("0")
 # Counter-plane bytes per block of devices voted by `load_measurement_counts`
 # (ceil(log2(M + 1)) planes of ceil(T/8) bytes per device); a block holds at
-# least one device, however wide.  1 MiB votes about as fast per device as
-# smaller blocks and keeps the peak memory small.
-_BLOCK_BYTES = 1 << 20
+# least one device, however wide.  128 KiB votes as fast per device as 1 MiB,
+# and its temporaries (a block's unpacked voted bits are 8/ceil(log2(M + 1))
+# times its planes) keep the peak memory small: on a 4096 x 4096 x 6 file the
+# CLI peaks at 42.7 MB RSS, against 52 MB with 1 MiB blocks.
+_BLOCK_BYTES = 1 << 17
 
 
 def _read(source) -> bytes:

@@ -139,8 +139,8 @@ class TestPackedVote:
             assert voted == per_cell_rule(bits)[0]
 
     def test_three_hundred_repeats_use_nine_planes(self):
-        # totals reach 300, which takes 9 bits; ties sit at 150 and around
-        # 256, where a counter one plane short would wrap
+        # totals reach 300, which takes 9 bits; the chosen totals sit at the
+        # tie (150) and around 256, where a counter one plane short would wrap
         rng = np.random.default_rng(7)
         devices, positions, repeats = 6, 21, 300
         totals = rng.choice([0, 1, 149, 150, 151, 255, 256, 257, 299, 300],
