@@ -18,8 +18,8 @@ line ends and trailing blank lines; the writers never emit them.  Only
 ``"\n"`` ends a line.
 
 Both measurement encodings parse to the binary format's packed rows, so
-`load_measurement_counts` never holds a file's bits one byte per symbol: a
-CSV file is packed a line at a time, and a binary file is used in place.
+`load_measurement_counts` never unpacks a file's bits to one byte per symbol:
+a CSV file is packed a line at a time, and a binary file is used in place.
 """
 
 from pathlib import Path
@@ -83,8 +83,8 @@ def load_measurement_counts(source) -> tuple[PositionCounts, int, int]:
     gives, with the same repeat count, ties and error messages, but never
     builds the devices x positions x repeats tensor: the packed rows are
     voted one block of devices at a time, and only the voted bits are
-    unpacked to add up the per-position sums.  Peak memory is about the file
-    size plus one block.
+    unpacked to add up the per-position sums.  For a binary file, peak memory
+    is about the file size plus one block.
     """
     devices, positions, repeats, rows = _packed_rows(_read(source))
     row_bytes = rows.shape[1]
