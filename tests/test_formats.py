@@ -282,6 +282,22 @@ class TestRoundTrips:
         write_measurements(MeasurementTensor(bits=bits), buf, fmt="csv")
         assert buf.getvalue() == expected.encode("ascii")
 
+    def test_binary_bytes_match_bit_loop(self):
+        # 13 positions leave 3 padding bits in each row's second byte
+        rng = np.random.default_rng(5)
+        devices, positions, repeats = 3, 13, 2
+        bits = rng.integers(0, 2, size=(devices, positions, repeats), dtype=np.uint8)
+        body = bytearray()
+        for n in range(devices):
+            for k in range(repeats):
+                row = bytearray((positions + 7) // 8)
+                for t in range(positions):
+                    row[t // 8] |= int(bits[n, t, k]) << (t % 8)
+                body += row
+        buf = io.BytesIO()
+        write_measurements(MeasurementTensor(bits=bits), buf, fmt="binary")
+        assert buf.getvalue() == _binary_header(devices, positions, repeats) + bytes(body)
+
     def test_write_is_byte_stable(self):
         rng = np.random.default_rng(3)
         m = MeasurementTensor(bits=rng.integers(0, 2, size=(3, 9, 2), dtype=np.uint8))

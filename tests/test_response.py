@@ -60,6 +60,21 @@ class TestMeasurementTensor:
         with pytest.raises(ValueError):
             m.bits[0, 0, 0] = 1
 
+    @pytest.mark.parametrize("bad, dtype", [(0.5, np.float64), (np.nan, np.float64),
+                                            (256, np.int16), (-1, np.int8), (2, np.int64)])
+    def test_rejects_non_binary_of_any_dtype(self, bad, dtype):
+        # the bad entry sits among good ones, past the first row
+        with pytest.raises(DomainError, match="0 or 1"):
+            MeasurementTensor(bits=np.array([[[0, 1], [1, 0]], [[1, 1], [0, bad]]], dtype=dtype))
+
+    @pytest.mark.parametrize("dtype", [bool, np.int64, np.float64])
+    def test_accepts_zero_one_of_any_dtype(self, dtype):
+        raw = np.random.default_rng(6).integers(0, 2, size=(3, 11, 4))
+        m = MeasurementTensor(bits=raw.astype(dtype))
+        assert m.bits.dtype == np.uint8
+        assert not m.bits.flags.writeable
+        assert m.bits.shape == raw.shape and (m.bits == raw).all()
+
 
 class TestDeriveNoiseFreeResponse:
     def test_single_measurement_is_identity(self):
