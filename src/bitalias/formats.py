@@ -17,9 +17,10 @@ line or byte offset.  The text parsers accept whitespace around fields, CRLF
 line ends and trailing blank lines; the writers never emit them.  Only
 ``"\n"`` ends a line.
 
-Both measurement encodings parse to the binary format's packed rows, so
-`load_measurement_counts` never unpacks a file's bits to one byte per symbol:
-a CSV file is packed a line at a time, and a binary file is used in place.
+Both measurement encodings parse to the binary format's packed rows, the
+layout a `MeasurementTensor` holds, so no path from file to vote unpacks a
+file's bits to one byte per symbol: a CSV file is packed a line at a time, and
+a binary file's rows are a view of the bytes read.
 """
 
 from pathlib import Path
@@ -27,19 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .response import MeasurementTensor, PositionCounts, _vote_packed
+from .response import MeasurementTensor, PositionCounts, _count_voted
 
 MAGIC = b"PUFB"
 VERSION = 1
 _HEADER_LEN = 4 + 1 + 12  # magic, version, three uint32 dims
 _ZERO = ord("0")
-# Counter-plane bytes per block of devices voted by `load_measurement_counts`
-# (ceil(log2(M + 1)) planes of ceil(T/8) bytes per device); a block holds at
-# least one device, however wide.  128 KiB votes as fast per device as 1 MiB,
-# and its temporaries (a block's unpacked voted bits are 8/ceil(log2(M + 1))
-# times its planes) keep the peak memory small: on a 4096 x 4096 x 6 file the
-# CLI peaks at 42.7 MB RSS, against 52 MB with 1 MiB blocks.
-_BLOCK_BYTES = 1 << 17
 
 
 def _read(source) -> bytes:
@@ -55,79 +49,46 @@ def _write(dest, blob: bytes) -> None:
         Path(dest).write_bytes(blob)
 
 
-def _rows(m: MeasurementTensor) -> np.ndarray:
-    """One row of T symbols per (device, repeat) pair, device-major."""
-    return np.transpose(m.bits, (0, 2, 1)).reshape(m.devices * m.repeats, m.positions)
-
-
-def _from_rows(rows: np.ndarray, repeats: int) -> np.ndarray:
-    """Inverse of `_rows`: the devices x positions x repeats view of the rows."""
-    return np.transpose(rows.reshape(-1, repeats, rows.shape[1]), (0, 2, 1))
-
-
 def load_measurements(source) -> MeasurementTensor:
     """Read a measurement tensor from a path or binary file object.
 
     The binary format is detected by its magic bytes; everything else is
-    parsed as text CSV.
+    parsed as text CSV.  A binary file's rows are wrapped, not copied.
     """
-    _, positions, repeats, packed = _packed_rows(_read(source))
-    rows = np.unpackbits(packed, axis=1, count=positions, bitorder="little")
-    return MeasurementTensor(bits=_from_rows(rows, repeats))
+    payload = _read(source)
+    parse = _binary_rows if payload[:4] == MAGIC else _csv_rows
+    return MeasurementTensor(_packed=parse(payload))
 
 
 def load_measurement_counts(source) -> tuple[PositionCounts, int, int]:
-    """Read a measurement file straight to ``(counts, repeats, tie_count)``.
-
-    Gives what ``count_ones(derive_noise_free_response(load_measurements(f)))``
-    gives, with the same repeat count, ties and error messages, but never
-    builds the devices x positions x repeats tensor: the packed rows are
-    voted one block of devices at a time, and only the voted bits are
-    unpacked to add up the per-position sums.  For a binary file, peak memory
-    is about the file size plus one block.
-    """
-    devices, positions, repeats, rows = _packed_rows(_read(source))
-    row_bytes = rows.shape[1]
-    per_block = max(1, _BLOCK_BYTES // (repeats.bit_length() * row_bytes))
-    ones = np.zeros(positions, dtype=np.int64)
-    tie_count = 0
-    for first in range(0, devices, per_block):
-        block = rows[first * repeats:(first + per_block) * repeats]
-        voted, ties = _vote_packed(block.reshape(-1, repeats, row_bytes), first)
-        bits = np.unpackbits(voted, axis=1, count=positions, bitorder="little")
-        ones += bits.sum(axis=0, dtype=np.int32)  # a block has < 2**31 devices
-        tie_count += ties
-    return PositionCounts(devices=devices, ones=ones), repeats, tie_count
+    """Read a measurement file straight to ``(counts, repeats, tie_count)``:
+    what ``count_ones(derive_noise_free_response(load_measurements(f)))``
+    gives, voted one block of devices at a time, so that for a binary file
+    peak memory is about the file size plus one block."""
+    return _count_voted(load_measurements(source))
 
 
 def write_measurements(m: MeasurementTensor, dest, fmt: str = "csv") -> None:
     """Write a measurement tensor as ``csv`` or ``binary``."""
-    rows = _rows(m)
     if fmt == "csv":
         # digits in the even columns, commas between, a newline in the last
+        rows = np.unpackbits(m.rows, axis=1, count=m.positions, bitorder="little")
         grid = np.full((rows.shape[0], 2 * m.positions), ord(","), dtype=np.uint8)
         grid[:, ::2] = rows + _ZERO
         grid[:, -1] = ord("\n")
         blob = f"{m.devices},{m.positions},{m.repeats}\n".encode("ascii") + grid.tobytes()
     elif fmt == "binary":
-        # packbits pads each row with zero bits
         blob = (MAGIC + bytes([VERSION]) + m.devices.to_bytes(4, "little")
                 + m.positions.to_bytes(4, "little") + m.repeats.to_bytes(4, "little")
-                + np.packbits(rows, axis=1, bitorder="little").tobytes())
+                + m.rows.tobytes())
     else:
         raise FormatError(f"unknown measurement format {fmt!r}, expected 'csv' or 'binary'")
     _write(dest, blob)
 
 
-def _packed_rows(payload: bytes) -> tuple[int, int, int, np.ndarray]:
-    """Check a measurement file of either encoding; return N, T, M and its
-    (N*M, ceil(T/8)) rows, bit-packed as in the binary format."""
-    return (_binary_rows if payload[:4] == MAGIC else _csv_rows)(payload)
-
-
-def _csv_rows(payload: bytes) -> tuple[int, int, int, np.ndarray]:
-    """Check a CSV measurement file; return N, T, M and its (N*M, ceil(T/8))
-    rows, packed a line at a time."""
+def _csv_rows(payload: bytes) -> tuple[np.ndarray, int, int]:
+    """Check a CSV measurement file; return its (N*M, ceil(T/8)) rows, packed
+    a line at a time, T and M."""
     try:
         text = payload.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -151,7 +112,8 @@ def _csv_rows(payload: bytes) -> tuple[int, int, int, np.ndarray]:
     if len(data_lines) > expected:
         raise FormatError(
             f"line {expected + 2}: dimension mismatch, expected exactly {expected} data lines")
-    rows = np.empty((expected, (positions + 7) // 8), dtype=np.uint8)
+    # rows of checked lines only, so a header alone never sizes an allocation
+    rows = []
     for row, line in enumerate(data_lines):
         fields = [token.strip() for token in line.split(",")]
         if len(fields) != positions:
@@ -162,13 +124,13 @@ def _csv_rows(payload: bytes) -> tuple[int, int, int, np.ndarray]:
             raise FormatError(f"line {row + 2}: non-binary symbol {token!r} in field {col + 1}")
         # the low bit of "0" is 0 and of "1" is 1
         symbols = np.frombuffer("".join(fields).encode("ascii"), dtype=np.uint8)
-        rows[row] = np.packbits(symbols & 1, bitorder="little")
-    return devices, positions, repeats, rows
+        rows.append(np.packbits(symbols & 1, bitorder="little"))
+    return np.stack(rows), positions, repeats
 
 
-def _binary_rows(payload: bytes) -> tuple[int, int, int, np.ndarray]:
-    """Check a binary measurement file; return N, T, M and its (N*M, ceil(T/8))
-    packed rows, a view of the payload."""
+def _binary_rows(payload: bytes) -> tuple[np.ndarray, int, int]:
+    """Check a binary measurement file; return its (N*M, ceil(T/8)) packed
+    rows, a view of the payload, T and M."""
     if len(payload) < _HEADER_LEN:
         raise FormatError(f"byte {len(payload)}: truncated header, need {_HEADER_LEN} bytes")
     if payload[4] != VERSION:
@@ -195,7 +157,7 @@ def _binary_rows(payload: bytes) -> tuple[int, int, int, np.ndarray]:
         if bad_rows.size:
             offset = _HEADER_LEN + int(bad_rows[0]) * row_bytes + positions // 8
             raise FormatError(f"byte {offset}: nonzero padding bits")
-    return devices, positions, repeats, packed
+    return packed, positions, repeats
 
 
 def load_counts(source) -> PositionCounts:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .response import MeasurementTensor
+from .special import _as_count
 
 ALIAS_PROFILES = {
     "balanced": lambda t: np.full(t, 0.5),
@@ -54,10 +55,8 @@ class PopulationSpec:
 
     def __post_init__(self):
         for name in ("devices", "positions", "repeats"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be >= 1")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise DomainError("seed must be a non-negative integer")
+            _as_count(getattr(self, name), name, 1)
+        _as_count(self.seed, "seed")
         if not 0.0 <= float(self.flip_noise) <= 1.0:
             raise DomainError("flip_noise must lie in [0, 1]")
         self.alias_vector()  # validate eagerly
@@ -89,5 +88,4 @@ def simulate_population(spec: PopulationSpec) -> MeasurementTensor:
     p = spec.alias_vector()
     stable = rng.random((spec.devices, spec.positions)) < p[None, :]
     flips = rng.random((spec.devices, spec.positions, spec.repeats)) < spec.flip_noise
-    bits = stable[:, :, None] ^ flips
-    return MeasurementTensor(bits=bits.astype(np.uint8))
+    return MeasurementTensor(bits=stable[:, :, None] ^ flips)

@@ -73,13 +73,13 @@ def _as_positive(value, name: str) -> float:
     return v
 
 
-def _as_count(value, name: str) -> int:
+def _as_count(value, name: str, minimum: int = 0) -> int:
     try:
         v = operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
-    if v < 0:
-        raise DomainError(f"{name} must be >= 0, got {v}")
+    if v < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {v}")
     return v
 
 

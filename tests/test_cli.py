@@ -67,6 +67,13 @@ class TestAnalyzeCommand:
         bad.write_bytes(b"1,2,1\n0,7\n")
         assert main(["analyze", str(bad)]) == 2
 
+    def test_header_too_large_for_memory_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "huge.csv"
+        bad.write_bytes(b"2,1000000000000000,1\n0\n0\n")
+        assert main(["analyze", str(bad)]) == 2
+        assert capsys.readouterr().err == \
+            "error: line 2: expected 1000000000000000 values, found 1\n"
+
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.csv")]) == 2
 

@@ -1,11 +1,12 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitalias import formats
+from bitalias import response
 from bitalias.errors import FormatError
 from bitalias.formats import (load_counts, load_measurement_counts, load_measurements,
                               write_counts, write_measurements)
@@ -103,6 +104,9 @@ FILE_CASES = [
     (load_counts, b"2,3\n1,\x1c2,9\n", "line 2: count 9 in field 3 outside 0..2"),
     (load_measurements, b"1,2,1\r0,1\r", "line 1: malformed header, expected 'N,T,M'"),
     (load_counts, b"5,2\r3,5\r", "line 1: malformed header, expected 'N,T'"),
+    # the header alone must not size an allocation (N*M x ceil(T/8) is 227 TiB)
+    (load_measurements, b"2,1000000000000000,1\n0\n0\n",
+     "line 2: expected 1000000000000000 values, found 1"),
 ]
 
 
@@ -157,7 +161,7 @@ def test_streamed_counts_match_tensor_path(devices, positions, repeats, block_by
     buf = io.BytesIO()
     write_measurements(m, buf, fmt=fmt)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(formats, "_BLOCK_BYTES", block_bytes)
+        mp.setattr(response, "_BLOCK_BYTES", block_bytes)
         got = load_measurement_counts(io.BytesIO(buf.getvalue()))
     assert_same_counts(got, tensor_path(buf.getvalue()))
 
@@ -297,6 +301,27 @@ class TestRoundTrips:
         buf = io.BytesIO()
         write_measurements(MeasurementTensor(bits=bits), buf, fmt="binary")
         assert buf.getvalue() == _binary_header(devices, positions, repeats) + bytes(body)
+
+    def test_binary_load_holds_the_file_bytes(self, tmp_path):
+        # the tensor is a view of the bytes read, never an unpacked copy
+        rng = np.random.default_rng(8)
+        path = tmp_path / "m.puf"
+        m = MeasurementTensor(bits=rng.integers(0, 2, size=(64, 4099, 3), dtype=np.uint8))
+        write_measurements(m, path, fmt="binary")
+        tracemalloc.start()
+        try:
+            back = load_measurements(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * path.stat().st_size
+        assert (back.rows == m.rows).all()
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_loaded_rows_are_read_only(self, fmt):
+        m = roundtrip(MeasurementTensor(bits=np.ones((2, 3, 2), dtype=np.uint8)), fmt)
+        with pytest.raises(ValueError):
+            m.rows[0, 0] = 0
 
     def test_write_is_byte_stable(self):
         rng = np.random.default_rng(3)

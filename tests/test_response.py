@@ -72,7 +72,7 @@ class TestMeasurementTensor:
         raw = np.random.default_rng(6).integers(0, 2, size=(3, 11, 4))
         m = MeasurementTensor(bits=raw.astype(dtype))
         assert m.bits.dtype == np.uint8
-        assert not m.bits.flags.writeable
+        assert not m.bits.flags.writeable and not m.rows.flags.writeable
         assert m.bits.shape == raw.shape and (m.bits == raw).all()
 
 
@@ -223,3 +223,8 @@ class TestPositionCounts:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             PositionCounts(devices=5, ones=np.array([-1]))
+
+    @pytest.mark.parametrize("devices", [2.5, "3", None, 0])
+    def test_rejects_device_count_that_is_not_a_positive_integer(self, devices):
+        with pytest.raises(DomainError, match="devices must be"):
+            PositionCounts(devices=devices, ones=[1, 2])

@@ -80,3 +80,10 @@ class TestSimulatePopulation:
             PopulationSpec(devices=2, positions=5, repeats=1, seed=1, flip_noise=1.5)
         with pytest.raises(DomainError):
             PopulationSpec(devices=2, positions=5, repeats=1, seed=1, alias=[0.5])
+
+    @pytest.mark.parametrize("field", ["devices", "positions", "repeats"])
+    @pytest.mark.parametrize("value", [2.5, "3", None, 0])
+    def test_rejects_size_that_is_not_a_positive_integer(self, field, value):
+        sizes = {"devices": 2, "positions": 5, "repeats": 1, field: value}
+        with pytest.raises(DomainError, match=f"{field} must be"):
+            PopulationSpec(seed=1, **sizes)
