@@ -25,7 +25,8 @@ def _checked_bits(arr, ndim: int, what: str) -> np.ndarray:
     if arr.ndim != ndim or min(arr.shape) < 1:
         raise DomainError(f"{what} must have {ndim} positive dimensions, got shape {arr.shape}")
     integral = arr.dtype.kind in "biu"
-    if not (arr.min() >= 0 and arr.max() <= 1 if integral else ((arr == 0) | (arr == 1)).all()):
+    binary = arr.min() >= 0 and arr.max() <= 1 if integral else ((arr == 0) | (arr == 1)).all()
+    if not binary:
         raise DomainError(f"{what} entries must all be 0 or 1")
     return arr if integral else arr.astype(np.uint8)
 
