@@ -7,9 +7,11 @@ rejection targets), early-abort forecasts, entropy conversions, simulation,
 file formats, and a command-line front end.
 
 Every public name is loaded from its submodule on first access (PEP 562), so
-the scalar statistics and planners run without importing numpy; only the
-array modules (``response``, ``formats``, ``simulate``, ``validate`` and
-``analysis``, which uses ``response``) load it.
+the scalar statistics, the planners and the path from a measurement or counts
+file to a report run without importing numpy.  ``simulate`` and ``validate``
+load it, and so do the functions that build or read an array:
+``MeasurementTensor``, ``NoiseFreeResponse``, ``count_ones``, ``bit_alias`` and
+``write_measurements``.
 """
 
 import importlib

@@ -20,8 +20,8 @@ from .qualification import AliasLimits, early_stop_decision, test_position, \
     plan_devices_frr
 from .report import REPORT_FORMATS
 
-# The array modules (analysis, formats, simulate, validate) load numpy, so
-# only the commands that need them import them; plan, check and curve do not.
+# simulate and validate load numpy, so only their commands import them;
+# analyze and early-stop load analysis and formats, which need no numpy.
 
 DEFAULT_LIMITS = (0.45, 0.55)
 # simulate.ALIAS_PROFILES, named here so that building the parser needs no numpy

@@ -17,15 +17,16 @@ line or byte offset.  The text parsers accept whitespace around fields, CRLF
 line ends and trailing blank lines; the writers never emit them.  Only
 ``"\n"`` ends a line.
 
-Both measurement encodings parse to the binary format's packed rows, the
-layout a `MeasurementTensor` holds, so no path from file to vote unpacks a
-file's bits to one byte per symbol: a CSV file is packed a line at a time, and
-a binary file's rows are a view of the bytes read.
+Both measurement encodings parse to the binary format's packed rows as
+bytes, the layout a `MeasurementTensor` holds and `response._count_voted`
+votes, with no numpy.  A binary file's rows are a view of the bytes read.  A
+CSV line as the writer emits it (0/1 at the even byte offsets, commas at the
+odd ones) is packed with one ``int(symbols[::-1], 2)`` on its bytes; any other
+line is decoded and checked field by field, which builds the error message.
+``load_counts`` gives a tuple of ints.
 """
 
 from pathlib import Path
-
-import numpy as np
 
 from .errors import FormatError
 from .response import MeasurementTensor, PositionCounts, _count_voted
@@ -33,7 +34,6 @@ from .response import MeasurementTensor, PositionCounts, _count_voted
 MAGIC = b"PUFB"
 VERSION = 1
 _HEADER_LEN = 4 + 1 + 12  # magic, version, three uint32 dims
-_ZERO = ord("0")
 
 
 def _read(source) -> bytes:
@@ -49,32 +49,44 @@ def _write(dest, blob: bytes) -> None:
         Path(dest).write_bytes(blob)
 
 
-def load_measurements(source) -> MeasurementTensor:
-    """Read a measurement tensor from a path or binary file object.
+def _measurement_rows(source) -> tuple[bytes | memoryview, int, int, int]:
+    """Check a measurement file; return its packed rows, N, T and M.
 
     The binary format is detected by its magic bytes; everything else is
-    parsed as text CSV.  A binary file's rows are wrapped, not copied.
+    parsed as text CSV.
     """
     payload = _read(source)
     parse = _binary_rows if payload[:4] == MAGIC else _csv_rows
-    return MeasurementTensor(_packed=parse(payload))
+    return parse(payload)
+
+
+def load_measurements(source) -> MeasurementTensor:
+    """Read a measurement tensor from a path or binary file object.
+
+    A binary file's rows are wrapped, not copied.
+    """
+    rows, _, positions, repeats = _measurement_rows(source)
+    return MeasurementTensor(_packed=(rows, positions, repeats))
 
 
 def load_measurement_counts(source) -> tuple[PositionCounts, int, int]:
     """Read a measurement file straight to ``(counts, repeats, tie_count)``:
     what ``count_ones(derive_noise_free_response(load_measurements(f)))``
-    gives, voted one block of devices at a time, so that for a binary file
-    peak memory is about the file size plus one block."""
-    return _count_voted(load_measurements(source))
+    gives, voted one block of devices at a time without numpy, so that for a
+    binary file peak memory is about the file size plus one block.  The
+    counts are a tuple of ints."""
+    return _count_voted(*_measurement_rows(source))
 
 
 def write_measurements(m: MeasurementTensor, dest, fmt: str = "csv") -> None:
     """Write a measurement tensor as ``csv`` or ``binary``."""
+    import numpy as np
+
     if fmt == "csv":
         # digits in the even columns, commas between, a newline in the last
         rows = np.unpackbits(m.rows, axis=1, count=m.positions, bitorder="little")
         grid = np.full((rows.shape[0], 2 * m.positions), ord(","), dtype=np.uint8)
-        grid[:, ::2] = rows + _ZERO
+        grid[:, ::2] = rows + ord("0")
         grid[:, -1] = ord("\n")
         blob = f"{m.devices},{m.positions},{m.repeats}\n".encode("ascii") + grid.tobytes()
     elif fmt == "binary":
@@ -86,24 +98,25 @@ def write_measurements(m: MeasurementTensor, dest, fmt: str = "csv") -> None:
     _write(dest, blob)
 
 
-def _csv_rows(payload: bytes) -> tuple[np.ndarray, int, int]:
-    """Check a CSV measurement file; return its (N*M, ceil(T/8)) rows, packed
-    a line at a time, T and M."""
+def _csv_rows(payload: bytes) -> tuple[bytes, int, int, int]:
+    """Check a CSV measurement file; return its N*M rows of ceil(T/8) bytes,
+    packed a line at a time, N, T and M."""
     try:
-        text = payload.decode("utf-8")
+        payload.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"byte {exc.start}: not a text measurement file") from None
-    if not text:
+    if not payload:
         raise FormatError("line 1: empty file, expected header 'N,T,M'")
-    # only "\n" ends a line; strip() takes the "\r" of a CRLF
-    lines = text.split("\n")
-    dims = _parse_int_fields(lines[0], 3, 1, "N,T,M")
+    # only "\n" ends a line (no UTF-8 sequence holds its byte); strip() takes
+    # the "\r" of a CRLF.  A line is decoded only where text rules apply.
+    lines = payload.split(b"\n")
+    dims = _parse_int_fields(lines[0].decode(), 3, 1, "N,T,M")
     devices, positions, repeats = dims
     if min(dims) < 1:
         raise FormatError("line 1: dimensions must all be >= 1")
     expected = devices * repeats
     data_lines = lines[1:]
-    while data_lines and not data_lines[-1].strip():
+    while data_lines and not data_lines[-1].decode().strip():
         data_lines.pop()
     if len(data_lines) < expected:
         raise FormatError(
@@ -113,24 +126,29 @@ def _csv_rows(payload: bytes) -> tuple[np.ndarray, int, int]:
         raise FormatError(
             f"line {expected + 2}: dimension mismatch, expected exactly {expected} data lines")
     # rows of checked lines only, so a header alone never sizes an allocation
+    row_bytes = (positions + 7) // 8
     rows = []
     for row, line in enumerate(data_lines):
-        fields = [token.strip() for token in line.split(",")]
-        if len(fields) != positions:
-            raise FormatError(
-                f"line {row + 2}: expected {positions} values, found {len(fields)}")
-        if not {"0", "1"}.issuperset(fields):
-            col, token = next((c, t) for c, t in enumerate(fields) if t not in ("0", "1"))
-            raise FormatError(f"line {row + 2}: non-binary symbol {token!r} in field {col + 1}")
-        # the low bit of "0" is 0 and of "1" is 1
-        symbols = np.frombuffer("".join(fields).encode("ascii"), dtype=np.uint8)
-        rows.append(np.packbits(symbols & 1, bitorder="little"))
-    return np.stack(rows), positions, repeats
+        symbols = line[::2]
+        if not (len(line) == 2 * positions - 1 and line[1::2].count(b",") == positions - 1
+                and not symbols.translate(None, b"01")):
+            fields = [token.strip() for token in line.decode().split(",")]
+            if len(fields) != positions:
+                raise FormatError(
+                    f"line {row + 2}: expected {positions} values, found {len(fields)}")
+            if not {"0", "1"}.issuperset(fields):
+                col, token = next((c, t) for c, t in enumerate(fields) if t not in ("0", "1"))
+                raise FormatError(
+                    f"line {row + 2}: non-binary symbol {token!r} in field {col + 1}")
+            symbols = "".join(fields)
+        # the first symbol is bit 0 of the row
+        rows.append(int(symbols[::-1], 2).to_bytes(row_bytes, "little"))
+    return b"".join(rows), devices, positions, repeats
 
 
-def _binary_rows(payload: bytes) -> tuple[np.ndarray, int, int]:
-    """Check a binary measurement file; return its (N*M, ceil(T/8)) packed
-    rows, a view of the payload, T and M."""
+def _binary_rows(payload: bytes) -> tuple[memoryview, int, int, int]:
+    """Check a binary measurement file; return its N*M packed rows of
+    ceil(T/8) bytes, a view of the payload, N, T and M."""
     if len(payload) < _HEADER_LEN:
         raise FormatError(f"byte {len(payload)}: truncated header, need {_HEADER_LEN} bytes")
     if payload[4] != VERSION:
@@ -150,14 +168,15 @@ def _binary_rows(payload: bytes) -> tuple[np.ndarray, int, int]:
     if body > rows * row_bytes:
         raise FormatError(
             f"byte {_HEADER_LEN + rows * row_bytes}: trailing data after bit payload")
-    packed = np.frombuffer(payload, dtype=np.uint8, offset=_HEADER_LEN).reshape(rows, row_bytes)
     if positions % 8:
-        # the padding bits are the high bits of each row's last byte
-        bad_rows = np.flatnonzero(packed[:, -1] >> (positions % 8))
-        if bad_rows.size:
-            offset = _HEADER_LEN + int(bad_rows[0]) * row_bytes + positions // 8
+        # the padding bits are the high bits of each row's last byte; the
+        # table maps a byte to 1 when any of them is set
+        table = bytes(b >> positions % 8 != 0 for b in range(256))
+        bad = payload[_HEADER_LEN + row_bytes - 1::row_bytes].translate(table).find(1)
+        if bad >= 0:
+            offset = _HEADER_LEN + bad * row_bytes + positions // 8
             raise FormatError(f"byte {offset}: nonzero padding bits")
-    return packed, positions, repeats
+    return memoryview(payload)[_HEADER_LEN:], devices, positions, repeats
 
 
 def load_counts(source) -> PositionCounts:
@@ -194,7 +213,7 @@ def load_counts(source) -> PositionCounts:
         if not 0 <= value <= devices:
             raise FormatError(f"line {row}: count {value} in field {col + 1} outside 0..{devices}")
         ones.append(value)
-    return PositionCounts(devices=devices, ones=np.array(ones, dtype=np.int64))
+    return PositionCounts(devices=devices, ones=ones)
 
 
 def write_counts(c: PositionCounts, dest) -> None:

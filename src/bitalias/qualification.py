@@ -22,7 +22,7 @@ from .errors import DomainError
 from .special import (_as_count, _as_probability, _check_alpha, _check_counts,
                       binomial_cdf, binomial_range_mass, binomial_sf)
 
-if TYPE_CHECKING:  # response loads numpy; the planners and tests need none
+if TYPE_CHECKING:  # only early_stop_decision needs response; the planners do not
     from .response import PositionCounts
 
 _FRR_CERTIFY_WINDOW = 50  # scan below the search result; the FRR curve wiggles

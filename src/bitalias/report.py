@@ -2,13 +2,13 @@
 
 ``render_report`` serializes an ``analysis.AnalysisResult``; all three
 formats are byte-stable for fixed input.  The module needs no arrays, so the
-command-line parser can read ``REPORT_FORMATS`` without loading numpy.
+command-line parser can read ``REPORT_FORMATS`` without loading numpy, and it
+imports ``json`` only when a JSON report is rendered.
 """
 
 from __future__ import annotations
 
 import io
-import json
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
@@ -73,6 +73,8 @@ def _config_payload(cfg: AnalysisConfig, limits: AliasLimits) -> dict:
 
 
 def _render_json(result: AnalysisResult) -> bytes:
+    import json
+
     region = result.summary.region
     advice = result.summary.early_stop
     payload = {

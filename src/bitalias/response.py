@@ -5,22 +5,29 @@ sufficient statistic for a per-position Bernoulli alias, so the statistical
 modules never touch raw tensors or files.
 
 A `MeasurementTensor` holds the binary file format's packed rows, so a file's
-rows are used as read.  The vote works on them with bytewise logic alone
-(`_vote_packed`), whole in `derive_noise_free_response` and one block of
-devices at a time in `_count_voted`.
+rows are used as read.  The vote (`_vote`) works on packed rows as Python
+integers: each repeat's rows of a block of devices are joined into one int,
+so every `&`, `|` and `^` acts on the whole block at once.  `_vote_blocks`
+votes a campaign one block of devices at a time, for both of its users:
+`derive_noise_free_response` joins the voted rows, and `_count_voted` folds
+them into per-position counts, so a file goes to counts without numpy.  numpy
+is imported only where an array is built or read: `MeasurementTensor`,
+`NoiseFreeResponse`, `count_ones` and `bit_alias`.
 """
 
 from __future__ import annotations
 
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 from .special import _as_count
 
 
 def _checked_bits(arr, ndim: int, what: str) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(arr)
     if arr.ndim != ndim or min(arr.shape) < 1:
         raise DomainError(f"{what} must have {ndim} positive dimensions, got shape {arr.shape}")
@@ -38,7 +45,8 @@ class MeasurementTensor:
     Held as the binary file format's packed rows, ``rows[d * repeats + r]``
     for device d's repeat r: ``MeasurementTensor(bits=b)`` packs a 0/1 array
     once, and ``bits`` unpacks the rows on each access.  ``_packed`` is for
-    the parsers: (rows, positions, repeats) as checked, wrapped uncopied.
+    the parsers: (buffer of rows, positions, repeats) as checked, wrapped
+    uncopied.
     """
 
     rows: np.ndarray
@@ -46,17 +54,22 @@ class MeasurementTensor:
     repeats: int
 
     def __init__(self, bits=None, *, _packed=None):
+        import numpy as np
+
         if _packed is None:
             bits = _checked_bits(bits, 3, "measurement tensor")
             rows = np.packbits(bits.transpose(0, 2, 1), axis=2, bitorder="little")
-            _packed = rows.reshape(-1, rows.shape[2]), *bits.shape[1:]
+            _packed = np.ascontiguousarray(rows), *bits.shape[1:]
         rows, positions, repeats = _packed
+        rows = np.frombuffer(rows, dtype=np.uint8).reshape(-1, (positions + 7) // 8)
         rows.setflags(write=False)
         self.__dict__.update(rows=rows, positions=positions, repeats=repeats)
 
     @property
     def bits(self) -> np.ndarray:
         """The devices x positions x repeats uint8 array, read-only."""
+        import numpy as np
+
         bits = np.unpackbits(self.rows, axis=1, count=self.positions, bitorder="little")
         bits.setflags(write=False)
         return bits.reshape(self.devices, self.repeats, -1).transpose(0, 2, 1)
@@ -75,6 +88,8 @@ class NoiseFreeResponse:
     tie_count: int
 
     def __post_init__(self):
+        import numpy as np
+
         bits = _checked_bits(self.bits, 2, "response").astype(np.uint8)
         bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
@@ -92,60 +107,79 @@ class NoiseFreeResponse:
 
 @dataclass(frozen=True)
 class PositionCounts:
-    """Count of 1s per position across the device population."""
+    """Count of 1s per position across the device population.
+
+    Given a numpy array, ``ones`` is kept as a read-only int64 array, so
+    array arithmetic on it still works; any other sequence becomes a tuple of
+    ints, which needs no numpy.
+    """
 
     devices: int
-    ones: np.ndarray
+    ones: Sequence[int]
 
     def __post_init__(self):
         _as_count(self.devices, "devices", 1)
-        ones = np.asarray(self.ones)
-        if ones.ndim != 1 or ones.size < 1:
-            raise DomainError("ones must be a non-empty 1-d array")
-        if not np.issubdtype(ones.dtype, np.integer):
-            if not (ones == np.floor(ones)).all():
+        np = sys.modules.get("numpy")  # an array exists only if numpy is loaded
+        if np is not None and isinstance(self.ones, np.ndarray):
+            if self.ones.ndim != 1:
+                raise DomainError("ones must be a non-empty 1-d array")
+            if self.ones.dtype.kind not in "biu" and not (self.ones == np.floor(self.ones)).all():
                 raise DomainError("counts must be integers")
-        ones = ones.astype(np.int64, copy=True)
-        if (ones < 0).any() or (ones > self.devices).any():
+            ones = self.ones.astype(np.int64)
+            ones.setflags(write=False)
+        else:
+            try:
+                ones = tuple(self.ones)
+            except TypeError:
+                raise DomainError("ones must be a non-empty 1-d array") from None
+            try:
+                ints = tuple(map(int, ones))
+            except (TypeError, ValueError, OverflowError):
+                ints = None
+            if ints != ones:
+                raise DomainError("counts must be integers")
+            ones = ints
+        if not len(ones):
+            raise DomainError("ones must be a non-empty 1-d array")
+        if min(ones) < 0 or max(ones) > self.devices:
             raise DomainError("counts must lie in 0..devices")
-        ones.setflags(write=False)
         object.__setattr__(self, "ones", ones)
 
     @property
     def positions(self) -> int:
-        return int(self.ones.size)
+        return len(self.ones)
 
 
-# set bits per byte value; np.bitwise_count needs numpy 2
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
+def _vote(rows, repeats: int, row_bytes: int, first: int, stop: int) -> tuple[int, int]:
+    """Majority vote of devices ``first`` to ``stop - 1`` of a campaign.
 
-
-def _vote_packed(block: np.ndarray, first_device: int) -> tuple[np.ndarray, int]:
-    """Majority vote of a devices x repeats x bytes block of packed rows.
-
-    Each row holds a device's bits for one repeat, packed least-significant
-    bit first, so bit j of byte b is position 8b + j; padding bits must be 0.
-    ``first_device`` is the global index of the block's first device, so a
+    ``rows`` is any C-contiguous buffer of the binary format's packed rows:
+    row d * repeats + r holds device d's bits for repeat r in ``row_bytes``
+    bytes, least-significant bit first, so bit j of byte b is position
+    8b + j; padding bits must be 0.  ``first`` is a global device index, so a
     campaign voted one block of devices at a time resolves its ties exactly
-    as when voted whole.  Returns the voted devices x bytes rows, packed the
-    same way, and the number of tied cells.
+    as when voted whole.  Returns the voted rows, packed the same way and
+    read as one little-endian int (device first + i from bit
+    8 * row_bytes * i), and the number of tied cells.
 
-    The repeats are added into bit-planes of each cell's total (plane i holds
-    bit i), one ripple-carry add per repeat, and the totals are compared with
-    ``repeats // 2`` from the top plane down, all with bytewise logic.
+    Each repeat's rows are joined into one int, and the ints are added into
+    bit-planes of every cell's total (plane i holds bit i), one ripple-carry
+    add per repeat; the totals are compared with ``repeats // 2`` from the top
+    plane down.
     """
-    devices, repeats, _ = block.shape
+    rows = memoryview(rows).cast("B")
+    stride = repeats * row_bytes
     planes = []
     for r in range(repeats):
-        carry = block[:, r]
+        starts = range(first * stride + r * row_bytes, stop * stride, stride)
+        carry = int.from_bytes(b"".join([rows[i:i + row_bytes] for i in starts]), "little")
         for i, plane in enumerate(planes):
             planes[i], carry = plane ^ carry, plane & carry
         if len(planes) < (r + 1).bit_length():
             planes.append(carry)
     # gt: total > repeats // 2; eq: total == repeats // 2 so far, from the top
     half = repeats // 2
-    gt = np.zeros_like(planes[0])
-    eq = np.full_like(planes[0], 0xFF)
+    gt, eq = 0, (1 << 8 * row_bytes * (stop - first)) - 1
     for i in reversed(range(len(planes))):
         if (half >> i) & 1:
             eq &= planes[i]
@@ -157,9 +191,27 @@ def _vote_packed(block: np.ndarray, first_device: int) -> tuple[np.ndarray, int]
     # tie -> 1 exactly when device index + position index is even: the even
     # bits (0x55) of an even device, the odd bits (0xAA) of an odd one.
     # Padding bits total 0 < repeats // 2, so they never tie.
-    parity = np.where((first_device + np.arange(devices)) % 2, 0xAA, 0x55).astype(np.uint8)
-    gt |= eq & parity[:, None]
-    return gt, int(np.bincount(eq.ravel(), minlength=256) @ _POPCOUNT)
+    even, odd = b"\x55" * row_bytes, b"\xaa" * row_bytes
+    pair = odd + even if first % 2 else even + odd
+    parity = int.from_bytes(pair * ((stop - first + 1) // 2), "little")
+    return gt | eq & parity, eq.bit_count()
+
+
+# Packed input bytes per block of devices (repeats x ceil(T/8) bytes per
+# device); a block holds at least one device, however wide.  On a
+# 4096 x 4096 x 6 file, 64 KiB to 16 MiB blocks all vote in 0.06-0.07 s,
+# while the traced peak beyond the file's 12.6 MB grows with the block:
+# 14.5 MB at 1 MiB, 32.7 MB at 16 MiB.
+_BLOCK_BYTES = 1 << 20
+
+
+def _vote_blocks(rows, devices: int, row_bytes: int, repeats: int):
+    """``(devices in the block, voted rows, tie count)`` of each block of
+    devices of a campaign's packed rows, in order, as `_vote` gives them."""
+    per_block = max(1, _BLOCK_BYTES // (repeats * row_bytes))
+    for first in range(0, devices, per_block):
+        stop = min(devices, first + per_block)
+        yield stop - first, *_vote(rows, repeats, row_bytes, first, stop)
 
 
 def derive_noise_free_response(m: MeasurementTensor) -> NoiseFreeResponse:
@@ -170,54 +222,78 @@ def derive_noise_free_response(m: MeasurementTensor) -> NoiseFreeResponse:
     index parity: 1 when device index + position index is even, else 0.  Ties
     flag unreliable cells, so their total is surfaced as ``tie_count``.
     """
-    voted, ties = _vote_packed(m.rows.reshape(m.devices, m.repeats, -1), 0)
-    bits = np.unpackbits(voted, axis=1, count=m.positions, bitorder="little")
-    return NoiseFreeResponse(bits=bits, tie_count=ties)
+    import numpy as np
+
+    row_bytes = m.rows.shape[1]
+    blocks = list(_vote_blocks(m.rows, m.devices, row_bytes, m.repeats))
+    voted = b"".join(v.to_bytes(n * row_bytes, "little") for n, v, _ in blocks)
+    packed = np.frombuffer(voted, dtype=np.uint8).reshape(m.devices, row_bytes)
+    bits = np.unpackbits(packed, axis=1, count=m.positions, bitorder="little")
+    return NoiseFreeResponse(bits=bits, tie_count=sum(ties for *_, ties in blocks))
 
 
-# Counter-plane bytes per block of devices voted by `_count_voted`
-# (ceil(log2(M + 1)) planes of ceil(T/8) bytes per device); a block holds at
-# least one device, however wide.  128 KiB votes as fast per device as 1 MiB,
-# and its temporaries (a block's unpacked voted bits are 8/ceil(log2(M + 1))
-# times its planes) keep the peak memory small: on a 4096 x 4096 x 6 file the
-# CLI peaks at 42.7 MB RSS, against 52 MB with 1 MiB blocks.
-_BLOCK_BYTES = 1 << 17
+def _add_planes(a: list[int], b: list[int]) -> list[int]:
+    """Bit-sliced sum of two lists of bit-planes (plane i holds bit i of
+    every slot), with a ripple carry."""
+    if len(a) < len(b):
+        a, b = b, a
+    out, carry = [], 0
+    for i, x in enumerate(a):
+        y = b[i] if i < len(b) else 0
+        s = x ^ y
+        out.append(s ^ carry)
+        carry = x & y | carry & s
+    return out + [carry] if carry else out
 
 
-def _count_voted(m: MeasurementTensor) -> tuple[PositionCounts, int, int]:
-    """``(counts, repeats, tie_count)`` of ``m``, as `count_ones` and
-    `derive_noise_free_response` give them, with the rows voted one block of
-    devices at a time so that only a block's voted bits are unpacked."""
-    rows = m.rows.reshape(m.devices, m.repeats, -1)
-    per_block = max(1, _BLOCK_BYTES // (m.repeats.bit_length() * rows.shape[2]))
-    ones = np.zeros(m.positions, dtype=np.int64)
-    tie_count = 0
-    for first in range(0, m.devices, per_block):
-        voted, ties = _vote_packed(rows[first:first + per_block], first)
-        bits = np.unpackbits(voted, axis=1, count=m.positions, bitorder="little")
-        ones += bits.sum(axis=0, dtype=np.int32)  # a block has < 2**31 devices
+def _count_voted(rows, devices: int, positions: int,
+                 repeats: int) -> tuple[PositionCounts, int, int]:
+    """``(counts, repeats, tie_count)`` of a campaign's packed rows (any
+    buffer that `_vote` takes), as `count_ones` and
+    `derive_noise_free_response` give them, with no numpy.
+
+    Each block's voted rows are folded into count planes: the upper half of
+    its device slots is added to the lower half, bit-sliced, until one slot
+    is left.  The planes are summed across blocks and read once at the end.
+    """
+    row_bytes = (positions + 7) // 8
+    total, tie_count = [], 0
+    for slots, voted, ties in _vote_blocks(rows, devices, row_bytes, repeats):
+        planes = [voted]
+        while slots > 1:
+            slots = (slots + 1) // 2
+            cut = 8 * row_bytes * slots
+            low = (1 << cut) - 1
+            planes = _add_planes([p & low for p in planes], [p >> cut for p in planes])
+        total = _add_planes(total, planes)
         tie_count += ties
-    return PositionCounts(devices=m.devices, ones=ones), m.repeats, tie_count
+    # bit t of every plane, top plane first, is position t's count in binary
+    columns = zip(*(format(p, f"0{positions}b") for p in reversed(total)))
+    ones = tuple(int("".join(c), 2) for c in columns)[::-1]
+    return PositionCounts(devices=devices, ones=ones), repeats, tie_count
 
 
 def count_ones(r: NoiseFreeResponse) -> PositionCounts:
     """Per-position count of 1s across devices."""
+    import numpy as np
+
     return PositionCounts(devices=r.devices, ones=r.bits.sum(axis=0, dtype=np.int64))
 
 
 def bit_alias(c: PositionCounts) -> np.ndarray:
     """Estimated probability of a 1 at each position: ones / devices."""
-    return c.ones / float(c.devices)
+    import numpy as np
+
+    return np.asarray(c.ones) / float(c.devices)
 
 
 def _per_distinct(counts, fn):
-    """Iterator over ``fn(x) for x in counts``, calling fn once per distinct count.
+    """Iterator over ``fn(x) for x in counts``, calling fn once per distinct
+    count, with a Python int.
 
     Every per-position statistic depends on the count alone, so positions
-    sharing a count share one evaluation.  The distinct counts come from a
-    tally of size max(counts) + 1, which takes far less memory than sorting
-    a long run of counts.
+    sharing a count share one evaluation.  fn sees the distinct counts in
+    ascending order.
     """
-    distinct = np.flatnonzero(np.bincount(counts)).tolist()
-    results = dict(zip(distinct, map(fn, distinct)))
+    results = {x: fn(int(x)) for x in sorted(set(counts))}
     return map(results.__getitem__, counts)

@@ -82,10 +82,29 @@ class PopulationSpec:
         return vec
 
 
+# Uniform doubles drawn at a time by `simulate_population` (8 MiB); a block
+# holds at least one device.
+_DRAW_BLOCK = 1 << 20
+
+
 def simulate_population(spec: PopulationSpec) -> MeasurementTensor:
-    """Draw a full measurement tensor for the given population."""
+    """Draw a full measurement tensor for the given population.
+
+    Every device's stable bits are drawn first, then every repeat's flips,
+    device-major.  Both are drawn one block of devices at a time, which
+    consumes the stream exactly as one whole draw would, and each block of
+    flips is packed straight into the tensor's rows.
+    """
     rng = rng_stream(spec.seed)
     p = spec.alias_vector()
-    stable = rng.random((spec.devices, spec.positions)) < p[None, :]
-    flips = rng.random((spec.devices, spec.positions, spec.repeats)) < spec.flip_noise
-    return MeasurementTensor(bits=stable[:, :, None] ^ flips)
+    n, t, m = spec.devices, spec.positions, spec.repeats
+    per_block = max(1, _DRAW_BLOCK // (t * m))
+    starts = range(0, n, per_block)
+    stable = np.concatenate([rng.random((min(per_block, n - a), t)) < p for a in starts])
+    rows = np.empty((n * m, (t + 7) // 8), dtype=np.uint8)
+    for a in starts:
+        block = stable[a:a + per_block, :, None] ^ (rng.random((min(per_block, n - a), t, m))
+                                                   < spec.flip_noise)
+        packed = np.packbits(block.transpose(0, 2, 1), axis=2, bitorder="little")
+        rows[a * m:(a + len(block)) * m] = packed.reshape(-1, rows.shape[1])
+    return MeasurementTensor(_packed=(rows, t, m))

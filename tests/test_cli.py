@@ -6,8 +6,22 @@ import pytest
 
 from bitalias.cli import main
 from bitalias.formats import write_counts, write_measurements
-from bitalias.response import MeasurementTensor, PositionCounts
+from bitalias.response import (MeasurementTensor, PositionCounts, count_ones,
+                               derive_noise_free_response)
 from bitalias.simulate import PopulationSpec, simulate_population
+
+
+@pytest.fixture
+def campaign_files(tmp_path):
+    """A tied campaign (even repeats, T % 8 = 5) as binary and CSV files, and
+    its voted counts as a counts file: name -> path."""
+    m = simulate_population(PopulationSpec(devices=64, positions=77, repeats=4, seed=11,
+                                           alias="linear", flip_noise=0.2))
+    paths = {name: str(tmp_path / f"campaign.{name}") for name in ("binary", "csv", "counts")}
+    write_measurements(m, paths["binary"], fmt="binary")
+    write_measurements(m, paths["csv"], fmt="csv")
+    write_counts(count_ones(derive_noise_free_response(m)), paths["counts"])
+    return paths
 
 
 @pytest.fixture
@@ -294,7 +308,7 @@ print(json.dumps(foreign))
 
 
 class TestRuntimeDependencies:
-    def test_commands_import_only_stdlib_numpy_and_bitalias(self):
+    def test_commands_import_only_stdlib_numpy_and_bitalias(self, campaign_files):
         import os
         import subprocess
         import sys
@@ -307,6 +321,7 @@ class TestRuntimeDependencies:
             ["plan", "frr", "--inner-low", "0.48", "--inner-high", "0.52"],
             ["check", "--x", "340", "--n", "680"],
             ["curve", "--method", "wilson", "--sweep", "alias"],
+            ["analyze", campaign_files["binary"]],
             ["validate", "--kind", "coverage", "--p", "0.5", "--devices", "50",
              "--trials", "1000", "--seed", "1"],
         ]
@@ -333,8 +348,13 @@ class TestNumpyFreeCommands:
         (["check", "--x", "300", "--n", "680"], 1),
         (["curve", "--method", "wilson", "--sweep", "alias"], 0),
         (["analyze", "--help"], 0),
+        (["analyze", "{binary}"], 1),
+        (["analyze", "{csv}"], 1),
+        (["analyze", "--counts", "{counts}"], 1),
+        (["early-stop", "{binary}"], 1),
+        (["early-stop", "{csv}"], 1),
     ])
-    def test_command_never_loads_numpy(self, argv, code):
+    def test_command_never_loads_numpy(self, argv, code, campaign_files):
         import os
         import subprocess
         import sys
@@ -342,6 +362,7 @@ class TestNumpyFreeCommands:
         import bitalias
         src = os.path.dirname(os.path.dirname(bitalias.__file__))
         env = {**os.environ, "PYTHONPATH": src}
+        argv = [arg.format(**campaign_files) for arg in argv]
         proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == code, proc.stderr

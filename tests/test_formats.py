@@ -118,7 +118,7 @@ def test_parser_outcomes_are_exact(loader, blob, outcome):
         assert str(info.value) == outcome
     elif loader is load_counts:
         c = loader(io.BytesIO(blob))
-        assert (c.devices, c.ones.tolist()) == outcome
+        assert (c.devices, list(c.ones)) == outcome
     else:
         assert loader(io.BytesIO(blob)).bits.tolist() == outcome
 
@@ -133,7 +133,7 @@ def tensor_path(blob: bytes) -> tuple[PositionCounts, int, int]:
 def assert_same_counts(got, expected):
     (counts, repeats, ties), (want, want_repeats, want_ties) = got, expected
     assert counts.devices == want.devices
-    assert counts.ones.tolist() == want.ones.tolist()
+    assert list(counts.ones) == want.ones.tolist()
     assert (repeats, ties) == (want_repeats, want_ties)
 
 
@@ -187,6 +187,18 @@ class TestCsvFormat:
         assert list(m.bits[0, :, 1]) == [1, 1]
         assert list(m.bits[1, :, 0]) == [0, 1]
         assert list(m.bits[1, :, 1]) == [1, 0]
+
+    @pytest.mark.parametrize("blob, message", [
+        # the writer's length and 0/1 at the even offsets, but not its commas
+        (b"1,2,1\n0;1\n", "line 2: expected 2 values, found 1"),
+        (b"1,3,1\n0,1 1\n", "line 2: expected 3 values, found 2"),
+        # the writer's length and commas, but not its symbols
+        (b"1,2,1\n2,1\n", "line 2: non-binary symbol '2' in field 1"),
+    ])
+    def test_lines_of_the_writers_length_are_checked(self, blob, message):
+        with pytest.raises(FormatError) as info:
+            load_measurements(io.BytesIO(blob))
+        assert str(info.value) == message
 
     def test_wrong_value_count_names_line(self):
         with pytest.raises(FormatError, match="line 2"):

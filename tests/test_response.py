@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitalias.errors import DomainError
-from bitalias.response import (MeasurementTensor, NoiseFreeResponse, PositionCounts,
-                               _vote_packed, bit_alias, count_ones,
-                               derive_noise_free_response)
+from bitalias.response import (MeasurementTensor, NoiseFreeResponse, PositionCounts, _vote,
+                               bit_alias, count_ones, derive_noise_free_response)
 
 
 def tensor(arr):
@@ -25,13 +24,18 @@ def per_cell_rule(bits):
 
 
 def vote_in_blocks(bits, cuts):
-    """`_vote_packed` over the device blocks that `cuts` mark, each block
-    packed as the binary format packs it; the unpacked voted bits and the
-    summed tie count."""
-    n, t, _ = bits.shape
-    packed = np.packbits(bits.transpose(0, 2, 1), axis=2, bitorder="little")
-    parts = [_vote_packed(packed[a:b], a) for a, b in zip([0, *cuts], [*cuts, n]) if b > a]
-    voted = np.concatenate([v for v, _ in parts])
+    """`_vote` over the device blocks that `cuts` mark, on the rows packed as
+    the binary format packs them; the unpacked voted bits and the summed tie
+    count."""
+    n, t, k = bits.shape
+    row_bytes = (t + 7) // 8
+    packed = tensor(bits).rows
+    blocks = [(a, b) for a, b in zip([0, *cuts], [*cuts, n]) if b > a]
+    parts = [_vote(packed, k, row_bytes, a, b) for a, b in blocks]
+    # to_bytes fails if a block's voted int reaches past its devices' rows
+    voted = np.frombuffer(b"".join(v.to_bytes((b - a) * row_bytes, "little")
+                                   for (v, _), (a, b) in zip(parts, blocks)),
+                          dtype=np.uint8).reshape(n, row_bytes)
     if t % 8:
         assert not (voted[:, -1] >> t % 8).any()  # padding bits stay 0
     bits_out = np.unpackbits(voted, axis=1, count=t, bitorder="little")
@@ -153,6 +157,18 @@ class TestPackedVote:
             assert ties == 5 * positions
             assert voted == per_cell_rule(bits)[0]
 
+    def test_block_starting_on_an_odd_device(self):
+        # every cell ties, so an odd device votes 1 at the odd positions
+        # (0xAA) and an even one at the even positions (0x55)
+        bits = np.zeros((4, 12, 2), dtype=np.uint8)
+        bits[:, :, 0] = 1
+        packed = tensor(bits).rows
+        voted, ties = _vote(packed, 2, 2, 1, 3)
+        assert voted.to_bytes(4, "little") == bytes([0xAA, 0x0A, 0x55, 0x05])
+        assert ties == 2 * 12
+        whole, _ = _vote(packed, 2, 2, 0, 4)
+        assert whole.to_bytes(8, "little")[2:6] == voted.to_bytes(4, "little")
+
     def test_three_hundred_repeats_use_nine_planes(self):
         # totals reach 300, which takes 9 bits; the chosen totals sit at the
         # tie (150) and around 256, where a counter one plane short would wrap
@@ -223,6 +239,22 @@ class TestPositionCounts:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             PositionCounts(devices=5, ones=np.array([-1]))
+
+    def test_sequence_becomes_a_tuple_of_ints(self):
+        c = PositionCounts(devices=5, ones=[np.int64(2), 3.0, True, 0])
+        assert c.ones == (2, 3, 1, 0) and {type(v) for v in c.ones} == {int}
+        assert c.positions == 4
+
+    def test_array_stays_a_read_only_int64_array(self):
+        c = PositionCounts(devices=5, ones=np.array([2.0, 5.0]))
+        assert c.ones.dtype == np.int64 and not c.ones.flags.writeable
+        assert (c.ones + c.ones).tolist() == [4, 10]
+
+    @pytest.mark.parametrize("ones", [[1.5], ["2"], [float("nan")], [None], np.array([1.5]),
+                                      [], np.array([], dtype=np.int64), 3, np.zeros((2, 2))])
+    def test_rejects_counts_that_are_not_a_sequence_of_integers(self, ones):
+        with pytest.raises(DomainError):
+            PositionCounts(devices=5, ones=ones)
 
     @pytest.mark.parametrize("devices", [2.5, "3", None, 0])
     def test_rejects_device_count_that_is_not_a_positive_integer(self, devices):
