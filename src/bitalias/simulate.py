@@ -103,8 +103,8 @@ def simulate_population(spec: PopulationSpec) -> MeasurementTensor:
     stable = np.concatenate([rng.random((min(per_block, n - a), t)) < p for a in starts])
     rows = np.empty((n * m, (t + 7) // 8), dtype=np.uint8)
     for a in starts:
-        block = stable[a:a + per_block, :, None] ^ (rng.random((min(per_block, n - a), t, m))
-                                                   < spec.flip_noise)
-        packed = np.packbits(block.transpose(0, 2, 1), axis=2, bitorder="little")
-        rows[a * m:(a + len(block)) * m] = packed.reshape(-1, rows.shape[1])
+        size = min(per_block, n - a)
+        bits = stable[a:a + size, :, None] ^ (rng.random((size, t, m)) < spec.flip_noise)
+        packed = np.packbits(bits.transpose(0, 2, 1), axis=2, bitorder="little")
+        rows[a * m:(a + size) * m] = packed.reshape(-1, rows.shape[1])
     return MeasurementTensor(_packed=(rows, t, m))
