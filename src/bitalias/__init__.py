@@ -10,8 +10,8 @@ Every public name is loaded from its submodule on first access (PEP 562), so
 the scalar statistics, the planners and the path from a measurement or counts
 file to a report run without importing numpy.  ``simulate`` and ``validate``
 load it, and so do the functions that build or read an array:
-``MeasurementTensor``, ``NoiseFreeResponse``, ``count_ones``, ``bit_alias`` and
-``write_measurements``.
+``MeasurementTensor`` and its one-repeat subclass ``NoiseFreeResponse``,
+``count_ones``, ``bit_alias`` and ``write_measurements``.
 """
 
 import importlib

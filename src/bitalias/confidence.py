@@ -283,7 +283,7 @@ def ci_width_curve(method: str, alpha, sweep) -> list[tuple[float, float]]:
 def plan_devices_normal(target_width, alpha) -> PlanResult:
     """First-cut device count from the normal approximation at alias 0.5:
     ceil((z / target_width)^2)."""
-    target_width = _as_probability(target_width, "target_width", open_interval=True)
+    target_width = _as_probability(target_width, "target_width", bounds="(0, 1)")
     alpha = _check_alpha(alpha)
     z = _z_for(alpha)
     return PlanResult(devices=math.ceil((z / target_width) ** 2), alpha=alpha,
@@ -313,7 +313,7 @@ def plan_devices_exact(method: str, target_width, alpha) -> PlanResult:
     """
     if method not in ("wilson", "clopper_pearson"):
         raise DomainError("exact planning supports 'wilson' and 'clopper_pearson'")
-    target_width = _as_probability(target_width, "target_width", open_interval=True)
+    target_width = _as_probability(target_width, "target_width", bounds="(0, 1)")
     alpha = _check_alpha(alpha)
 
     def ok(n: int) -> bool:

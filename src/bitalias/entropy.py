@@ -28,10 +28,7 @@ class EntropySpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"entropy kind must be one of {_KINDS}, got {self.kind!r}")
-        v = float(self.value)
-        if not 0.0 <= v <= 1.0:
-            raise DomainError(f"per-position entropy must lie in [0, 1] bits, got {v}")
-        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", _as_probability(self.value, "per-position entropy"))
 
 
 def limits_from_min_entropy(h_inf) -> AliasLimits:
@@ -40,10 +37,7 @@ def limits_from_min_entropy(h_inf) -> AliasLimits:
     A full bit (h = 1) maps to the degenerate pair (0.5, 0.5) and is rejected
     as unreachable.
     """
-    h = float(h_inf)
-    if not 0.0 < h <= 1.0:
-        raise DomainError(f"min-entropy must lie in (0, 1], got {h_inf!r}")
-    p_u = 2.0 ** -h
+    p_u = 2.0 ** -_as_probability(h_inf, "min-entropy", bounds="(0, 1]")
     if p_u <= 0.5:
         raise PerfectEntropyError(
             "a full bit of min-entropy per position needs alias exactly 0.5; "
@@ -74,9 +68,7 @@ def limits_from_shannon_entropy(h) -> AliasLimits:
     Solves shannon_entropy(p) = h for the upper limit p in (0.5, 1) by
     bisection; there is no closed form.
     """
-    h = float(h)
-    if not 0.0 < h <= 1.0:
-        raise DomainError(f"Shannon entropy must lie in (0, 1], got {h!r}")
+    h = _as_probability(h, "Shannon entropy", bounds="(0, 1]")
     if h == 1.0:
         raise PerfectEntropyError(
             "a full bit of Shannon entropy per position needs alias exactly 0.5; "

@@ -36,8 +36,8 @@ class AliasLimits:
     p_u: float
 
     def __post_init__(self):
-        p_l = _as_probability(self.p_l, "p_l", open_interval=True)
-        p_u = _as_probability(self.p_u, "p_u", open_interval=True)
+        p_l = _as_probability(self.p_l, "p_l", bounds="(0, 1)")
+        p_u = _as_probability(self.p_u, "p_u", bounds="(0, 1)")
         if not p_l < p_u:
             raise DomainError(f"limits must satisfy p_l < p_u, got ({p_l}, {p_u})")
         object.__setattr__(self, "p_l", p_l)
@@ -102,7 +102,7 @@ class EarlyStopAdvice:
 def p_value_upper(x, n, p_u) -> float:
     """P[X <= x] under Binomial(n, p_u): evidence against alias >= p_u."""
     x, n = _check_counts(x, n, min_n=0)
-    p_u = _as_probability(p_u, "p_u", open_interval=True)
+    p_u = _as_probability(p_u, "p_u", bounds="(0, 1)")
     return binomial_cdf(x, n, p_u)
 
 
@@ -112,7 +112,7 @@ def p_value_lower(x, n, p_l) -> float:
     Computed in the survival form, never as 1 - cdf.
     """
     x, n = _check_counts(x, n, min_n=0)
-    p_l = _as_probability(p_l, "p_l", open_interval=True)
+    p_l = _as_probability(p_l, "p_l", bounds="(0, 1)")
     return binomial_sf(x, n, p_l)
 
 
@@ -186,14 +186,14 @@ def plan_devices_frr(limits: AliasLimits, inner: tuple[float, float],
     """
     limits = _as_limits(limits)
     p_k, p_v = inner
-    p_k = _as_probability(p_k, "p_k", open_interval=True)
-    p_v = _as_probability(p_v, "p_v", open_interval=True)
+    p_k = _as_probability(p_k, "p_k", bounds="(0, 1)")
+    p_v = _as_probability(p_v, "p_v", bounds="(0, 1)")
     if not limits.p_l < p_k < p_v < limits.p_u:
         raise DomainError(
             f"inner band must satisfy p_l < p_k < p_v < p_u, got "
             f"({limits.p_l}, {p_k}, {p_v}, {limits.p_u})")
     alpha = _check_alpha(alpha)
-    beta = _as_probability(beta, "beta", open_interval=True)
+    beta = _as_probability(beta, "beta", bounds="(0, 1)")
 
     def frr_ok(n: int) -> bool:
         region = acceptance_region(n, limits, alpha)

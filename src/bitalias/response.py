@@ -5,14 +5,14 @@ sufficient statistic for a per-position Bernoulli alias, so the statistical
 modules never touch raw tensors or files.
 
 A `MeasurementTensor` holds the binary file format's packed rows, so a file's
-rows are used as read.  The vote (`_vote`) works on packed rows as Python
-integers: each repeat's rows of a block of devices are joined into one int,
-so every `&`, `|` and `^` acts on the whole block at once.  `_vote_blocks`
-votes a campaign one block of devices at a time, for both of its users:
-`derive_noise_free_response` joins the voted rows, and `_count_voted` folds
-them into per-position counts, so a file goes to counts without numpy.  numpy
-is imported only where an array is built or read: `MeasurementTensor`,
-`NoiseFreeResponse`, `count_ones` and `bit_alias`.
+rows are used as read; a `NoiseFreeResponse` is a one-repeat tensor.  The
+vote (`_vote`) works on packed rows as Python integers: each repeat's rows of
+a block of devices are joined into one int, so every `&`, `|` and `^` acts on
+the whole block at once.  `_vote_blocks` votes a campaign one block of devices
+at a time: `derive_noise_free_response` joins the voted rows into a response,
+and `_count_voted` folds them into counts.  A one-repeat vote keeps every row,
+so `count_ones` is `_count_voted` of a response.  numpy is imported only where
+an array is built or read: `MeasurementTensor`, `count_ones` and `bit_alias`.
 """
 
 from __future__ import annotations
@@ -78,31 +78,32 @@ class MeasurementTensor:
     def devices(self) -> int:
         return self.rows.shape[0] // self.repeats
 
+    def __eq__(self, other):
+        """Same class, shape, row bytes and (for a response) tie count."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = ({**vars(t), "rows": t.rows.tobytes()} for t in (self, other))
+        return mine == theirs
 
-@dataclass(frozen=True)
-class NoiseFreeResponse:
-    """Per-device response after removing run-time noise, with the number of
-    majority-vote ties encountered while deriving it."""
 
-    bits: np.ndarray
+@dataclass(frozen=True, init=False, eq=False)
+class NoiseFreeResponse(MeasurementTensor):
+    """Per-device response after removing run-time noise, a one-repeat tensor,
+    with the number of majority-vote ties met while deriving it.  It is built
+    from a devices x positions 0/1 array, and ``bits`` gives one back."""
+
     tie_count: int
 
-    def __post_init__(self):
-        import numpy as np
-
-        bits = _checked_bits(self.bits, 2, "response").astype(np.uint8)
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
-        if self.tie_count < 0:
-            raise DomainError("tie_count must be >= 0")
+    def __init__(self, bits, tie_count, *, _packed=None):
+        if _packed is None:
+            bits = _checked_bits(bits, 2, "response")[:, :, None]
+        super().__init__(bits, _packed=_packed)
+        self.__dict__["tie_count"] = _as_count(tie_count, "tie_count")
 
     @property
-    def devices(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def positions(self) -> int:
-        return self.bits.shape[1]
+    def bits(self) -> np.ndarray:
+        """The devices x positions uint8 array, read-only."""
+        return super().bits[:, :, 0]
 
 
 @dataclass(frozen=True)
@@ -148,6 +149,12 @@ class PositionCounts:
     @property
     def positions(self) -> int:
         return len(self.ones)
+
+    def __eq__(self, other):
+        """Counts compare as ints: array and tuple counts of equal values are equal."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.devices, *map(int, self.ones)) == (other.devices, *map(int, other.ones))
 
 
 def _vote(rows, repeats: int, row_bytes: int, first: int, stop: int) -> tuple[int, int]:
@@ -222,14 +229,11 @@ def derive_noise_free_response(m: MeasurementTensor) -> NoiseFreeResponse:
     index parity: 1 when device index + position index is even, else 0.  Ties
     flag unreliable cells, so their total is surfaced as ``tie_count``.
     """
-    import numpy as np
-
     row_bytes = m.rows.shape[1]
     blocks = list(_vote_blocks(m.rows, m.devices, row_bytes, m.repeats))
     voted = b"".join(v.to_bytes(n * row_bytes, "little") for n, v, _ in blocks)
-    packed = np.frombuffer(voted, dtype=np.uint8).reshape(m.devices, row_bytes)
-    bits = np.unpackbits(packed, axis=1, count=m.positions, bitorder="little")
-    return NoiseFreeResponse(bits=bits, tie_count=sum(ties for *_, ties in blocks))
+    return NoiseFreeResponse(None, sum(ties for *_, ties in blocks),
+                             _packed=(voted, m.positions, 1))
 
 
 def _add_planes(a: list[int], b: list[int]) -> list[int]:
@@ -249,8 +253,7 @@ def _add_planes(a: list[int], b: list[int]) -> list[int]:
 def _count_voted(rows, devices: int, positions: int,
                  repeats: int) -> tuple[PositionCounts, int, int]:
     """``(counts, repeats, tie_count)`` of a campaign's packed rows (any
-    buffer that `_vote` takes), as `count_ones` and
-    `derive_noise_free_response` give them, with no numpy.
+    buffer that `_vote` takes), with no numpy; the counts are a tuple of ints.
 
     Each block's voted rows are folded into count planes: the upper half of
     its device slots is added to the lower half, bit-sliced, until one slot
@@ -274,10 +277,11 @@ def _count_voted(rows, devices: int, positions: int,
 
 
 def count_ones(r: NoiseFreeResponse) -> PositionCounts:
-    """Per-position count of 1s across devices."""
+    """Per-position count of 1s across voted devices, as a read-only int64 array."""
     import numpy as np
 
-    return PositionCounts(devices=r.devices, ones=r.bits.sum(axis=0, dtype=np.int64))
+    counts, *_ = _count_voted(r.rows, r.devices, r.positions, r.repeats)
+    return PositionCounts(devices=r.devices, ones=np.array(counts.ones))
 
 
 def bit_alias(c: PositionCounts) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .response import MeasurementTensor
-from .special import _as_count
+from .special import _as_count, _as_probability
 
 ALIAS_PROFILES = {
     "balanced": lambda t: np.full(t, 0.5),
@@ -57,8 +57,7 @@ class PopulationSpec:
         for name in ("devices", "positions", "repeats"):
             _as_count(getattr(self, name), name, 1)
         _as_count(self.seed, "seed")
-        if not 0.0 <= float(self.flip_noise) <= 1.0:
-            raise DomainError("flip_noise must lie in [0, 1]")
+        object.__setattr__(self, "flip_noise", _as_probability(self.flip_noise, "flip_noise"))
         self.alias_vector()  # validate eagerly
 
     def alias_vector(self) -> np.ndarray:

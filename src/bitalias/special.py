@@ -24,8 +24,9 @@ All functions are pure and safe to call concurrently.  Implementation notes:
   forms every term in log space and accumulates with Neumaier compensation,
   so results at n ~ 7000 keep the 1e-4 digits the device planner depends on.
 
-The argument checks every module shares live here too: ``_check_counts`` for
-a count and its device count, ``_check_alpha`` for a significance level.
+The argument checks every module shares live here too: ``_as_probability``
+and ``_as_count`` for one number, ``_check_counts`` for a count and its
+device count, ``_check_alpha`` for a significance level.
 
 Log-scale probabilities are plain floats in natural log; ``-inf`` is the
 distinguished encoding of log(0).
@@ -52,13 +53,15 @@ _QUANTILE_MAX_ITER = 200
 _QUANTILE_XTOL = 1e-13
 _QUANTILE_FTOL = 1e-12
 
-def _as_probability(value, name: str, *, open_interval: bool = False) -> float:
+def _as_probability(value, name: str, *, bounds: str = "[0, 1]") -> float:
+    """A real number in ``bounds``: "[0, 1]", "(0, 1]" or "(0, 1)"."""
     try:
         v = float(value)
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a real number, got {value!r}") from None
-    if math.isnan(v) or (open_interval and not 0.0 < v < 1.0) or not 0.0 <= v <= 1.0:
-        bounds = "(0, 1)" if open_interval else "[0, 1]"
+    above = 0.0 < v if bounds[0] == "(" else 0.0 <= v
+    below = v < 1.0 if bounds[-1] == ")" else v <= 1.0
+    if not (above and below):  # NaN is neither
         raise DomainError(f"{name} must lie in {bounds}, got {value!r}")
     return v
 
@@ -98,7 +101,7 @@ def _check_counts(x, n, name: str = "x", min_n: int = 1) -> tuple[int, int]:
 def _check_alpha(alpha) -> float:
     """A significance level in (0, 1) whose half, the per-tail level every
     test and interval uses, is still a positive float."""
-    alpha = _as_probability(alpha, "alpha", open_interval=True)
+    alpha = _as_probability(alpha, "alpha", bounds="(0, 1)")
     if 0.5 * alpha == 0.0:
         raise DomainError(f"alpha must be at least 1e-323, where alpha/2 is still "
                           f"positive, got {alpha!r}")
@@ -112,7 +115,7 @@ def std_normal_cdf(z: float) -> float:
 
 def std_normal_quantile(q) -> float:
     """Inverse of the standard normal CDF on the open interval (0, 1)."""
-    return _normal_inv_cdf(_as_probability(q, "q", open_interval=True))
+    return _normal_inv_cdf(_as_probability(q, "q", bounds="(0, 1)"))
 
 
 def regularized_incomplete_beta(x, a, b) -> float:

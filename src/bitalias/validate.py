@@ -19,7 +19,7 @@ from .confidence import METHODS, _normal_half, _run_end, _z_for, confidence_inte
 from .errors import DomainError
 from .qualification import AliasLimits, acceptance_region
 from .simulate import rng_stream
-from .special import _as_probability, _check_alpha, _check_counts
+from .special import _as_count, _as_probability, _check_alpha, _check_counts
 
 KINDS = ("coverage", "far", "frr")
 
@@ -61,6 +61,7 @@ def monte_carlo_validate(kind: str, params, trials: int, seed: int,
     """
     if kind not in KINDS:
         raise DomainError(f"kind must be one of {KINDS}, got {kind!r}")
+    trials = _as_count(trials, "trials")
     if trials < 1000:
         raise DomainError("trials must be at least 1000")
     rng = rng_stream(seed, task)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from bitalias import analysis
 from bitalias import qualification as qual
 from bitalias.analysis import (CSV_HEADER, AnalysisConfig, EarlyStopConfig,
                                PositionReport, analyze, analyze_counts, render_report)
@@ -109,6 +110,17 @@ class TestAnalyze:
         result = balanced_result(positions=8,
                                  early_stop=EarlyStopConfig(alpha=0.01))
         assert result.summary.early_stop is not None
+
+    def test_analyze_votes_and_counts_once_through_the_analysis_names(self, monkeypatch):
+        # perfbench/layers.py times these two layers by replacing these names
+        calls = []
+        for name in ("derive_noise_free_response", "count_ones"):
+            original = getattr(analysis, name)
+            monkeypatch.setattr(analysis, name, lambda arg, name=name, original=original:
+                                calls.append(name) or original(arg))
+        result = balanced_result(positions=8)
+        assert calls == ["derive_noise_free_response", "count_ones"]
+        assert result.summary.repeats == 1 and result.summary.tie_count == 0
 
     def test_counts_mode_has_no_tensor_fields(self):
         counts = PositionCounts(devices=680, ones=np.array([340, 100]))

@@ -1,7 +1,9 @@
 """The package surface: every public name loads lazily from its submodule."""
 
+import ast
 import importlib
 import re
+from pathlib import Path
 
 import pytest
 
@@ -47,3 +49,14 @@ def test_simulate_help_names_every_profile(capsys):
     assert main(["simulate", "--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
     assert re.search(r"profile \(([^)]*)\)", text).group(1) == ", ".join(sorted(ALIAS_PROFILES))
+
+
+def test_names_the_layer_tracer_wraps_exist():
+    # perfbench/layers.py replaces these (module, name) pairs by timing
+    # wrappers, and its summary fails on a layer that is never measured
+    source = (Path(__file__).parents[1] / "perfbench" / "layers.py").read_text()
+    wrapped = next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                   if isinstance(node, ast.Assign) and node.targets[0].id == "WRAPPED")
+    assert len(wrapped) > 10
+    for module_name, name, _ in wrapped:
+        assert callable(getattr(importlib.import_module(f"bitalias.{module_name}"), name))

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitalias import response
 from bitalias.errors import DomainError
 from bitalias.response import (MeasurementTensor, NoiseFreeResponse, PositionCounts, _vote,
                                bit_alias, count_ones, derive_noise_free_response)
@@ -78,6 +81,81 @@ class TestMeasurementTensor:
         assert m.bits.dtype == np.uint8
         assert not m.bits.flags.writeable and not m.rows.flags.writeable
         assert m.bits.shape == raw.shape and (m.bits == raw).all()
+
+
+class TestNoiseFreeResponse:
+    def test_is_a_one_repeat_tensor(self):
+        bits = np.random.default_rng(4).integers(0, 2, size=(5, 19), dtype=np.uint8)
+        r = NoiseFreeResponse(bits=bits, tie_count=3)
+        m = MeasurementTensor(bits=bits[:, :, None])
+        assert isinstance(r, MeasurementTensor) and r.repeats == 1
+        assert (r.devices, r.positions, r.tie_count) == (5, 19, 3)
+        assert r.rows.tobytes() == m.rows.tobytes() and not r.rows.flags.writeable
+        assert r.bits.tolist() == bits.tolist() and not r.bits.flags.writeable
+
+    @pytest.mark.parametrize("tie_count", [1.5, None, "2", -1])
+    def test_rejects_tie_count_that_is_not_a_count(self, tie_count):
+        with pytest.raises(DomainError, match="tie_count must be"):
+            NoiseFreeResponse(bits=np.zeros((2, 3), dtype=np.uint8), tie_count=tie_count)
+
+    @pytest.mark.parametrize("bits", [np.zeros((2, 3, 1)), np.zeros((0, 3)), [[0, 2]], [[0.5]]])
+    def test_rejects_bits_that_are_not_a_two_dimensional_zero_one_array(self, bits):
+        with pytest.raises(DomainError, match="response"):
+            NoiseFreeResponse(bits=bits, tie_count=0)
+
+    def test_derived_response_holds_the_voted_rows_packed(self, monkeypatch):
+        # the response keeps the voted rows (N x ceil(T/8) bytes) as they
+        # come from the vote; unpacking them, as bits, takes 8 times as much
+        monkeypatch.setattr(response, "_BLOCK_BYTES", 1 << 16)
+        n, t, k = 512, 1024, 4
+        m = tensor(np.random.default_rng(8).integers(0, 2, size=(n, t, k)))
+        voted = n * ((t + 7) // 8)
+        tracemalloc.start()
+        try:
+            r = derive_noise_free_response(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.rows.nbytes == voted
+        assert peak < 6 * voted
+
+
+class TestEquality:
+    def test_tensors_compare_by_shape_and_row_bytes(self):
+        bits = np.random.default_rng(5).integers(0, 2, size=(3, 20, 2))
+        assert tensor(bits) == tensor(bits.copy())
+        flipped = bits.copy()
+        flipped[2, 19, 1] ^= 1
+        assert tensor(bits) != tensor(flipped)
+        # the same 6 rows of 3 bytes, read as 3 devices x 2 repeats or 6 x 1
+        assert tensor(bits) != MeasurementTensor(_packed=(tensor(bits).rows, 20, 1))
+
+    def test_responses_compare_tie_counts(self):
+        bits = np.random.default_rng(6).integers(0, 2, size=(4, 30))
+        assert NoiseFreeResponse(bits, 2) == NoiseFreeResponse(bits.astype(bool), 2)
+        assert NoiseFreeResponse(bits, 2) != NoiseFreeResponse(bits, 3)
+        assert NoiseFreeResponse(bits, 0) != MeasurementTensor(bits=bits[:, :, None])
+
+    def test_derived_responses_compare(self):
+        bits = np.random.default_rng(7).integers(0, 2, size=(6, 17, 4))
+        r = derive_noise_free_response(tensor(bits))
+        assert r == derive_noise_free_response(tensor(bits))
+        assert r == NoiseFreeResponse(r.bits, r.tie_count)
+
+    def test_counts_compare_as_ints(self):
+        arr = PositionCounts(devices=5, ones=np.array([1, 2, 5]))
+        assert arr == PositionCounts(devices=5, ones=np.array([1, 2, 5]))
+        assert arr == PositionCounts(devices=5, ones=(1, 2, 5))
+        assert arr != PositionCounts(devices=6, ones=(1, 2, 5))
+        assert arr != PositionCounts(devices=5, ones=(1, 2, 4))
+        assert arr != PositionCounts(devices=5, ones=(1, 2))
+
+    def test_file_counts_equal_count_ones(self):
+        bits = np.random.default_rng(9).integers(0, 2, size=(9, 21, 3))
+        m = tensor(bits)
+        counts, _, _ = response._count_voted(m.rows, m.devices, m.positions, m.repeats)
+        assert counts == count_ones(derive_noise_free_response(m))
+        assert counts == count_ones(m)  # a raw tensor is voted first
 
 
 class TestDeriveNoiseFreeResponse:
@@ -202,6 +280,11 @@ class TestCountOnes:
         c = count_ones(NoiseFreeResponse(bits=bits, tie_count=0))
         recount = [sum(int(bits[i][j]) for i in range(n)) for j in range(t)]
         assert list(c.ones) == recount
+
+    def test_counts_are_a_read_only_int64_array(self):
+        c = count_ones(NoiseFreeResponse(bits=np.ones((3, 9), dtype=bool), tie_count=0))
+        assert c.ones.dtype == np.int64 and not c.ones.flags.writeable
+        assert (c.ones + c.ones).tolist() == [6] * 9
 
     def test_bruteforce_recount_at_full_size(self):
         rng = np.random.default_rng(99)

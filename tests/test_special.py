@@ -229,11 +229,15 @@ class TestBinomialRangeMass:
 
 
 def _bad_argument_calls():
-    """Calls that must raise DomainError: malformed counts and limits across
-    every public entry point that takes them."""
+    """Calls that must raise DomainError: malformed counts, limits, entropies,
+    noise rates and trial counts across every public entry point that takes
+    them."""
     from bitalias.confidence import ci_clopper_pearson, ci_normal, ci_wilson
+    from bitalias.entropy import EntropySpec, limits_from_min_entropy, limits_from_shannon_entropy
     from bitalias.qualification import (acceptance_region, early_stop_p_values,
                                         p_value_lower, p_value_upper, test_position)
+    from bitalias.simulate import PopulationSpec
+    from bitalias.validate import CoverageParams, monte_carlo_validate
     limits = (0.45, 0.55)
     # name -> (call taking x and n, whether n = 0 is a valid count)
     by_counts = {
@@ -264,6 +268,19 @@ def _bad_argument_calls():
                            id=f"early_stop_p_values-limits-{label}")
         yield pytest.param(lambda bad=bad: acceptance_region(10, bad, 0.01),
                            id=f"acceptance_region-limits-{label}")
+    for label, bad in (("none", None), ("text", "abc"), ("above-one", 1.5), ("nan", math.nan)):
+        yield pytest.param(lambda bad=bad: EntropySpec("min", bad), id=f"EntropySpec-{label}")
+        yield pytest.param(lambda bad=bad: limits_from_min_entropy(bad),
+                           id=f"limits_from_min_entropy-{label}")
+        yield pytest.param(lambda bad=bad: limits_from_shannon_entropy(bad),
+                           id=f"limits_from_shannon_entropy-{label}")
+        yield pytest.param(lambda bad=bad: PopulationSpec(2, 3, 1, seed=0, flip_noise=bad),
+                           id=f"PopulationSpec-flip_noise-{label}")
+    yield pytest.param(lambda: limits_from_min_entropy(0.0), id="limits_from_min_entropy-zero")
+    coverage = CoverageParams("wilson", p=0.5, devices=30, alpha=0.05)
+    for label, bad in (("text", "5000"), ("fraction", 5000.5), ("none", None), ("few", 999)):
+        yield pytest.param(lambda bad=bad: monte_carlo_validate("coverage", coverage, bad, 1),
+                           id=f"monte_carlo_validate-trials-{label}")
 
 
 @pytest.mark.parametrize("call", _bad_argument_calls())
