@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -87,6 +88,41 @@ class TestCiClopperPearson:
         x = data.draw(st.integers(0, n))
         iv = confidence_interval(method, x, n, 0.05)
         assert iv.lower <= x / n <= iv.upper
+
+
+# Every 97th count and the full count at three device counts, at three levels.
+PINNED_GRID = [(x, n, alpha) for n in (10, 680, 66546) for x in sorted({*range(0, n + 1, 97), n})
+               for alpha in (0.05, 0.01, 1e-9)]
+
+# method -> (sha256 of every (lower, upper) over PINNED_GRID, sha256 of every
+# ci_width at x/n), each float written as float.hex
+PINNED_BITS = {
+    "normal": ("446b8affecee401b807095c92fadd39dc13d37089ab816733cf6bde1f764057c",
+               "c7cad5b815754a2bad524ccf70b4a62fdc760061f4cda6e941183d6e46cc1cfb"),
+    "wilson": ("4c8de24037136a9d12456a84ab6dbf222baa6820d64f0071739725e5c7f8c089",
+               "d04704176cce73bc2ef79c6824a7eec7d6113875c66199f857f3c9fd9c98aa71"),
+    "clopper_pearson": ("64ec84a3caf557a8bbeddb68171de88078fad22b74724d4bb0e4eadefa353ef0",
+                        "a95302a7bd69644ea01bdea4329b40ea038814b68475dcae12fbbc2c92168454"),
+}
+
+
+def _float_digest(values) -> str:
+    return hashlib.sha256(" ".join(v.hex() for v in values).encode()).hexdigest()
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("method", sorted(PINNED_BITS))
+    def test_bounds_and_widths_keep_their_bits(self, method):
+        bounds = [v for x, n, alpha in PINNED_GRID
+                  for iv in [confidence_interval(method, x, n, alpha)]
+                  for v in (iv.lower, iv.upper)]
+        widths = [ci_width(method, x / n, n, alpha) for x, n, alpha in PINNED_GRID]
+        assert (_float_digest(bounds), _float_digest(widths)) == PINNED_BITS[method]
+
+    def test_normal_width_is_twice_the_unclamped_half(self):
+        for x, n, alpha in PINNED_GRID:
+            p, z = x / n, _z_for(alpha)
+            assert ci_width("normal", p, n, alpha) == 2 * z * math.sqrt(p * (1 - p) / n)
 
 
 class TestIntervalSymmetry:
