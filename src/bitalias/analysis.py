@@ -26,7 +26,7 @@ from .qualification import (AcceptanceRegion, AliasLimits, EarlyStopAdvice,
 from .report import CSV_HEADER, REPORT_FORMATS, render_report
 from .response import MeasurementTensor, PositionCounts, _per_distinct, count_ones, \
     derive_noise_free_response
-from .special import _as_probability, _check_alpha
+from .special import _as_choice, _as_probability, _check_alpha
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,8 @@ class AnalysisConfig:
         _check_alpha(self.alpha)
         if (self.limits is None) == (self.entropy_spec is None):
             raise DomainError("provide exactly one of limits and entropy_spec")
-        if self.ci_method not in METHODS:
-            raise DomainError(f"ci_method must be one of {METHODS}, got {self.ci_method!r}")
-        if self.output_format not in REPORT_FORMATS:
-            raise DomainError(
-                f"output_format must be one of {REPORT_FORMATS}, got {self.output_format!r}")
+        _as_choice(self.ci_method, "ci_method", METHODS)
+        _as_choice(self.output_format, "output_format", REPORT_FORMATS)
 
     def resolved_limits(self) -> AliasLimits:
         if self.limits is not None:

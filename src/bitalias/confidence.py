@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import CapacityError, DomainError
-from .special import (_as_count, _as_probability, _check_alpha, _check_counts,
-                      beta_quantile, std_normal_quantile)
+from .special import (_as_choice, _as_count, _as_positive, _as_probability, _check_alpha,
+                      _check_counts, beta_quantile, std_normal_quantile)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .qualification import AliasLimits
@@ -94,20 +94,17 @@ def _clopper_pearson(x, n, alpha: float) -> tuple[float, float]:
 class Interval:
     """A two-sided confidence interval for a binomial proportion.
 
-    ``analytic_width`` is the width before any clamping to [0, 1]; it differs
-    from ``width`` only for the normal method near the boundaries, and is what
-    the width curves plot.
+    ``width`` is taken after the bounds are clamped to [0, 1]; ``ci_width``
+    gives the width before clamping, which the width curves plot.
     """
 
     lower: float
     upper: float
     alpha: float
     method: str
-    analytic_width: float
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise DomainError(f"unknown method {self.method!r}")
+        _as_choice(self.method, "method", METHODS)
         _check_alpha(self.alpha)
         if not 0.0 <= self.lower <= self.upper <= 1.0:
             raise DomainError(f"bounds out of order: [{self.lower}, {self.upper}]")
@@ -136,16 +133,16 @@ class PlanResult:
 def ci_normal(x, n, alpha) -> Interval:
     """Normal approximation interval: alias +- z * sqrt(alias(1-alias)/n).
 
-    Bounds are clamped into [0, 1] for reporting, but the width is recorded
-    before clamping, and the interval degenerates to a point at alias 0 or 1
-    (the well-known failure mode of this estimator).
+    Bounds are clamped into [0, 1] for reporting; ``ci_width`` gives the
+    width before clamping.  The interval degenerates to a point at alias 0
+    or 1 (the well-known failure mode of this estimator).
     """
     x, n = _check_counts(x, n)
     alpha = _check_alpha(alpha)
     p = x / n
     half = _normal_half(p, n, _z_for(alpha))
     return Interval(lower=max(0.0, p - half), upper=min(1.0, p + half),
-                    alpha=alpha, method="normal", analytic_width=2.0 * half)
+                    alpha=alpha, method="normal")
 
 
 def ci_wilson(x, n, alpha) -> Interval:
@@ -166,8 +163,7 @@ def ci_wilson(x, n, alpha) -> Interval:
     else:
         center, half = _wilson(x / n, n, z)
         lower, upper = center - half, center + half
-    return Interval(lower=lower, upper=upper, alpha=alpha, method="wilson",
-                    analytic_width=upper - lower)
+    return Interval(lower=lower, upper=upper, alpha=alpha, method="wilson")
 
 
 def ci_clopper_pearson(x, n, alpha) -> Interval:
@@ -185,8 +181,7 @@ def ci_clopper_pearson(x, n, alpha) -> Interval:
     x, n = _check_counts(x, n)
     alpha = _check_alpha(alpha)
     lower, upper = _clopper_pearson(x, n, alpha)
-    return Interval(lower=lower, upper=upper, alpha=alpha,
-                    method="clopper_pearson", analytic_width=upper - lower)
+    return Interval(lower=lower, upper=upper, alpha=alpha, method="clopper_pearson")
 
 
 _CI_BY_METHOD = {
@@ -198,11 +193,7 @@ _CI_BY_METHOD = {
 
 def confidence_interval(method: str, x, n, alpha) -> Interval:
     """Dispatch to one of the three estimators by name."""
-    try:
-        fn = _CI_BY_METHOD[method]
-    except KeyError:
-        raise DomainError(f"unknown method {method!r}, expected one of {METHODS}") from None
-    return fn(x, n, alpha)
+    return _CI_BY_METHOD[_as_choice(method, "method", METHODS)](x, n, alpha)
 
 
 def ci_width(method: str, p_hat: float, n: float, alpha: float) -> float:
@@ -212,13 +203,12 @@ def ci_width(method: str, p_hat: float, n: float, alpha: float) -> float:
     extends the count-based definition continuously through real-valued
     counts, and the normal branch reports the width before clamping.
     """
-    if method not in METHODS:
-        raise DomainError(f"unknown method {method!r}, expected one of {METHODS}")
+    _as_choice(method, "method", METHODS)
     p_hat = _as_probability(p_hat, "p_hat")
     alpha = _check_alpha(alpha)
-    n = float(n)
-    if not n >= 1.0:
-        raise DomainError("n must be >= 1")
+    n = _as_positive(n, "n")
+    if n < 1.0:
+        raise DomainError(f"n must be >= 1, got {n!r}")
     if method == "clopper_pearson":
         lower, upper = _clopper_pearson(p_hat * n, n, alpha)
         return upper - lower
@@ -228,10 +218,10 @@ def ci_width(method: str, p_hat: float, n: float, alpha: float) -> float:
     return 2.0 * half
 
 
-def default_device_grid(points: int = 120) -> tuple[int, ...]:
-    """Log-spaced device counts from 2 to 10000, deduplicated."""
+def default_device_grid() -> tuple[int, ...]:
+    """120 log-spaced device counts from 2 to 10000, deduplicated."""
     ratio = 10_000 / 2.0
-    return tuple(sorted({int(round(2.0 * ratio ** (i / (points - 1)))) for i in range(points)}))
+    return tuple(sorted({int(round(2.0 * ratio ** (i / 119))) for i in range(120)}))
 
 
 def default_alias_grid() -> tuple[float, ...]:
@@ -266,16 +256,11 @@ def ci_width_curve(method: str, alpha, sweep) -> list[tuple[float, float]]:
         grid = default_device_grid() if sweep.devices is None else tuple(sweep.devices)
         if not grid:
             raise DomainError("device grid must not be empty")
-        p_hat = _as_probability(sweep.p_hat, "p_hat")
-        if any(n < 1 for n in grid):
-            raise DomainError("device counts must be >= 1")
-        return [(float(n), ci_width(method, p_hat, n, alpha)) for n in grid]
+        return [(float(n), ci_width(method, sweep.p_hat, n, alpha)) for n in grid]
     if isinstance(sweep, AliasSweep):
         grid = default_alias_grid() if sweep.alias_grid is None else tuple(sweep.alias_grid)
         if not grid:
             raise DomainError("alias grid must not be empty")
-        if sweep.devices < 1:
-            raise DomainError("devices must be >= 1")
         return [(float(p), ci_width(method, p, sweep.devices, alpha)) for p in grid]
     raise DomainError(f"sweep must be a DeviceSweep or AliasSweep, got {type(sweep).__name__}")
 
@@ -311,8 +296,7 @@ def plan_devices_exact(method: str, target_width, alpha) -> PlanResult:
     certified: width(N) <= target < width(N - 2) even if the discrete width
     curve wiggles.  Targets unreachable below the device cap raise CapacityError.
     """
-    if method not in ("wilson", "clopper_pearson"):
-        raise DomainError("exact planning supports 'wilson' and 'clopper_pearson'")
+    _as_choice(method, "method", ("wilson", "clopper_pearson"))
     target_width = _as_probability(target_width, "target_width", bounds="(0, 1)")
     alpha = _check_alpha(alpha)
 

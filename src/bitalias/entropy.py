@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, PerfectEntropyError
+from .errors import PerfectEntropyError
 from .qualification import AliasLimits
-from .special import _as_probability
+from .special import _as_choice, _as_probability
 
 _KINDS = ("min", "shannon")
 
@@ -26,8 +26,7 @@ class EntropySpec:
     value: float
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DomainError(f"entropy kind must be one of {_KINDS}, got {self.kind!r}")
+        _as_choice(self.kind, "entropy kind", _KINDS)
         object.__setattr__(self, "value", _as_probability(self.value, "per-position entropy"))
 
 

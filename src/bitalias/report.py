@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 from typing import TYPE_CHECKING
 
-from .errors import DomainError
+from .special import _as_choice
 
 if TYPE_CHECKING:
     from .analysis import AnalysisConfig, AnalysisResult
@@ -23,9 +23,7 @@ CSV_HEADER = "t,x,N,p_hat,ci_lo,ci_hi,p_val_lo,p_val_hi,accepted,min_entropy,sha
 def render_report(result: AnalysisResult, fmt: str | None = None) -> bytes:
     """Serialize an analysis result; the format defaults to the config's."""
     fmt = result.config.output_format if fmt is None else fmt
-    if fmt not in REPORT_FORMATS:
-        raise DomainError(f"unknown report format {fmt!r}, expected one of {REPORT_FORMATS}")
-    return _RENDERERS[fmt](result)
+    return _RENDERERS[_as_choice(fmt, "report format", REPORT_FORMATS)](result)
 
 
 def _num(v: float) -> str:

@@ -110,9 +110,9 @@ class NoiseFreeResponse(MeasurementTensor):
 class PositionCounts:
     """Count of 1s per position across the device population.
 
-    Given a numpy array, ``ones`` is kept as a read-only int64 array, so
-    array arithmetic on it still works; any other sequence becomes a tuple of
-    ints, which needs no numpy.
+    ``ones`` is checked as a sequence of ints whatever its type.  A 1-d numpy
+    array is kept as a read-only int64 array, so array arithmetic on it still
+    works; any other sequence becomes a tuple of ints, which needs no numpy.
     """
 
     devices: int
@@ -121,30 +121,27 @@ class PositionCounts:
     def __post_init__(self):
         _as_count(self.devices, "devices", 1)
         np = sys.modules.get("numpy")  # an array exists only if numpy is loaded
-        if np is not None and isinstance(self.ones, np.ndarray):
-            if self.ones.ndim != 1:
-                raise DomainError("ones must be a non-empty 1-d array")
-            if self.ones.dtype.kind not in "biu" and not (self.ones == np.floor(self.ones)).all():
-                raise DomainError("counts must be integers")
-            ones = self.ones.astype(np.int64)
-            ones.setflags(write=False)
-        else:
-            try:
-                ones = tuple(self.ones)
-            except TypeError:
-                raise DomainError("ones must be a non-empty 1-d array") from None
-            try:
-                ints = tuple(map(int, ones))
-            except (TypeError, ValueError, OverflowError):
-                ints = None
-            if ints != ones:
-                raise DomainError("counts must be integers")
-            ones = ints
-        if not len(ones):
+        array = np is not None and isinstance(self.ones, np.ndarray)
+        if array and self.ones.ndim != 1:
             raise DomainError("ones must be a non-empty 1-d array")
-        if min(ones) < 0 or max(ones) > self.devices:
+        try:
+            ones = tuple(self.ones.tolist() if array else self.ones)
+        except TypeError:
+            raise DomainError("ones must be a non-empty 1-d array") from None
+        try:
+            ints = tuple(map(int, ones))
+        except (TypeError, ValueError, OverflowError):
+            ints = None
+        if ints != ones:
+            raise DomainError("counts must be integers")
+        if not ints:
+            raise DomainError("ones must be a non-empty 1-d array")
+        if min(ints) < 0 or max(ints) > self.devices:
             raise DomainError("counts must lie in 0..devices")
-        object.__setattr__(self, "ones", ones)
+        if array:
+            ints = np.array(ints, dtype=np.int64)
+            ints.setflags(write=False)
+        object.__setattr__(self, "ones", ints)
 
     @property
     def positions(self) -> int:
@@ -175,15 +172,17 @@ def _vote(rows, repeats: int, row_bytes: int, first: int, stop: int) -> tuple[in
     plane down.
     """
     rows = memoryview(rows).cast("B")
-    stride = repeats * row_bytes
+    rows = rows.cast("B", (len(rows) // row_bytes, row_bytes))
     planes = []
     for r in range(repeats):
-        starts = range(first * stride + r * row_bytes, stop * stride, stride)
-        carry = int.from_bytes(b"".join([rows[i:i + row_bytes] for i in starts]), "little")
+        carry = int.from_bytes(rows[first * repeats + r:stop * repeats:repeats].tobytes(),
+                               "little")
         for i, plane in enumerate(planes):
             planes[i], carry = plane ^ carry, plane & carry
         if len(planes) < (r + 1).bit_length():
             planes.append(carry)
+    if repeats == 1:  # one repeat: every row is its own vote
+        return planes[0], 0
     # gt: total > repeats // 2; eq: total == repeats // 2 so far, from the top
     half = repeats // 2
     gt, eq = 0, (1 << 8 * row_bytes * (stop - first)) - 1

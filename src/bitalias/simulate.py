@@ -30,10 +30,7 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
     Distinct paths give statistically independent streams; identical paths
     give bit-identical output across runs and platforms.
     """
-    parts = [seed, *path]
-    for p in parts:
-        if not isinstance(p, (int, np.integer)) or p < 0:
-            raise DomainError(f"seed path entries must be non-negative integers, got {p!r}")
+    parts = [_as_count(p, "seed path entry") for p in (seed, *path)]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(parts)))
 
 

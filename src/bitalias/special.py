@@ -25,8 +25,9 @@ All functions are pure and safe to call concurrently.  Implementation notes:
   so results at n ~ 7000 keep the 1e-4 digits the device planner depends on.
 
 The argument checks every module shares live here too: ``_as_probability``
-and ``_as_count`` for one number, ``_check_counts`` for a count and its
-device count, ``_check_alpha`` for a significance level.
+and ``_as_count`` for one number, ``_as_choice`` for a method, kind or format
+name, ``_check_counts`` for a count and its device count, ``_check_alpha``
+for a significance level.
 
 Log-scale probabilities are plain floats in natural log; ``-inf`` is the
 distinguished encoding of log(0).
@@ -84,6 +85,12 @@ def _as_count(value, name: str, minimum: int = 0) -> int:
     if v < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {v}")
     return v
+
+
+def _as_choice(value, name: str, choices: tuple[str, ...]) -> str:
+    if value not in choices:
+        raise DomainError(f"{name} must be one of {choices}, got {value!r}")
+    return value
 
 
 def _check_counts(x, n, name: str = "x", min_n: int = 1) -> tuple[int, int]:

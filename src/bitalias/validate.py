@@ -19,7 +19,7 @@ from .confidence import METHODS, _normal_half, _run_end, _z_for, confidence_inte
 from .errors import DomainError
 from .qualification import AliasLimits, acceptance_region
 from .simulate import rng_stream
-from .special import _as_count, _as_probability, _check_alpha, _check_counts
+from .special import _as_choice, _as_count, _as_probability, _check_alpha, _check_counts
 
 KINDS = ("coverage", "far", "frr")
 
@@ -59,8 +59,7 @@ def monte_carlo_validate(kind: str, params, trials: int, seed: int,
     ``task`` selects an independent substream so grid sweeps can give every
     cell its own reproducible randomness from one campaign seed.
     """
-    if kind not in KINDS:
-        raise DomainError(f"kind must be one of {KINDS}, got {kind!r}")
+    _as_choice(kind, "kind", KINDS)
     trials = _as_count(trials, "trials")
     if trials < 1000:
         raise DomainError("trials must be at least 1000")
@@ -84,8 +83,7 @@ def _coverage_run(params: CoverageParams):
     """(p, n, (first, last) or None): the counts whose interval contains p.
     Both bounds rise with the count, so they form one run; lower(0) = 0 <= p
     and upper(n) = 1 >= p, so only its other two ends take a call to settle."""
-    if params.method not in METHODS:
-        raise DomainError(f"method must be one of {METHODS}, got {params.method!r}")
+    _as_choice(params.method, "method", METHODS)
     p = _as_probability(params.p, "p")
     _, n = _check_counts(0, params.devices)
     alpha = _check_alpha(params.alpha)

@@ -26,7 +26,7 @@ class TestCiNormal:
         assert iv.width == 0.0  # the notorious too-narrow pathology
 
     def test_width_at_664_devices(self):
-        assert ci_normal(332, 664, 0.01).analytic_width == pytest.approx(0.1, abs=5e-4)
+        assert ci_width("normal", 332 / 664, 664, 0.01) == pytest.approx(0.1, abs=5e-4)
 
     def test_hand_expansion(self):
         iv = ci_normal(5, 10, 0.05)
@@ -37,7 +37,7 @@ class TestCiNormal:
     def test_clamps_but_reports_analytic_width(self):
         iv = ci_normal(1, 10, 0.001)
         assert iv.lower == 0.0
-        assert iv.analytic_width > iv.width
+        assert ci_width("normal", 1 / 10, 10, 0.001) > iv.width
 
     def test_rejects_bad_args(self):
         with pytest.raises(DomainError):
@@ -228,7 +228,9 @@ class TestTinyAlpha:
         assert 0.0 < wilson.lower < 0.5 < wilson.upper < 1.0
         assert wilson.width > ci_wilson(5, 10, 1e-16).width
         normal = ci_normal(5, 10, alpha)
-        assert normal.analytic_width == pytest.approx(2 * z * math.sqrt(0.025), rel=1e-14)
+        assert (normal.lower, normal.upper) == (0.0, 1.0)
+        assert ci_width("normal", 0.5, 10, alpha) == pytest.approx(2 * z * math.sqrt(0.025),
+                                                                   rel=1e-14)
         plan = plan_devices_normal(0.01, alpha)
         assert plan.devices == pytest.approx((z / 0.01) ** 2, abs=1)
         for method in ("normal", "wilson"):

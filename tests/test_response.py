@@ -339,6 +339,14 @@ class TestPositionCounts:
         with pytest.raises(DomainError):
             PositionCounts(devices=5, ones=ones)
 
+    @pytest.mark.parametrize("ones", [np.array(["1", "2"]), np.array([1 + 0j]),
+                                      np.array([None, 1], dtype=object)],
+                             ids=["str", "complex", "object"])
+    def test_array_counts_are_checked_as_a_sequence_is(self, ones):
+        for given in (ones, ones.tolist()):
+            with pytest.raises(DomainError, match="^counts must be integers$"):
+                PositionCounts(devices=5, ones=given)
+
     @pytest.mark.parametrize("devices", [2.5, "3", None, 0])
     def test_rejects_device_count_that_is_not_a_positive_integer(self, devices):
         with pytest.raises(DomainError, match="devices must be"):

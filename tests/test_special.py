@@ -230,13 +230,14 @@ class TestBinomialRangeMass:
 
 def _bad_argument_calls():
     """Calls that must raise DomainError: malformed counts, limits, entropies,
-    noise rates and trial counts across every public entry point that takes
-    them."""
-    from bitalias.confidence import ci_clopper_pearson, ci_normal, ci_wilson
+    noise rates, trial counts, width device counts and seed paths across
+    every public entry point that takes them."""
+    from bitalias.confidence import (AliasSweep, DeviceSweep, ci_clopper_pearson, ci_normal,
+                                     ci_width, ci_width_curve, ci_wilson)
     from bitalias.entropy import EntropySpec, limits_from_min_entropy, limits_from_shannon_entropy
     from bitalias.qualification import (acceptance_region, early_stop_p_values,
                                         p_value_lower, p_value_upper, test_position)
-    from bitalias.simulate import PopulationSpec
+    from bitalias.simulate import PopulationSpec, rng_stream
     from bitalias.validate import CoverageParams, monte_carlo_validate
     limits = (0.45, 0.55)
     # name -> (call taking x and n, whether n = 0 is a valid count)
@@ -281,9 +282,54 @@ def _bad_argument_calls():
     for label, bad in (("text", "5000"), ("fraction", 5000.5), ("none", None), ("few", 999)):
         yield pytest.param(lambda bad=bad: monte_carlo_validate("coverage", coverage, bad, 1),
                            id=f"monte_carlo_validate-trials-{label}")
+    for label, bad in (("none", None), ("text", "abc"), ("inf", math.inf), ("nan", math.nan)):
+        yield pytest.param(lambda bad=bad: ci_width("wilson", 0.5, bad, 0.01),
+                           id=f"ci_width-n-{label}")
+    for label, sweep in (("alias-none", AliasSweep(devices=None)),
+                         ("alias-inf", AliasSweep(devices=math.inf)),
+                         ("devices-inf", DeviceSweep(devices=(math.inf,)))):
+        yield pytest.param(lambda sweep=sweep: ci_width_curve("wilson", 0.01, sweep),
+                           id=f"ci_width_curve-{label}")
+    yield pytest.param(lambda: rng_stream(-1), id="rng_stream-negative")
+    yield pytest.param(lambda: rng_stream(1, "x"), id="rng_stream-text")
 
 
 @pytest.mark.parametrize("call", _bad_argument_calls())
 def test_rejects_malformed_arguments(call):
     with pytest.raises(DomainError):
         call()
+
+
+def _bogus_name_calls():
+    """Every entry point that takes a method, kind or format name, given "bogus"."""
+    from bitalias.analysis import AnalysisConfig, analyze_counts
+    from bitalias.confidence import (Interval, ci_width, confidence_interval,
+                                     plan_devices_exact)
+    from bitalias.entropy import EntropySpec
+    from bitalias.qualification import AliasLimits
+    from bitalias.report import render_report
+    from bitalias.response import PositionCounts
+    from bitalias.validate import CoverageParams, monte_carlo_validate
+    limits = AliasLimits(0.45, 0.55)
+    calls = {
+        "Interval": lambda b: Interval(0.4, 0.6, 0.01, b),
+        "confidence_interval": lambda b: confidence_interval(b, 5, 10, 0.01),
+        "ci_width": lambda b: ci_width(b, 0.5, 10, 0.01),
+        "plan_devices_exact": lambda b: plan_devices_exact(b, 0.1, 0.01),
+        "AnalysisConfig-ci_method": lambda b: AnalysisConfig(limits=limits, ci_method=b),
+        "AnalysisConfig-output_format": lambda b: AnalysisConfig(limits=limits, output_format=b),
+        "render_report": lambda b: render_report(
+            analyze_counts(PositionCounts(10, (5,)), AnalysisConfig(limits=limits)), b),
+        "EntropySpec": lambda b: EntropySpec(b, 0.9),
+        "monte_carlo_validate-kind": lambda b: monte_carlo_validate(
+            b, CoverageParams("wilson", 0.5, 30, 0.05), 1000, 1),
+        "monte_carlo_validate-method": lambda b: monte_carlo_validate(
+            "coverage", CoverageParams(b, 0.5, 30, 0.05), 1000, 1),
+    }
+    return [pytest.param(call, id=name) for name, call in calls.items()]
+
+
+@pytest.mark.parametrize("call", _bogus_name_calls())
+def test_rejects_unknown_names_with_one_message(call):
+    with pytest.raises(DomainError, match="must be one of .*got 'bogus'"):
+        call("bogus")
