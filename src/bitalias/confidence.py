@@ -256,12 +256,14 @@ def ci_width_curve(method: str, alpha, sweep) -> list[tuple[float, float]]:
         grid = default_device_grid() if sweep.devices is None else tuple(sweep.devices)
         if not grid:
             raise DomainError("device grid must not be empty")
-        return [(float(n), ci_width(method, sweep.p_hat, n, alpha)) for n in grid]
+        widths = [ci_width(method, sweep.p_hat, n, alpha) for n in grid]  # checks n before float
+        return list(zip(map(float, grid), widths))
     if isinstance(sweep, AliasSweep):
         grid = default_alias_grid() if sweep.alias_grid is None else tuple(sweep.alias_grid)
         if not grid:
             raise DomainError("alias grid must not be empty")
-        return [(float(p), ci_width(method, p, sweep.devices, alpha)) for p in grid]
+        widths = [ci_width(method, p, sweep.devices, alpha) for p in grid]  # checks p before float
+        return list(zip(map(float, grid), widths))
     raise DomainError(f"sweep must be a DeviceSweep or AliasSweep, got {type(sweep).__name__}")
 
 

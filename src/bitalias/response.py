@@ -181,8 +181,6 @@ def _vote(rows, repeats: int, row_bytes: int, first: int, stop: int) -> tuple[in
             planes[i], carry = plane ^ carry, plane & carry
         if len(planes) < (r + 1).bit_length():
             planes.append(carry)
-    if repeats == 1:  # one repeat: every row is its own vote
-        return planes[0], 0
     # gt: total > repeats // 2; eq: total == repeats // 2 so far, from the top
     half = repeats // 2
     gt, eq = 0, (1 << 8 * row_bytes * (stop - first)) - 1

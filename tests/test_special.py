@@ -287,7 +287,10 @@ def _bad_argument_calls():
                            id=f"ci_width-n-{label}")
     for label, sweep in (("alias-none", AliasSweep(devices=None)),
                          ("alias-inf", AliasSweep(devices=math.inf)),
-                         ("devices-inf", DeviceSweep(devices=(math.inf,)))):
+                         ("devices-inf", DeviceSweep(devices=(math.inf,))),
+                         ("devices-none", DeviceSweep(devices=(None,))),
+                         ("devices-text", DeviceSweep(devices=("abc",))),
+                         ("alias-grid-none", AliasSweep(alias_grid=(None,)))):
         yield pytest.param(lambda sweep=sweep: ci_width_curve("wilson", 0.01, sweep),
                            id=f"ci_width_curve-{label}")
     yield pytest.param(lambda: rng_stream(-1), id="rng_stream-negative")
