@@ -9,10 +9,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from bitalias import AliasSweep, DeviceSweep, METHODS, ci_width_curve
+from bitalias.confidence import ALIAS_GRID, DEVICE_GRID, ci_width
 
 # a few historical campaign sizes, for context on achievable accuracy
 HISTORICAL_DEVICE_COUNTS = (4, 45, 125, 160, 193, 996)
+# estimators in column order
+COLUMNS = ("wilson", "clopper_pearson", "normal")
 
 
 def dump(path: Path, header: str, rows) -> None:
@@ -26,23 +28,12 @@ def main() -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     alpha = 0.01
 
-    series = {m: dict(ci_width_curve(m, alpha, DeviceSweep(p_hat=0.5))) for m in METHODS}
-    grid = sorted(series["wilson"])
-    dump(out_dir / "width_over_devices.csv", "n,wilson,clopper_pearson,normal",
-         [(n, series["wilson"][n], series["clopper_pearson"][n], series["normal"][n])
-          for n in grid])
-
-    series = {m: dict(ci_width_curve(m, alpha, AliasSweep(devices=20))) for m in METHODS}
-    grid = sorted(series["wilson"])
-    dump(out_dir / "width_over_alias.csv", "p_hat,wilson,clopper_pearson,normal",
-         [(p, series["wilson"][p], series["clopper_pearson"][p], series["normal"][p])
-          for p in grid])
-
-    rows = []
-    for n in HISTORICAL_DEVICE_COUNTS:
-        [(_, w)] = ci_width_curve("clopper_pearson", alpha, DeviceSweep(p_hat=0.5, devices=(n,)))
-        rows.append((n, w))
-    dump(out_dir / "accuracy_at_campaign_sizes.csv", "n,clopper_pearson_width", rows)
+    dump(out_dir / "width_over_devices.csv", f"n,{','.join(COLUMNS)}",
+         [(n, *(ci_width(m, 0.5, n, alpha) for m in COLUMNS)) for n in DEVICE_GRID])
+    dump(out_dir / "width_over_alias.csv", f"p_hat,{','.join(COLUMNS)}",
+         [(p, *(ci_width(m, p, 20, alpha) for m in COLUMNS)) for p in ALIAS_GRID])
+    dump(out_dir / "accuracy_at_campaign_sizes.csv", "n,clopper_pearson_width",
+         [(n, ci_width("clopper_pearson", 0.5, n, alpha)) for n in HISTORICAL_DEVICE_COUNTS])
 
 
 if __name__ == "__main__":

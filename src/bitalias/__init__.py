@@ -21,9 +21,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "analysis": ("AnalysisConfig", "AnalysisResult", "AnalysisSummary", "EarlyStopConfig",
                  "PositionReport", "analyze", "analyze_counts"),
-    "confidence": ("METHODS", "AliasSweep", "DeviceSweep", "Interval", "PlanResult",
-                   "ci_clopper_pearson", "ci_normal", "ci_width", "ci_width_curve",
-                   "ci_wilson", "confidence_interval", "plan_devices_exact",
+    "confidence": ("METHODS", "Interval", "PlanResult", "ci_clopper_pearson", "ci_normal",
+                   "ci_width", "ci_wilson", "confidence_interval", "plan_devices_exact",
                    "plan_devices_normal", "worst_case_width"),
     "entropy": ("EntropySpec", "limits_from_min_entropy", "limits_from_shannon_entropy",
                 "limits_from_spec", "min_entropy_from_limits", "shannon_entropy"),

@@ -46,7 +46,8 @@ class AnalysisConfig:
     """What to test and how to report it.
 
     Exactly one of ``limits`` and ``entropy_spec`` must be given; an entropy
-    requirement is converted to alias limits before any statistics run.
+    requirement is converted to alias limits when the config is built, so a
+    floor that no finite test can verify is rejected there.
     """
 
     alpha: float = 0.01
@@ -62,6 +63,7 @@ class AnalysisConfig:
             raise DomainError("provide exactly one of limits and entropy_spec")
         _as_choice(self.ci_method, "ci_method", METHODS)
         _as_choice(self.output_format, "output_format", REPORT_FORMATS)
+        self.resolved_limits()
 
     def resolved_limits(self) -> AliasLimits:
         if self.limits is not None:

@@ -12,8 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .confidence import (METHODS, AliasSweep, DeviceSweep, ci_width_curve,
-                         plan_devices_exact, plan_devices_normal)
+from .confidence import (ALIAS_GRID, DEVICE_GRID, METHODS, ci_width, plan_devices_exact,
+                         plan_devices_normal)
 from .entropy import EntropySpec, limits_from_spec
 from .errors import BitAliasError
 from .qualification import AliasLimits, early_stop_decision, test_position, \
@@ -141,19 +141,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    method, alpha = args.method, args.alpha
     if args.sweep == "devices":
-        grid = None if args.grid is None else tuple(int(tok) for tok in args.grid.split(","))
-        sweep = DeviceSweep(p_hat=args.p_hat, devices=grid)
-        abscissa = "n"
+        grid = DEVICE_GRID if args.grid is None else map(int, args.grid.split(","))
+        lines = ["n,width", *(f"{n},{ci_width(method, args.p_hat, n, alpha):.6g}" for n in grid)]
     else:
-        grid = None if args.grid is None else tuple(float(tok) for tok in args.grid.split(","))
-        sweep = AliasSweep(devices=args.devices, alias_grid=grid)
-        abscissa = "p_hat"
-    series = ci_width_curve(args.method, args.alpha, sweep)
-    lines = [f"{abscissa},width"]
-    for point, width in series:
-        value = f"{int(point)}" if abscissa == "n" else f"{point:.6g}"
-        lines.append(f"{value},{width:.6g}")
+        grid = ALIAS_GRID if args.grid is None else map(float, args.grid.split(","))
+        lines = ["p_hat,width",
+                 *(f"{p:.6g},{ci_width(method, p, args.devices, alpha):.6g}" for p in grid)]
     _emit(("\n".join(lines) + "\n").encode("ascii"), args.out)
     return 0
 

@@ -5,6 +5,9 @@ degenerates near alias 0 or 1; Wilson's score interval keeps mean coverage
 closest to nominal and is the reporting default; Clopper-Pearson guarantees
 at least nominal coverage and underpins the qualification test.  Significance
 is always split half per tail; there is no one-sided mode.
+
+A width curve is ``ci_width`` over a grid: over ``DEVICE_GRID`` at a fixed
+alias, or over ``ALIAS_GRID`` at a fixed device count.
 """
 
 from __future__ import annotations
@@ -218,53 +221,9 @@ def ci_width(method: str, p_hat: float, n: float, alpha: float) -> float:
     return 2.0 * half
 
 
-def default_device_grid() -> tuple[int, ...]:
-    """120 log-spaced device counts from 2 to 10000, deduplicated."""
-    ratio = 10_000 / 2.0
-    return tuple(sorted({int(round(2.0 * ratio ** (i / 119))) for i in range(120)}))
-
-
-def default_alias_grid() -> tuple[float, ...]:
-    """Alias values 0 to 1 in steps of 0.01."""
-    return tuple(round(i * 0.01, 2) for i in range(101))
-
-
-@dataclass(frozen=True)
-class DeviceSweep:
-    """Sweep of interval width over device counts at a fixed estimated alias."""
-
-    p_hat: float = 0.5
-    devices: tuple[int, ...] | None = None  # None selects the default log grid
-
-
-@dataclass(frozen=True)
-class AliasSweep:
-    """Sweep of interval width over estimated alias at a fixed device count."""
-
-    devices: int = 20
-    alias_grid: tuple[float, ...] | None = None  # None selects 0..1 step 0.01
-
-
-def ci_width_curve(method: str, alpha, sweep) -> list[tuple[float, float]]:
-    """Width series for plotting, as (abscissa, width) pairs.
-
-    The abscissa is the device count for a DeviceSweep and the estimated alias
-    for an AliasSweep.
-    """
-    alpha = _check_alpha(alpha)
-    if isinstance(sweep, DeviceSweep):
-        grid = default_device_grid() if sweep.devices is None else tuple(sweep.devices)
-        if not grid:
-            raise DomainError("device grid must not be empty")
-        widths = [ci_width(method, sweep.p_hat, n, alpha) for n in grid]  # checks n before float
-        return list(zip(map(float, grid), widths))
-    if isinstance(sweep, AliasSweep):
-        grid = default_alias_grid() if sweep.alias_grid is None else tuple(sweep.alias_grid)
-        if not grid:
-            raise DomainError("alias grid must not be empty")
-        widths = [ci_width(method, p, sweep.devices, alpha) for p in grid]  # checks p before float
-        return list(zip(map(float, grid), widths))
-    raise DomainError(f"sweep must be a DeviceSweep or AliasSweep, got {type(sweep).__name__}")
+# 120 log-spaced device counts from 2 to 10000, deduplicated; alias 0 to 1 by 0.01
+DEVICE_GRID = tuple(sorted({int(round(2.0 * 5000.0 ** (i / 119))) for i in range(120)}))
+ALIAS_GRID = tuple(round(i * 0.01, 2) for i in range(101))
 
 
 def plan_devices_normal(target_width, alpha) -> PlanResult:

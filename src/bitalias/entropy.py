@@ -27,7 +27,8 @@ class EntropySpec:
 
     def __post_init__(self):
         _as_choice(self.kind, "entropy kind", _KINDS)
-        object.__setattr__(self, "value", _as_probability(self.value, "per-position entropy"))
+        object.__setattr__(self, "value", _as_probability(self.value, "per-position entropy",
+                                                          bounds="(0, 1]"))
 
 
 def limits_from_min_entropy(h_inf) -> AliasLimits:

@@ -182,7 +182,8 @@ def plan_devices_frr(limits: AliasLimits, inner: tuple[float, float],
     curve is not monotone in n, so the answer is the smallest count meeting
     beta among the binary-search result and the 50 counts below it; it is not
     always the smallest overall (limits (0.497, 0.503) with inner band
-    (0.4985, 0.5015) give 2671077, though 2671027 also meets beta).
+    (0.4985, 0.5015) give 2671077, though the smallest count meeting beta is
+    2670169).
     """
     limits = _as_limits(limits)
     p_k, p_v = inner

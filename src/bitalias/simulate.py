@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .response import MeasurementTensor
-from .special import _as_count, _as_probability
+from .special import _as_choice, _as_count, _as_probability
 
 ALIAS_PROFILES = {
     "balanced": lambda t: np.full(t, 0.5),
@@ -60,12 +60,8 @@ class PopulationSpec:
     def alias_vector(self) -> np.ndarray:
         """Resolve the alias field to a length-T probability vector."""
         if isinstance(self.alias, str):
-            try:
-                vec = ALIAS_PROFILES[self.alias](self.positions)
-            except KeyError:
-                raise DomainError(
-                    f"unknown alias profile {self.alias!r}, "
-                    f"expected one of {sorted(ALIAS_PROFILES)}") from None
+            profile = _as_choice(self.alias, "alias profile", tuple(ALIAS_PROFILES))
+            vec = ALIAS_PROFILES[profile](self.positions)
         elif isinstance(self.alias, (int, float)):
             vec = np.full(self.positions, float(self.alias))
         else:

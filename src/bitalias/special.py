@@ -20,9 +20,10 @@ All functions are pure and safe to call concurrently.  Implementation notes:
   the ``lgamma`` prefactor: against scipy, within three standard deviations
   of the median at p = 0.5, it reaches 1e-12 at n = 1e3, 3.2e-10 at 1e5,
   2.0e-9 at 1e6 and 2.2e-8 at 1e7.
-* ``binomial_range_mass`` (the partial sum behind acceptance probabilities)
-  forms every term in log space and accumulates with Neumaier compensation,
-  so results at n ~ 7000 keep the 1e-4 digits the device planner depends on.
+* ``binomial_range_mass`` (the partial sum behind ``acceptance_probability``,
+  its only caller) forms every term in log space and accumulates with
+  Neumaier compensation, so results at n ~ 7000 keep their 1e-4 digits.  The
+  FRR planner sums the two native tails instead.
 
 The argument checks every module shares live here too: ``_as_probability``
 and ``_as_count`` for one number, ``_as_choice`` for a method, kind or format

@@ -11,7 +11,7 @@ from bitalias.analysis import (CSV_HEADER, AnalysisConfig, EarlyStopConfig,
                                PositionReport, analyze, analyze_counts, render_report)
 from bitalias.confidence import confidence_interval
 from bitalias.entropy import EntropySpec, min_entropy_from_limits, shannon_entropy
-from bitalias.errors import DomainError
+from bitalias.errors import DomainError, PerfectEntropyError
 from bitalias.qualification import AliasLimits
 from bitalias.response import MeasurementTensor, PositionCounts
 from bitalias.simulate import PopulationSpec, simulate_population
@@ -43,6 +43,11 @@ class TestAnalysisConfig:
     def test_rejects_unknown_method(self):
         with pytest.raises(DomainError):
             AnalysisConfig(limits=LIMITS, ci_method="jeffreys")
+
+    @pytest.mark.parametrize("kind", ["min", "shannon"])
+    def test_full_bit_rejected_when_built(self, kind):
+        with pytest.raises(PerfectEntropyError):
+            AnalysisConfig(entropy_spec=EntropySpec(kind, 1.0))
 
 
 class TestAnalyze:

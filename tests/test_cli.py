@@ -76,6 +76,11 @@ class TestAnalyzeCommand:
         assert err.count("explicit limits or an entropy floor, not both") == 2
         assert err.count("at most one of --min-entropy and --shannon-entropy") == 2
 
+    def test_zero_entropy_floor_exits_two(self, balanced_file, capsys):
+        assert main(["analyze", str(balanced_file), "--min-entropy", "0"]) == 2
+        assert capsys.readouterr().err == \
+            "error: per-position entropy must lie in (0, 1], got 0.0\n"
+
     def test_parse_error_exits_two(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"1,2,1\n0,7\n")

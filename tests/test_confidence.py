@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bitalias.confidence import (AliasSweep, DeviceSweep, _z_for,
-                                 ci_clopper_pearson, ci_normal, ci_width,
-                                 ci_width_curve, ci_wilson, confidence_interval,
-                                 plan_devices_exact, plan_devices_normal,
-                                 worst_case_width)
+from bitalias.confidence import (ALIAS_GRID, DEVICE_GRID, _z_for, ci_clopper_pearson, ci_normal,
+                                 ci_width, ci_wilson, confidence_interval, plan_devices_exact,
+                                 plan_devices_normal, worst_case_width)
 from bitalias.errors import CapacityError, DomainError
 from bitalias.special import std_normal_quantile
 
@@ -156,42 +154,28 @@ class TestWidthOrdering:
 
 class TestWidthCurve:
     def test_single_point_equals_direct_call(self):
-        [(n, w)] = ci_width_curve("wilson", 0.01, DeviceSweep(p_hat=0.5, devices=(20,)))
-        assert n == 20.0
-        assert w == pytest.approx(ci_wilson(10, 20, 0.01).width, abs=1e-12)
+        assert ci_width("wilson", 0.5, 20, 0.01) == pytest.approx(ci_wilson(10, 20, 0.01).width,
+                                                                  abs=1e-12)
 
     def test_wilson_reaches_target_at_658(self):
-        [(_, w)] = ci_width_curve("wilson", 0.01, DeviceSweep(p_hat=0.5, devices=(658,)))
-        assert w <= 0.1
+        assert ci_width("wilson", 0.5, 658, 0.01) <= 0.1
 
     def test_clopper_pearson_straddles_680(self):
-        series = ci_width_curve("clopper_pearson", 0.01,
-                                DeviceSweep(p_hat=0.5, devices=(679, 680)))
-        assert series[0][1] > 0.1
-        assert series[1][1] <= 0.1
+        assert ci_width("clopper_pearson", 0.5, 679, 0.01) > 0.1
+        assert ci_width("clopper_pearson", 0.5, 680, 0.01) <= 0.1
 
     def test_monotone_in_devices_at_half(self):
         for method in ("wilson", "clopper_pearson"):
-            series = ci_width_curve(method, 0.01, DeviceSweep(p_hat=0.5))
-            widths = [w for _, w in series]
+            widths = [ci_width(method, 0.5, n, 0.01) for n in DEVICE_GRID]
             assert all(a >= b - 1e-12 for a, b in zip(widths, widths[1:]))
 
     def test_alias_sweep_peaks_at_half(self):
-        series = ci_width_curve("wilson", 0.01, AliasSweep(devices=20))
-        widths = dict(series)
+        widths = {p: ci_width("wilson", p, 20, 0.01) for p in ALIAS_GRID}
         assert max(widths.values()) == widths[0.5]
 
     def test_default_grids(self):
-        n_series = ci_width_curve("normal", 0.01, DeviceSweep())
-        assert n_series[0][0] == 2.0 and n_series[-1][0] == 10000.0
-        p_series = ci_width_curve("normal", 0.01, AliasSweep())
-        assert len(p_series) == 101
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(DomainError):
-            ci_width_curve("wilson", 0.01, DeviceSweep(devices=()))
-        with pytest.raises(DomainError):
-            ci_width_curve("wilson", 0.01, AliasSweep(alias_grid=()))
+        assert DEVICE_GRID[0] == 2 and DEVICE_GRID[-1] == 10000
+        assert len(ALIAS_GRID) == 101
 
 
 class TestPlanDevicesNormal:
@@ -234,8 +218,7 @@ class TestTinyAlpha:
         plan = plan_devices_normal(0.01, alpha)
         assert plan.devices == pytest.approx((z / 0.01) ** 2, abs=1)
         for method in ("normal", "wilson"):
-            series = ci_width_curve(method, alpha, DeviceSweep(devices=(2, 20, 200)))
-            widths = [w for _, w in series]
+            widths = [ci_width(method, 0.5, n, alpha) for n in (2, 20, 200)]
             assert widths == sorted(widths, reverse=True)
 
     def test_smallest_alpha_with_a_positive_half(self):

@@ -96,5 +96,6 @@ class TestLimitsFromSpec:
             EntropySpec("renyi", 0.9)
 
     def test_rejects_out_of_range_value(self):
-        with pytest.raises(DomainError):
-            EntropySpec("min", 1.5)
+        for kind, value in (("min", 1.5), ("min", 0.0), ("shannon", 0.0)):
+            with pytest.raises(DomainError, match=r"per-position entropy must lie in \(0, 1\]"):
+                EntropySpec(kind, value)

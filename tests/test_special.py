@@ -232,8 +232,7 @@ def _bad_argument_calls():
     """Calls that must raise DomainError: malformed counts, limits, entropies,
     noise rates, trial counts, width device counts and seed paths across
     every public entry point that takes them."""
-    from bitalias.confidence import (AliasSweep, DeviceSweep, ci_clopper_pearson, ci_normal,
-                                     ci_width, ci_width_curve, ci_wilson)
+    from bitalias.confidence import ci_clopper_pearson, ci_normal, ci_width, ci_wilson
     from bitalias.entropy import EntropySpec, limits_from_min_entropy, limits_from_shannon_entropy
     from bitalias.qualification import (acceptance_region, early_stop_p_values,
                                         p_value_lower, p_value_upper, test_position)
@@ -285,14 +284,7 @@ def _bad_argument_calls():
     for label, bad in (("none", None), ("text", "abc"), ("inf", math.inf), ("nan", math.nan)):
         yield pytest.param(lambda bad=bad: ci_width("wilson", 0.5, bad, 0.01),
                            id=f"ci_width-n-{label}")
-    for label, sweep in (("alias-none", AliasSweep(devices=None)),
-                         ("alias-inf", AliasSweep(devices=math.inf)),
-                         ("devices-inf", DeviceSweep(devices=(math.inf,))),
-                         ("devices-none", DeviceSweep(devices=(None,))),
-                         ("devices-text", DeviceSweep(devices=("abc",))),
-                         ("alias-grid-none", AliasSweep(alias_grid=(None,)))):
-        yield pytest.param(lambda sweep=sweep: ci_width_curve("wilson", 0.01, sweep),
-                           id=f"ci_width_curve-{label}")
+    yield pytest.param(lambda: ci_width("wilson", None, 20, 0.01), id="ci_width-p_hat-none")
     yield pytest.param(lambda: rng_stream(-1), id="rng_stream-negative")
     yield pytest.param(lambda: rng_stream(1, "x"), id="rng_stream-text")
 
@@ -312,6 +304,7 @@ def _bogus_name_calls():
     from bitalias.qualification import AliasLimits
     from bitalias.report import render_report
     from bitalias.response import PositionCounts
+    from bitalias.simulate import PopulationSpec
     from bitalias.validate import CoverageParams, monte_carlo_validate
     limits = AliasLimits(0.45, 0.55)
     calls = {
@@ -328,6 +321,7 @@ def _bogus_name_calls():
             b, CoverageParams("wilson", 0.5, 30, 0.05), 1000, 1),
         "monte_carlo_validate-method": lambda b: monte_carlo_validate(
             "coverage", CoverageParams(b, 0.5, 30, 0.05), 1000, 1),
+        "PopulationSpec-alias": lambda b: PopulationSpec(2, 3, 1, seed=0, alias=b),
     }
     return [pytest.param(call, id=name) for name, call in calls.items()]
 
