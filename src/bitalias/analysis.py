@@ -15,8 +15,6 @@ reachable here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .confidence import METHODS, Interval, confidence_interval
 from .entropy import EntropySpec, limits_from_spec, min_entropy_from_limits, shannon_entropy
 from .errors import DomainError
@@ -26,11 +24,10 @@ from .qualification import (AcceptanceRegion, AliasLimits, EarlyStopAdvice,
 from .report import CSV_HEADER, REPORT_FORMATS, render_report
 from .response import MeasurementTensor, PositionCounts, _per_distinct, count_ones, \
     derive_noise_free_response
-from .special import _as_choice, _as_probability, _check_alpha
+from .special import Record, _as_choice, _as_probability, _check_alpha
 
 
-@dataclass(frozen=True)
-class EarlyStopConfig:
+class EarlyStopConfig(Record):
     """Early-abort settings: flagging level and tolerated flagged fraction."""
 
     alpha: float = 0.01
@@ -41,8 +38,7 @@ class EarlyStopConfig:
         _as_probability(self.max_flag_fraction, "max_flag_fraction")
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
+class AnalysisConfig(Record):
     """What to test and how to report it.
 
     Exactly one of ``limits`` and ``entropy_spec`` must be given; an entropy
@@ -71,8 +67,7 @@ class AnalysisConfig:
         return limits_from_spec(self.entropy_spec)
 
 
-@dataclass(frozen=True)
-class PositionReport:
+class PositionReport(Record):
     """Everything the report knows about a position with a given count.
 
     ``AnalysisResult.reports[t]`` is position t's report; positions with
@@ -93,8 +88,7 @@ class PositionReport:
     shannon_entropy_worst: float
 
 
-@dataclass(frozen=True)
-class AnalysisSummary:
+class AnalysisSummary(Record):
     """Campaign-level outcome; repeats and tie_count are None when the input
     was pre-counted and no raw tensor existed."""
 
@@ -108,8 +102,7 @@ class AnalysisSummary:
     early_stop: EarlyStopAdvice | None
 
 
-@dataclass(frozen=True)
-class AnalysisResult:
+class AnalysisResult(Record):
     config: AnalysisConfig
     reports: tuple[PositionReport, ...]
     summary: AnalysisSummary

@@ -124,15 +124,13 @@ def _cmd_early_stop(args) -> int:
 
 def _cmd_simulate(args) -> int:
     from .formats import write_measurements
-    from .simulate import ALIAS_PROFILES, PopulationSpec, simulate_population
+    from .simulate import PopulationSpec, simulate_population
 
     alias: float | str | list[float]
-    if "," in args.alias:
-        alias = [float(tok) for tok in args.alias.split(",")]
-    elif args.alias in ALIAS_PROFILES:
-        alias = args.alias
-    else:
+    try:  # text that is no number and no list is a profile name for PopulationSpec to check
         alias = float(args.alias)
+    except ValueError:
+        alias = [float(tok) for tok in args.alias.split(",")] if "," in args.alias else args.alias
     spec = PopulationSpec(devices=args.devices, positions=args.positions,
                           repeats=args.repeats, seed=args.seed,
                           alias=alias, flip_noise=args.noise)

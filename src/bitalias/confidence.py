@@ -13,12 +13,11 @@ alias, or over ``ALIAS_GRID`` at a fixed device count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import CapacityError, DomainError
-from .special import (_as_choice, _as_count, _as_positive, _as_probability, _check_alpha,
-                      _check_counts, beta_quantile, std_normal_quantile)
+from .special import (Record, _as_choice, _as_count, _as_positive, _as_probability,
+                      _check_alpha, _check_counts, beta_quantile, std_normal_quantile)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .qualification import AliasLimits
@@ -93,8 +92,7 @@ def _clopper_pearson(x, n, alpha: float) -> tuple[float, float]:
     return lower, upper
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """A two-sided confidence interval for a binomial proportion.
 
     ``width`` is taken after the bounds are clamped to [0, 1]; ``ci_width``
@@ -120,8 +118,7 @@ class Interval:
         return self.lower <= p <= self.upper
 
 
-@dataclass(frozen=True)
-class PlanResult:
+class PlanResult(Record):
     """A required device count together with the guarantee it satisfies."""
 
     devices: int

@@ -9,17 +9,15 @@ response, because positions may be correlated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import PerfectEntropyError
 from .qualification import AliasLimits
-from .special import _as_choice, _as_probability
+from .special import Record, _as_choice, _as_probability
 
 _KINDS = ("min", "shannon")
 
 
-@dataclass(frozen=True)
-class EntropySpec:
+class EntropySpec(Record):
     """A per-position entropy requirement in bits, either min- or Shannon."""
 
     kind: str

@@ -14,12 +14,11 @@ verdict is per-position, and reports state that explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .confidence import PlanResult, _bisect, _bracket, _normal_half, _run_end, _z_for
 from .errors import DomainError
-from .special import (_as_count, _as_probability, _check_alpha, _check_counts,
+from .special import (Record, _as_count, _as_probability, _check_alpha, _check_counts,
                       binomial_cdf, binomial_range_mass, binomial_sf)
 
 if TYPE_CHECKING:  # only early_stop_decision needs response; the planners do not
@@ -28,8 +27,7 @@ if TYPE_CHECKING:  # only early_stop_decision needs response; the planners do no
 _FRR_CERTIFY_WINDOW = 50  # scan below the search result; the FRR curve wiggles
 
 
-@dataclass(frozen=True)
-class AliasLimits:
+class AliasLimits(Record):
     """Permissible alias band (p_l, p_u), both strictly inside (0, 1)."""
 
     p_l: float
@@ -49,8 +47,7 @@ def _as_limits(limits) -> AliasLimits:
     return limits if isinstance(limits, AliasLimits) else AliasLimits(*limits)
 
 
-@dataclass(frozen=True)
-class AcceptanceRegion:
+class AcceptanceRegion(Record):
     """Count range [x_l, x_u] of observed 1s that qualifies a position.
 
     The region may be empty (both endpoints None): at small device counts no
@@ -78,8 +75,7 @@ class AcceptanceRegion:
         return not self.is_empty and self.x_l <= x <= self.x_u
 
 
-@dataclass(frozen=True)
-class TestVerdict:
+class TestVerdict(Record):
     """Outcome of the two-sided qualification test for one count of 1s."""
 
     ones: int
@@ -89,8 +85,7 @@ class TestVerdict:
     accepted: bool
 
 
-@dataclass(frozen=True)
-class EarlyStopAdvice:
+class EarlyStopAdvice(Record):
     """Per-position forecast p-values with the resulting continue/abort call."""
 
     p_values_low: tuple[float, ...]

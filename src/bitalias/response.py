@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .errors import DomainError
-from .special import _as_count
+from .special import Record, _as_count
 
 
 def _checked_bits(arr, ndim: int, what: str) -> np.ndarray:
@@ -38,8 +37,7 @@ def _checked_bits(arr, ndim: int, what: str) -> np.ndarray:
     return arr if integral else arr.astype(np.uint8)
 
 
-@dataclass(frozen=True, init=False)
-class MeasurementTensor:
+class MeasurementTensor(Record):
     """Raw bits from a campaign: devices x positions x repeats, each 0 or 1.
 
     Held as the binary file format's packed rows, ``rows[d * repeats + r]``
@@ -86,7 +84,6 @@ class MeasurementTensor:
         return mine == theirs
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class NoiseFreeResponse(MeasurementTensor):
     """Per-device response after removing run-time noise, a one-repeat tensor,
     with the number of majority-vote ties met while deriving it.  It is built
@@ -106,8 +103,7 @@ class NoiseFreeResponse(MeasurementTensor):
         return super().bits[:, :, 0]
 
 
-@dataclass(frozen=True)
-class PositionCounts:
+class PositionCounts(Record):
     """Count of 1s per position across the device population.
 
     ``ones`` is checked as a sequence of ints whatever its type.  A 1-d numpy

@@ -10,13 +10,12 @@ seed; there is no ambient RNG state anywhere in the package.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .response import MeasurementTensor
-from .special import _as_choice, _as_count, _as_probability
+from .special import Record, _as_choice, _as_count, _as_probability
 
 ALIAS_PROFILES = {
     "balanced": lambda t: np.full(t, 0.5),
@@ -34,8 +33,7 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(parts)))
 
 
-@dataclass(frozen=True)
-class PopulationSpec:
+class PopulationSpec(Record):
     """Parameters of a synthetic device population.
 
     ``alias`` is the true probability of a 1 per position: a scalar applied

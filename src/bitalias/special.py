@@ -3,8 +3,9 @@
 This is the numerical substrate for every interval and test in the package.
 All functions are pure and safe to call concurrently.  Implementation notes:
 
-* ``std_normal_quantile`` is ``statistics.NormalDist().inv_cdf``, Wichura's
-  AS241 (*Applied Statistics* 37(3), 1988): within 5 ulp of scipy's
+* ``std_normal_quantile`` is the AS241 routine (Wichura, *Applied Statistics*
+  37(3), 1988) behind ``statistics.NormalDist().inv_cdf``, called directly from
+  ``_statistics`` so that ``statistics`` need not load: within 5 ulp of scipy's
   ``norm.isf`` for q from 5e-301 to 0.4995, and antisymmetric bit for bit
   where 1 - q is exact.  Callers pass the small tail probability, never
   1 - alpha/2, which rounds to 1.0 once alpha falls below 2.2e-16.
@@ -28,7 +29,7 @@ All functions are pure and safe to call concurrently.  Implementation notes:
 The argument checks every module shares live here too: ``_as_probability``
 and ``_as_count`` for one number, ``_as_choice`` for a method, kind or format
 name, ``_check_counts`` for a count and its device count, ``_check_alpha``
-for a significance level.
+for a significance level; so does ``Record``, every record type's base.
 
 Log-scale probabilities are plain floats in natural log; ``-inf`` is the
 distinguished encoding of log(0).
@@ -38,14 +39,17 @@ from __future__ import annotations
 
 import math
 import operator
-from statistics import NormalDist
+
+try:  # the C AS241 behind statistics.NormalDist.inv_cdf, without statistics' import
+    from _statistics import _normal_dist_inv_cdf
+except ImportError:  # as statistics does
+    from statistics import _normal_dist_inv_cdf
 
 from .errors import ConvergenceError, DomainError
 
 LogProb = float  # natural-log probability; -inf encodes log(0)
 
 _SQRT2 = math.sqrt(2.0)
-_normal_inv_cdf = NormalDist().inv_cdf
 
 _BETA_CF_MAX_ITER = 10_000
 _BETA_CF_EPS = 1e-15
@@ -116,6 +120,54 @@ def _check_alpha(alpha) -> float:
     return alpha
 
 
+class Record:
+    """An immutable record, lighter to define than a frozen dataclass.  Its
+    fields are its base's, then the names it annotates; a class attribute is a
+    field's default.  ``__post_init__`` checks the fields and may store a
+    normalized one with ``object.__setattr__``."""
+
+    _fields: dict[str, None] = {}  # the field names, in order
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        own = cls.__annotations__
+        cls._fields = dict.fromkeys((*cls._fields, *own))
+        cls._defaults = {**cls._defaults, **{k: v for k, v in vars(cls).items() if k in own}}
+        cls.__match_args__ = tuple(cls._fields)
+        cls._key = operator.attrgetter(*cls._fields)
+        cls.__hash__ = cls.__hash__ or Record.__hash__  # which an own __eq__ unsets
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        given = dict(**dict(zip(names, args)), **kwargs) if args else kwargs  # TypeError if twice
+        values = {**self._defaults, **given}
+        if len(args) > len(names) or values.keys() != names.keys():
+            raise TypeError(f"{type(self).__name__} takes the fields {tuple(names)}, got "
+                            f"{len(args)} positional arguments and the keywords {tuple(kwargs)}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
 def std_normal_cdf(z: float) -> float:
     """Standard normal CDF, accurate into both tails (erfc-based)."""
     return 0.5 * math.erfc(-z / _SQRT2)
@@ -123,7 +175,7 @@ def std_normal_cdf(z: float) -> float:
 
 def std_normal_quantile(q) -> float:
     """Inverse of the standard normal CDF on the open interval (0, 1)."""
-    return _normal_inv_cdf(_as_probability(q, "q", bounds="(0, 1)"))
+    return _normal_dist_inv_cdf(_as_probability(q, "q", bounds="(0, 1)"), 0.0, 1.0)
 
 
 def regularized_incomplete_beta(x, a, b) -> float:

@@ -11,7 +11,6 @@ one minus that share), or the run of counts whose interval contains the alias.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,13 +18,13 @@ from .confidence import METHODS, _normal_half, _run_end, _z_for, confidence_inte
 from .errors import DomainError
 from .qualification import AliasLimits, acceptance_region
 from .simulate import rng_stream
-from .special import _as_choice, _as_count, _as_probability, _check_alpha, _check_counts
+from .special import (Record, _as_choice, _as_count, _as_probability, _check_alpha,
+                      _check_counts)
 
 KINDS = ("coverage", "far", "frr")
 
 
-@dataclass(frozen=True)
-class CoverageParams:
+class CoverageParams(Record):
     """Interval coverage at a fixed true alias."""
 
     method: str
@@ -34,8 +33,7 @@ class CoverageParams:
     alpha: float
 
 
-@dataclass(frozen=True)
-class QualificationParams:
+class QualificationParams(Record):
     """Acceptance behavior of the two-sided test at a fixed true alias."""
 
     devices: int
@@ -44,8 +42,7 @@ class QualificationParams:
     p: float
 
 
-@dataclass(frozen=True)
-class MonteCarloEstimate:
+class MonteCarloEstimate(Record):
     kind: str
     value: float
     std_error: float

@@ -222,10 +222,13 @@ class TestSimulateCommand:
         m = load_measurements(out)
         assert m.positions == 3
 
-    def test_unknown_alias_token_exits_two(self, tmp_path):
+    def test_unknown_alias_token_exits_two(self, tmp_path, capsys):
         rc = main(["simulate", "--devices", "2", "--positions", "2", "--seed", "1",
                    "--alias", "zebra", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: alias profile must be one of ('balanced', 'linear'), got 'zebra'\n"
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestCurveCommand:
@@ -383,6 +386,43 @@ class TestNumpyFreeCommands:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == code, proc.stderr
         assert proc.stderr.splitlines()[-1] == "numpy loaded: False"
+
+
+# Runs `bitalias ARGS...` (or only builds the parser when there are none) and
+# prints, on stderr, the exit code and which of the modules that start-up must
+# not pay for were loaded.
+_STARTUP_PROBE = """
+import sys
+import bitalias.cli as cli
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else cli.build_parser() and 0
+loaded = sorted({"dataclasses", "inspect", "statistics", "numpy"} & set(sys.modules))
+print(code, loaded, file=sys.stderr)
+"""
+
+
+class TestStartupImports:
+    @pytest.mark.parametrize("argv,code", [
+        ([], 0),
+        (["plan", "width", "--width", "0.1"], 0),
+        (["plan", "frr", "--inner-low", "0.48", "--inner-high", "0.52"], 0),
+        (["check", "--x", "340", "--n", "680"], 0),
+        (["analyze", "{readme_csv}"], 1),
+    ], ids=["build_parser", "plan-width", "plan-frr", "check", "analyze"])
+    def test_commands_load_no_dataclasses_inspect_statistics_or_numpy(self, argv, code,
+                                                                       tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        import bitalias
+        readme_csv = tmp_path / "readme.csv"
+        readme_csv.write_text("2,3,2\n0,1,0\n0,1,1\n1,1,0\n1,0,0\n")
+        argv = [arg.format(readme_csv=readme_csv) for arg in argv]
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bitalias.__file__))}
+        proc = subprocess.run([sys.executable, "-S", "-c", _STARTUP_PROBE, *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == f"{code} []"
 
 
 class TestValidateCommand:

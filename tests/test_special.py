@@ -56,6 +56,37 @@ class TestStdNormalQuantile:
     def test_deterministic(self):
         assert std_normal_quantile(0.123456) == std_normal_quantile(0.123456)
 
+    def test_bit_for_bit_normal_dist(self):
+        # the package calls the routine behind NormalDist.inv_cdf without
+        # loading statistics; only the tests import it
+        import statistics
+
+        import numpy as np
+        rng = np.random.default_rng(16)
+        q = np.concatenate([10.0 ** rng.uniform(-320.0, math.log10(0.5), 100_000),
+                            rng.uniform(0.0, 1.0, 100_000)])
+        q = q[(q > 0.0) & (q < 1.0)]
+        assert len(q) > 199_000 and q.min() < 1e-319
+        inv_cdf = statistics.NormalDist().inv_cdf
+        ours = np.array([std_normal_quantile(x) for x in q.tolist()])
+        theirs = np.array([inv_cdf(x) for x in q.tolist()])
+        assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
+
+    def test_falls_back_to_statistics_without_the_c_module(self):
+        import os
+        import subprocess
+        import sys
+
+        import bitalias
+        probe = ("import sys; sys.modules['_statistics'] = None\n"
+                 "import statistics, bitalias.special as s\n"
+                 "assert s._normal_dist_inv_cdf is statistics._normal_dist_inv_cdf\n"
+                 "assert s.std_normal_quantile(0.025) == statistics.NormalDist().inv_cdf(0.025)")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bitalias.__file__))}
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestIncompleteBeta:
     def test_uniform_cdf(self):
