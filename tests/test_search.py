@@ -84,6 +84,29 @@ def test_width_planner_answers_pinned(method):
                 assert plan_devices_exact(method, width, alpha).devices == expected
 
 
+@pytest.mark.parametrize("method", sorted(WIDTH_PLANS))
+def test_width_plan_search_certifies_its_answer(monkeypatch, method):
+    # the outcomes of the probes made by the outward search and the bisection:
+    # the answer N met the target, and N = 2 or N - 2 was probed and failed,
+    # so no even count below N is left to try
+    probed = {}
+    for name in ("_bracket", "_bisect"):
+        def recording(ok, *args, search=getattr(conf, name), **kwargs):
+            def seen(n):
+                probed[n] = ok(n)
+                return probed[n]
+            return search(seen, *args, **kwargs)
+
+        monkeypatch.setattr(conf, name, recording)
+    for alpha, answers in WIDTH_PLANS[method].items():
+        for width, answer in zip(WIDTHS, answers):
+            if isinstance(answer, int):
+                probed.clear()
+                assert plan_devices_exact(method, width, alpha).devices == answer
+                assert probed[answer] is True
+                assert answer == 2 or probed[answer - 2] is False, (alpha, width)
+
+
 SCAN_LIMITS = ((0.45, 0.55), (0.001, 0.01), (0.9, 0.999))
 SCAN_ALPHAS = (0.5, 0.01, 1e-6, 1e-300)
 
