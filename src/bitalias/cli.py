@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .confidence import (ALIAS_GRID, DEVICE_GRID, METHODS, ci_width, plan_devices_exact,
                          plan_devices_normal)
@@ -63,7 +62,8 @@ def _emit(blob: bytes, out: str | None) -> None:
     if out is None:
         sys.stdout.write(blob.decode("utf-8"))
     else:
-        Path(out).write_bytes(blob)
+        with open(out, "wb") as f:
+            f.write(blob)
 
 
 def _cmd_analyze(args) -> int:
@@ -126,7 +126,6 @@ def _cmd_simulate(args) -> int:
     from .formats import write_measurements
     from .simulate import PopulationSpec, simulate_population
 
-    alias: float | str | list[float]
     try:  # text that is no number and no list is a profile name for PopulationSpec to check
         alias = float(args.alias)
     except ValueError:

@@ -13,14 +13,10 @@ alias, or over ``ALIAS_GRID`` at a fixed device count.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .errors import CapacityError, DomainError
 from .special import (Record, _as_choice, _as_count, _as_positive, _as_probability,
                       _check_alpha, _check_counts, beta_quantile, std_normal_quantile)
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .qualification import AliasLimits
 
 METHODS = ("normal", "wilson", "clopper_pearson")
 
@@ -125,7 +121,7 @@ class PlanResult(Record):
     alpha: float
     method: str
     target_width: float | None = None
-    limits: "AliasLimits | None" = None
+    limits: AliasLimits | None = None
     inner: tuple[float, float] | None = None
     beta: float | None = None
 
@@ -250,9 +246,9 @@ def plan_devices_exact(method: str, target_width, alpha) -> PlanResult:
 
     Candidates are even counts, so the balanced worst case is realizable at
     every probe.  Outward probes from the normal-approximation count (rounded
-    up to even) and binary search, then a linear walk-down so the result N is
-    certified: width(N) <= target < width(N - 2) even if the discrete width
-    curve wiggles.  Targets unreachable below the device cap raise CapacityError.
+    up to even), then binary search, end on a bracket that certifies the
+    result N: width(N) <= target < width(N - 2), with N - 2 probed, or N = 2.
+    Targets unreachable below the device cap raise CapacityError.
     """
     _as_choice(method, "method", ("wilson", "clopper_pearson"))
     target_width = _as_probability(target_width, "target_width", bounds="(0, 1)")
@@ -263,6 +259,4 @@ def plan_devices_exact(method: str, target_width, alpha) -> PlanResult:
 
     guess = plan_devices_normal(target_width, alpha).devices
     n = _bisect(ok, *_bracket(ok, guess + guess % 2, f"width {target_width}", 2), step=2)
-    while n > 2 and ok(n - 2):
-        n -= 2
     return PlanResult(devices=n, alpha=alpha, method=method, target_width=target_width)

@@ -26,7 +26,7 @@ line is decoded and checked field by field, which builds the error message.
 ``load_counts`` gives a tuple of ints.
 """
 
-from pathlib import Path
+import os
 
 from .errors import FormatError
 from .response import MeasurementTensor, PositionCounts, _count_voted
@@ -39,14 +39,16 @@ _HEADER_LEN = 4 + 1 + 12  # magic, version, three uint32 dims
 def _read(source) -> bytes:
     if hasattr(source, "read"):
         return source.read()
-    return Path(source).read_bytes()
+    with open(os.fspath(source), "rb") as f:
+        return f.read()
 
 
 def _write(dest, blob: bytes) -> None:
     if hasattr(dest, "write"):
         dest.write(blob)
     else:
-        Path(dest).write_bytes(blob)
+        with open(os.fspath(dest), "wb") as f:
+            f.write(blob)
 
 
 def _measurement_rows(source) -> tuple[bytes | memoryview, int, int, int]:

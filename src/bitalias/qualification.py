@@ -14,15 +14,11 @@ verdict is per-position, and reports state that explicitly.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .confidence import PlanResult, _bisect, _bracket, _normal_half, _run_end, _z_for
 from .errors import DomainError
 from .special import (Record, _as_count, _as_probability, _check_alpha, _check_counts,
                       binomial_cdf, binomial_range_mass, binomial_sf)
-
-if TYPE_CHECKING:  # only early_stop_decision needs response; the planners do not
-    from .response import PositionCounts
 
 _FRR_CERTIFY_WINDOW = 50  # scan below the search result; the FRR curve wiggles
 

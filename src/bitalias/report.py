@@ -9,13 +9,8 @@ imports ``json`` only when a JSON report is rendered.
 from __future__ import annotations
 
 import io
-from typing import TYPE_CHECKING
 
 from .special import _as_choice
-
-if TYPE_CHECKING:
-    from .analysis import AnalysisConfig, AnalysisResult
-    from .qualification import AliasLimits
 
 CSV_HEADER = "t,x,N,p_hat,ci_lo,ci_hi,p_val_lo,p_val_hi,accepted,min_entropy,shannon_entropy"
 

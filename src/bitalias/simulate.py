@@ -67,7 +67,7 @@ class PopulationSpec(Record):
             if vec.shape != (self.positions,):
                 raise DomainError(
                     f"alias vector must have length {self.positions}, got shape {vec.shape}")
-        if (vec < 0.0).any() or (vec > 1.0).any():
+        if not ((vec >= 0.0) & (vec <= 1.0)).all():  # NaN fails both
             raise DomainError("alias probabilities must lie in [0, 1]")
         return vec
 

@@ -22,9 +22,9 @@ All functions are pure and safe to call concurrently.  Implementation notes:
   of the median at p = 0.5, it reaches 1e-12 at n = 1e3, 3.2e-10 at 1e5,
   2.0e-9 at 1e6 and 2.2e-8 at 1e7.
 * ``binomial_range_mass`` (the partial sum behind ``acceptance_probability``,
-  its only caller) forms every term in log space and accumulates with
-  Neumaier compensation, so results at n ~ 7000 keep their 1e-4 digits.  The
-  FRR planner sums the two native tails instead.
+  its only caller) forms every term in log space and adds them with
+  ``math.fsum``, exactly rounded, so results at n ~ 7000 keep their 1e-4
+  digits.  The FRR planner sums the two native tails instead.
 
 The argument checks every module shares live here too: ``_as_probability``
 and ``_as_count`` for one number, ``_as_choice`` for a method, kind or format
@@ -46,8 +46,6 @@ except ImportError:  # as statistics does
     from statistics import _normal_dist_inv_cdf
 
 from .errors import ConvergenceError, DomainError
-
-LogProb = float  # natural-log probability; -inf encodes log(0)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -277,7 +275,7 @@ def beta_quantile(q, a, b) -> float:
     raise ConvergenceError(f"beta quantile stalled at q={q}, a={a}, b={b}")
 
 
-def binomial_pmf_log(k, n, p) -> LogProb:
+def binomial_pmf_log(k, n, p) -> float:
     """log P[X = k] for X ~ Binomial(n, p); -inf encodes probability zero.
 
     The coefficient goes through lgamma, so n ~ 1e7 cannot overflow; p = 0 and
@@ -328,8 +326,8 @@ def binomial_range_mass(lo, hi, n, p) -> float:
     """P[lo <= X <= hi] for X ~ Binomial(n, p), as a direct mass sum.
 
     Preferred over cdf(hi) - cdf(lo - 1), which cancels catastrophically when
-    both tails are tiny.  Terms are built in log space and accumulate with
-    Neumaier compensation.
+    both tails are tiny.  Terms are built in log space and summed exactly
+    rounded by ``math.fsum``.
     """
     lo = _as_count(lo, "lo")
     hi = _as_count(hi, "hi")
@@ -346,16 +344,6 @@ def binomial_range_mass(lo, hi, n, p) -> float:
     lg_np1 = math.lgamma(n + 1)
     log_p = math.log(p)
     log_q = math.log1p(-p)
-
-    total = 0.0
-    comp = 0.0
-    for i in range(lo, hi + 1):
-        t = math.exp(lg_np1 - math.lgamma(i + 1) - math.lgamma(n - i + 1)
-                     + i * log_p + (n - i) * log_q)
-        s = total + t
-        if abs(total) >= abs(t):
-            comp += (total - s) + t
-        else:
-            comp += (t - s) + total
-        total = s
-    return min(1.0, total + comp)
+    return min(1.0, math.fsum(math.exp(lg_np1 - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+                                       + i * log_p + (n - i) * log_q)
+                              for i in range(lo, hi + 1)))

@@ -223,12 +223,16 @@ class TestSimulateCommand:
         assert m.positions == 3
 
     def test_unknown_alias_token_exits_two(self, tmp_path, capsys):
-        rc = main(["simulate", "--devices", "2", "--positions", "2", "--seed", "1",
-                   "--alias", "zebra", "--out", str(tmp_path / "x.csv")])
-        assert rc == 2
-        assert capsys.readouterr().err == \
-            "error: alias profile must be one of ('balanced', 'linear'), got 'zebra'\n"
-        assert not (tmp_path / "x.csv").exists()
+        from bitalias import cli, simulate
+        assert cli.ALIAS_PROFILE_NAMES == tuple(simulate.ALIAS_PROFILES)
+        for alias, message in (
+                ("zebra", "alias profile must be one of ('balanced', 'linear'), got 'zebra'"),
+                ("nan", "alias probabilities must lie in [0, 1]")):
+            rc = main(["simulate", "--devices", "2", "--positions", "2", "--seed", "1",
+                       "--alias", alias, "--out", str(tmp_path / "x.csv")])
+            assert rc == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not (tmp_path / "x.csv").exists()
 
 
 class TestCurveCommand:
@@ -395,7 +399,8 @@ _STARTUP_PROBE = """
 import sys
 import bitalias.cli as cli
 code = cli.main(sys.argv[1:]) if sys.argv[1:] else cli.build_parser() and 0
-loaded = sorted({"dataclasses", "inspect", "statistics", "numpy"} & set(sys.modules))
+loaded = sorted({"dataclasses", "inspect", "statistics", "numpy", "typing", "pathlib"}
+                & set(sys.modules))
 print(code, loaded, file=sys.stderr)
 """
 

@@ -287,6 +287,9 @@ class TestRoundTrips:
             path = tmp_path / name
             write_measurements(m, path, fmt=fmt)
             assert (load_measurements(path).bits == m.bits).all()
+        with pytest.raises(FormatError, match="unknown measurement format 'xml'"):
+            write_measurements(m, tmp_path / "m.xml", fmt="xml")
+        assert not (tmp_path / "m.xml").exists()
 
     def test_csv_bytes_match_symbol_loop(self):
         rng = np.random.default_rng(4)

@@ -212,6 +212,19 @@ def test_region_costs_a_handful_of_tail_calls(monkeypatch, n, limits):
     assert len(calls) <= 8
 
 
+# worst_case_width calls of the benchmark's plan-scale width queries, each one
+# a probe of the outward search or the bisection
+@pytest.mark.parametrize("method, width, answer, count", [
+    ("clopper_pearson", 0.01, 66546, 14),
+    ("clopper_pearson", 0.001, 6636894, 20),
+    ("wilson", 0.001, 6634890, 6),
+])
+def test_width_plan_probe_counts_pinned(monkeypatch, method, width, answer, count):
+    calls = _counting(monkeypatch, conf, "worst_case_width")
+    assert plan_devices_exact(method, width, 0.01).devices == answer
+    assert len(calls) == count
+
+
 def test_width_plan_beta_quantile_budget(monkeypatch):
     calls = _counting(monkeypatch, conf, "beta_quantile")
     assert plan_devices_exact("clopper_pearson", 0.001, 0.01).devices == 6636894

@@ -249,10 +249,16 @@ class TestBinomialRangeMass:
         assert v == pytest.approx(ref, abs=1e-11)
 
     def test_degenerate_p(self):
+        from scipy.stats import binom
         assert binomial_range_mass(0, 3, 10, 0.0) == 1.0
         assert binomial_range_mass(1, 3, 10, 0.0) == 0.0
         assert binomial_range_mass(8, 10, 10, 1.0) == 1.0
         assert binomial_range_mass(0, 9, 10, 1.0) == 0.0
+        # the tails at the same point masses
+        for k in (1, 3, 9):
+            for p in (0.0, 1.0):
+                assert binomial_cdf(k, 10, p) == binom.cdf(k, 10, p), (k, p)
+                assert binomial_sf(k, 10, p) == binom.sf(k - 1, 10, p), (k, p)
 
     def test_rejects_range_outside_support(self):
         with pytest.raises(DomainError):
@@ -261,9 +267,10 @@ class TestBinomialRangeMass:
 
 def _bad_argument_calls():
     """Calls that must raise DomainError: malformed counts, limits, entropies,
-    noise rates, trial counts, width device counts and seed paths across
-    every public entry point that takes them."""
-    from bitalias.confidence import ci_clopper_pearson, ci_normal, ci_width, ci_wilson
+    noise rates, alias values, trial counts, width device counts, interval
+    bounds and seed paths across every public entry point that takes them."""
+    from bitalias.confidence import (Interval, ci_clopper_pearson, ci_normal, ci_width,
+                                     ci_wilson, worst_case_width)
     from bitalias.entropy import EntropySpec, limits_from_min_entropy, limits_from_shannon_entropy
     from bitalias.qualification import (acceptance_region, early_stop_p_values,
                                         p_value_lower, p_value_upper, test_position)
@@ -307,14 +314,21 @@ def _bad_argument_calls():
                            id=f"limits_from_shannon_entropy-{label}")
         yield pytest.param(lambda bad=bad: PopulationSpec(2, 3, 1, seed=0, flip_noise=bad),
                            id=f"PopulationSpec-flip_noise-{label}")
+    for label, bad in (("above-one", 1.5), ("below-zero", -0.1), ("nan", math.nan),
+                       ("list-nan", [0.5, math.nan, 0.5]), ("list-above-one", [0.5, 1.5, 0.5])):
+        yield pytest.param(lambda bad=bad: PopulationSpec(2, 3, 1, seed=0, alias=bad),
+                           id=f"PopulationSpec-alias-{label}")
     yield pytest.param(lambda: limits_from_min_entropy(0.0), id="limits_from_min_entropy-zero")
     coverage = CoverageParams("wilson", p=0.5, devices=30, alpha=0.05)
     for label, bad in (("text", "5000"), ("fraction", 5000.5), ("none", None), ("few", 999)):
         yield pytest.param(lambda bad=bad: monte_carlo_validate("coverage", coverage, bad, 1),
                            id=f"monte_carlo_validate-trials-{label}")
-    for label, bad in (("none", None), ("text", "abc"), ("inf", math.inf), ("nan", math.nan)):
+    for label, bad in (("none", None), ("text", "abc"), ("inf", math.inf), ("nan", math.nan),
+                       ("fraction", 0.5)):
         yield pytest.param(lambda bad=bad: ci_width("wilson", 0.5, bad, 0.01),
                            id=f"ci_width-n-{label}")
+    yield pytest.param(lambda: worst_case_width("wilson", 7, 0.01), id="worst_case_width-n-odd")
+    yield pytest.param(lambda: Interval(0.6, 0.4, 0.01, "wilson"), id="Interval-reversed")
     yield pytest.param(lambda: ci_width("wilson", None, 20, 0.01), id="ci_width-p_hat-none")
     yield pytest.param(lambda: rng_stream(-1), id="rng_stream-negative")
     yield pytest.param(lambda: rng_stream(1, "x"), id="rng_stream-text")
