@@ -107,6 +107,11 @@ FILE_CASES = [
     # the header alone must not size an allocation (N*M x ceil(T/8) is 227 TiB)
     (load_measurements, b"2,1000000000000000,1\n0\n0\n",
      "line 2: expected 1000000000000000 values, found 1"),
+    # a binary file's size is checked before any row's padding bits
+    (load_measurements, _binary_header(2, 3, 1) + bytes([0b1000]),
+     "byte 18: truncated payload, expected 2 bit-packed bytes, found 1"),
+    (load_measurements, _binary_header(1, 3, 1) + bytes([0b1000, 0]),
+     "byte 18: trailing data after bit payload"),
 ]
 
 
@@ -146,6 +151,37 @@ def test_streamed_counts_give_the_same_outcome(blob, outcome):
         assert str(info.value) == outcome
     else:
         assert_same_counts(load_measurement_counts(io.BytesIO(blob)), tensor_path(blob))
+
+
+class ReadOnly:
+    """A source with only ``read()``, which cannot seek."""
+
+    def __init__(self, blob):
+        self.read = io.BytesIO(blob).read
+
+
+def _sources(blob, tmp_path):
+    """The blob as a path, a file object, a file object that starts after a
+    prefix, and a source that cannot seek."""
+    path = tmp_path / "m.puf"
+    path.write_bytes(blob)
+    shifted = io.BytesIO(b"junk" + blob)
+    shifted.seek(4)
+    return {"path": path, "bytesio": io.BytesIO(blob), "shifted": shifted,
+            "read-only": ReadOnly(blob)}
+
+
+@pytest.mark.parametrize("blob, outcome", [
+    (blob, outcome) for loader, blob, outcome in FILE_CASES
+    if loader is load_measurements and blob.startswith(b"PUFB")])
+def test_binary_counts_give_the_same_outcome_from_every_source(blob, outcome, tmp_path):
+    for kind, source in _sources(blob, tmp_path).items():
+        if isinstance(outcome, str):
+            with pytest.raises(FormatError) as info:
+                load_measurement_counts(source)
+            assert str(info.value) == outcome, kind
+        else:
+            assert_same_counts(load_measurement_counts(source), tensor_path(blob))
 
 
 @given(devices=st.integers(1, 40), positions=st.integers(1, 29), repeats=st.integers(1, 17),
