@@ -19,17 +19,19 @@ line ends and trailing blank lines; the writers never emit them.  Only
 
 Both measurement encodings parse to the binary format's packed rows as
 bytes, the layout a `MeasurementTensor` holds and `response._count_voted`
-votes, with no numpy.  A binary file's rows are a view of the bytes read.  A
-CSV line as the writer emits it (0/1 at the even byte offsets, commas at the
+votes, with no numpy.  A tensor's rows are a view of a binary file's bytes;
+counting one reads it a block of devices at a time into one buffer.  A CSV
+line as the writer emits it (0/1 at the even byte offsets, commas at the
 odd ones) is packed with one ``int(symbols[::-1], 2)`` on its bytes; any other
 line is decoded and checked field by field, which builds the error message.
 ``load_counts`` gives a tuple of ints.
 """
 
+import io
 import os
 
 from .errors import FormatError
-from .response import MeasurementTensor, PositionCounts, _count_voted
+from .response import MeasurementTensor, PositionCounts, _block_bytes, _blocks, _count_voted
 
 MAGIC = b"PUFB"
 VERSION = 1
@@ -51,33 +53,40 @@ def _write(dest, blob: bytes) -> None:
             f.write(blob)
 
 
-def _measurement_rows(source) -> tuple[bytes | memoryview, int, int, int]:
-    """Check a measurement file; return its packed rows, N, T and M.
-
-    The binary format is detected by its magic bytes; everything else is
-    parsed as text CSV.
-    """
-    payload = _read(source)
-    parse = _binary_rows if payload[:4] == MAGIC else _csv_rows
-    return parse(payload)
-
-
 def load_measurements(source) -> MeasurementTensor:
-    """Read a measurement tensor from a path or binary file object.
-
-    A binary file's rows are wrapped, not copied.
-    """
-    rows, _, positions, repeats = _measurement_rows(source)
+    """Read a measurement tensor from a path or binary file object; a binary
+    file's rows are wrapped, not copied."""
+    payload = _read(source)
+    if payload[:4] != MAGIC:
+        rows, _, positions, repeats = _csv_rows(payload)
+    else:
+        _, positions, repeats = _binary_dims(payload[:_HEADER_LEN], len(payload))
+        rows = memoryview(payload)[_HEADER_LEN:]
+        _check_padding(rows, positions, _HEADER_LEN)
     return MeasurementTensor(_packed=(rows, positions, repeats))
 
 
 def load_measurement_counts(source) -> tuple[PositionCounts, int, int]:
     """Read a measurement file straight to ``(counts, repeats, tie_count)``:
     what ``count_ones(derive_noise_free_response(load_measurements(f)))``
-    gives, voted one block of devices at a time without numpy, so that for a
-    binary file peak memory is about the file size plus one block.  The
-    counts are a tuple of ints."""
-    return _count_voted(*_measurement_rows(source))
+    gives, voted one block of devices at a time without numpy.  A binary file
+    is read a block at a time, after its header and size are checked, so peak
+    memory is about one block plus the counts; a CSV file, or a source that
+    cannot seek, is read whole."""
+    if not hasattr(source, "read"):
+        with open(os.fspath(source), "rb") as f:
+            return load_measurement_counts(f)
+    if not (hasattr(source, "seekable") and source.seekable()):
+        source = io.BytesIO(source.read())
+    start = source.tell()
+    head = source.read(_HEADER_LEN)
+    if head[:4] == MAGIC:
+        dims = _binary_dims(head, source.seek(0, os.SEEK_END) - start)
+        source.seek(start + _HEADER_LEN)
+        return _count_voted(_read_blocks(source, head, *dims), *dims)
+    source.seek(start)
+    rows, *dims = _csv_rows(source.read())
+    return _count_voted(_blocks(rows, *dims[1:]), *dims)
 
 
 def write_measurements(m: MeasurementTensor, dest, fmt: str = "csv") -> None:
@@ -92,9 +101,8 @@ def write_measurements(m: MeasurementTensor, dest, fmt: str = "csv") -> None:
         grid[:, -1] = ord("\n")
         blob = f"{m.devices},{m.positions},{m.repeats}\n".encode("ascii") + grid.tobytes()
     elif fmt == "binary":
-        blob = (MAGIC + bytes([VERSION]) + m.devices.to_bytes(4, "little")
-                + m.positions.to_bytes(4, "little") + m.repeats.to_bytes(4, "little")
-                + m.rows.tobytes())
+        dims = (d.to_bytes(4, "little") for d in (m.devices, m.positions, m.repeats))
+        blob = MAGIC + bytes([VERSION]) + b"".join(dims) + m.rows.tobytes()
     else:
         raise FormatError(f"unknown measurement format {fmt!r}, expected 'csv' or 'binary'")
     _write(dest, blob)
@@ -148,37 +156,50 @@ def _csv_rows(payload: bytes) -> tuple[bytes, int, int, int]:
     return b"".join(rows), devices, positions, repeats
 
 
-def _binary_rows(payload: bytes) -> tuple[memoryview, int, int, int]:
-    """Check a binary measurement file; return its N*M packed rows of
-    ceil(T/8) bytes, a view of the payload, N, T and M."""
-    if len(payload) < _HEADER_LEN:
-        raise FormatError(f"byte {len(payload)}: truncated header, need {_HEADER_LEN} bytes")
-    if payload[4] != VERSION:
-        raise FormatError(f"byte 4: unsupported version {payload[4]}, expected {VERSION}")
-    devices = int.from_bytes(payload[5:9], "little")
-    positions = int.from_bytes(payload[9:13], "little")
-    repeats = int.from_bytes(payload[13:17], "little")
+def _binary_dims(head: bytes, size: int) -> tuple[int, int, int]:
+    """Check a binary measurement file's header and size; return N, T and M."""
+    if size < _HEADER_LEN:
+        raise FormatError(f"byte {size}: truncated header, need {_HEADER_LEN} bytes")
+    if head[4] != VERSION:
+        raise FormatError(f"byte 4: unsupported version {head[4]}, expected {VERSION}")
+    devices, positions, repeats = (int.from_bytes(head[i:i + 4], "little") for i in (5, 9, 13))
     if min(devices, positions, repeats) < 1:
         raise FormatError("byte 5: dimensions must all be >= 1")
-    row_bytes = (positions + 7) // 8
-    rows = devices * repeats
-    body = len(payload) - _HEADER_LEN
-    if body < rows * row_bytes:
+    body, expected = size - _HEADER_LEN, devices * repeats * ((positions + 7) // 8)
+    if body < expected:
         raise FormatError(
-            f"byte {len(payload)}: truncated payload, expected "
-            f"{rows * row_bytes} bit-packed bytes, found {body}")
-    if body > rows * row_bytes:
-        raise FormatError(
-            f"byte {_HEADER_LEN + rows * row_bytes}: trailing data after bit payload")
+            f"byte {size}: truncated payload, expected {expected} bit-packed bytes, found {body}")
+    if body > expected:
+        raise FormatError(f"byte {_HEADER_LEN + expected}: trailing data after bit payload")
+    return devices, positions, repeats
+
+
+def _check_padding(rows, positions: int, offset: int) -> None:
+    """Reject the first of a binary file's rows from byte ``offset`` on with a padding bit set."""
     if positions % 8:
         # the padding bits are the high bits of each row's last byte; the
         # table maps a byte to 1 when any of them is set
+        row_bytes = (positions + 7) // 8
         table = bytes(b >> positions % 8 != 0 for b in range(256))
-        bad = payload[_HEADER_LEN + row_bytes - 1::row_bytes].translate(table).find(1)
+        bad = bytes(rows[row_bytes - 1::row_bytes]).translate(table).find(1)
         if bad >= 0:
-            offset = _HEADER_LEN + bad * row_bytes + positions // 8
-            raise FormatError(f"byte {offset}: nonzero padding bits")
-    return memoryview(payload)[_HEADER_LEN:], devices, positions, repeats
+            raise FormatError(f"byte {offset + bad * row_bytes + positions // 8}: "
+                              "nonzero padding bits")
+
+
+def _read_blocks(f, head: bytes, devices: int, positions: int, repeats: int):
+    """A checked binary file's rows, read from ``f`` after the header a block
+    at a time into one buffer, each block's padding checked as it is read."""
+    end = _HEADER_LEN + devices * repeats * ((positions + 7) // 8)
+    step = _block_bytes(positions, repeats)
+    buffer = memoryview(bytearray(min(step, end - _HEADER_LEN)))
+    for offset in range(_HEADER_LEN, end, step):
+        block = buffer[:min(step, end - offset)]
+        got = f.readinto(block)
+        if got < len(block):  # the file shrank after its size was taken
+            _binary_dims(head, offset + got)
+        _check_padding(block, positions, offset)
+        yield block
 
 
 def load_counts(source) -> PositionCounts:

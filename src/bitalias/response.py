@@ -9,10 +9,11 @@ rows are used as read; a `NoiseFreeResponse` is a one-repeat tensor.  The
 vote (`_vote`) works on packed rows as Python integers: each repeat's rows of
 a block of devices are joined into one int, so every `&`, `|` and `^` acts on
 the whole block at once.  `_vote_blocks` votes a campaign one block of devices
-at a time: `derive_noise_free_response` joins the voted rows into a response,
-and `_count_voted` folds them into counts.  A one-repeat vote keeps every row,
-so `count_ones` is `_count_voted` of a response.  numpy is imported only where
-an array is built or read: `MeasurementTensor`, `count_ones` and `bit_alias`.
+at a time, from rows in memory or as a file is read: `derive_noise_free_response`
+joins the voted rows, and `_count_voted` folds them into counts.  A one-repeat
+vote keeps every row, so `count_ones` is `_count_voted` of a response.  numpy
+is imported only where an array is built or read: `MeasurementTensor`,
+`count_ones` and `bit_alias`.
 """
 
 from __future__ import annotations
@@ -150,36 +151,36 @@ class PositionCounts(Record):
         return (self.devices, *map(int, self.ones)) == (other.devices, *map(int, other.ones))
 
 
-def _vote(rows, repeats: int, row_bytes: int, first: int, stop: int) -> tuple[int, int]:
-    """Majority vote of devices ``first`` to ``stop - 1`` of a campaign.
+def _vote(block, repeats: int, row_bytes: int, first: int) -> tuple[int, int]:
+    """Majority vote of the devices whose rows ``block`` holds.
 
-    ``rows`` is any C-contiguous buffer of the binary format's packed rows:
-    row d * repeats + r holds device d's bits for repeat r in ``row_bytes``
-    bytes, least-significant bit first, so bit j of byte b is position
-    8b + j; padding bits must be 0.  ``first`` is a global device index, so a
-    campaign voted one block of devices at a time resolves its ties exactly
-    as when voted whole.  Returns the voted rows, packed the same way and
-    read as one little-endian int (device first + i from bit
-    8 * row_bytes * i), and the number of tied cells.
+    ``block`` is any C-contiguous buffer of whole devices' rows in the binary
+    format: row d * repeats + r holds the block's device d's bits for repeat r
+    in ``row_bytes`` bytes, least-significant bit first, so bit j of byte b is
+    position 8b + j; padding bits must be 0.  ``first`` is the campaign index
+    of the block's first device, so a campaign voted one block of devices at a
+    time resolves its ties exactly as when voted whole.  Returns the voted
+    rows, packed the same way and read as one little-endian int (the block's
+    device i from bit 8 * row_bytes * i), and the number of tied cells.
 
     Each repeat's rows are joined into one int, and the ints are added into
     bit-planes of every cell's total (plane i holds bit i), one ripple-carry
     add per repeat; the totals are compared with ``repeats // 2`` from the top
     plane down.
     """
-    rows = memoryview(rows).cast("B")
+    rows = memoryview(block).cast("B")
     rows = rows.cast("B", (len(rows) // row_bytes, row_bytes))
+    devices = len(rows) // repeats
     planes = []
     for r in range(repeats):
-        carry = int.from_bytes(rows[first * repeats + r:stop * repeats:repeats].tobytes(),
-                               "little")
+        carry = int.from_bytes(rows[r::repeats].tobytes(), "little")
         for i, plane in enumerate(planes):
             planes[i], carry = plane ^ carry, plane & carry
         if len(planes) < (r + 1).bit_length():
             planes.append(carry)
     # gt: total > repeats // 2; eq: total == repeats // 2 so far, from the top
     half = repeats // 2
-    gt, eq = 0, (1 << 8 * row_bytes * (stop - first)) - 1
+    gt, eq = 0, (1 << 8 * row_bytes * devices) - 1
     for i in reversed(range(len(planes))):
         if (half >> i) & 1:
             eq &= planes[i]
@@ -193,25 +194,38 @@ def _vote(rows, repeats: int, row_bytes: int, first: int, stop: int) -> tuple[in
     # Padding bits total 0 < repeats // 2, so they never tie.
     even, odd = b"\x55" * row_bytes, b"\xaa" * row_bytes
     pair = odd + even if first % 2 else even + odd
-    parity = int.from_bytes(pair * ((stop - first + 1) // 2), "little")
+    parity = int.from_bytes(pair * ((devices + 1) // 2), "little")
     return gt | eq & parity, eq.bit_count()
 
 
 # Packed input bytes per block of devices (repeats x ceil(T/8) bytes per
 # device); a block holds at least one device, however wide.  On a
 # 4096 x 4096 x 6 file, 64 KiB to 16 MiB blocks all vote in 0.06-0.07 s,
-# while the traced peak beyond the file's 12.6 MB grows with the block:
-# 14.5 MB at 1 MiB, 32.7 MB at 16 MiB.
+# while the traced peak of voting the file's 12.6 MB of rows in memory grows
+# with the block: 14.5 MB at 1 MiB, 32.7 MB at 16 MiB.
 _BLOCK_BYTES = 1 << 20
 
 
-def _vote_blocks(rows, devices: int, row_bytes: int, repeats: int):
-    """``(devices in the block, voted rows, tie count)`` of each block of
-    devices of a campaign's packed rows, in order, as `_vote` gives them."""
-    per_block = max(1, _BLOCK_BYTES // (repeats * row_bytes))
-    for first in range(0, devices, per_block):
-        stop = min(devices, first + per_block)
-        yield stop - first, *_vote(rows, repeats, row_bytes, first, stop)
+def _block_bytes(positions: int, repeats: int) -> int:
+    """`_BLOCK_BYTES`, read at call time, in whole devices, at least one."""
+    device = repeats * ((positions + 7) // 8)
+    return max(1, _BLOCK_BYTES // device) * device
+
+
+def _blocks(rows, positions: int, repeats: int):
+    """A buffer of packed rows as consecutive byte views of `_block_bytes`."""
+    rows, step = memoryview(rows).cast("B"), _block_bytes(positions, repeats)
+    return (rows[i:i + step] for i in range(0, len(rows), step))
+
+
+def _vote_blocks(blocks, positions: int, repeats: int):
+    """``(devices, voted rows, tie count)`` of each block of a campaign's
+    packed rows (byte buffers of whole devices, in order), as `_vote` gives."""
+    row_bytes, first = (positions + 7) // 8, 0
+    for block in blocks:
+        devices = len(block) // (repeats * row_bytes)
+        yield devices, *_vote(block, repeats, row_bytes, first)
+        first += devices
 
 
 def derive_noise_free_response(m: MeasurementTensor) -> NoiseFreeResponse:
@@ -223,7 +237,7 @@ def derive_noise_free_response(m: MeasurementTensor) -> NoiseFreeResponse:
     flag unreliable cells, so their total is surfaced as ``tie_count``.
     """
     row_bytes = m.rows.shape[1]
-    blocks = list(_vote_blocks(m.rows, m.devices, row_bytes, m.repeats))
+    blocks = list(_vote_blocks(_blocks(m.rows, m.positions, m.repeats), m.positions, m.repeats))
     voted = b"".join(v.to_bytes(n * row_bytes, "little") for n, v, _ in blocks)
     return NoiseFreeResponse(None, sum(ties for *_, ties in blocks),
                              _packed=(voted, m.positions, 1))
@@ -243,10 +257,10 @@ def _add_planes(a: list[int], b: list[int]) -> list[int]:
     return out + [carry] if carry else out
 
 
-def _count_voted(rows, devices: int, positions: int,
+def _count_voted(blocks, devices: int, positions: int,
                  repeats: int) -> tuple[PositionCounts, int, int]:
-    """``(counts, repeats, tie_count)`` of a campaign's packed rows (any
-    buffer that `_vote` takes), with no numpy; the counts are a tuple of ints.
+    """``(counts, repeats, tie_count)`` of a campaign's blocks of packed rows,
+    as `_vote_blocks` takes them, with no numpy; the counts are a tuple of ints.
 
     Each block's voted rows are folded into count planes: the upper half of
     its device slots is added to the lower half, bit-sliced, until one slot
@@ -254,7 +268,7 @@ def _count_voted(rows, devices: int, positions: int,
     """
     row_bytes = (positions + 7) // 8
     total, tie_count = [], 0
-    for slots, voted, ties in _vote_blocks(rows, devices, row_bytes, repeats):
+    for slots, voted, ties in _vote_blocks(blocks, positions, repeats):
         planes = [voted]
         while slots > 1:
             slots = (slots + 1) // 2
@@ -273,7 +287,8 @@ def count_ones(r: NoiseFreeResponse) -> PositionCounts:
     """Per-position count of 1s across voted devices, as a read-only int64 array."""
     import numpy as np
 
-    counts, *_ = _count_voted(r.rows, r.devices, r.positions, r.repeats)
+    counts, *_ = _count_voted(_blocks(r.rows, r.positions, r.repeats), r.devices, r.positions,
+                              r.repeats)
     return PositionCounts(devices=r.devices, ones=np.array(counts.ones))
 
 

@@ -202,6 +202,27 @@ def test_streamed_counts_match_tensor_path(devices, positions, repeats, block_by
     assert_same_counts(got, tensor_path(buf.getvalue()))
 
 
+def test_binary_counts_hold_one_block_whatever_the_device_count(tmp_path, monkeypatch):
+    # four times the devices, with T and M unchanged, adds rows to read but
+    # not to hold: the two peaks differ by the count planes, not the file.
+    # Counts up to 256 are cached ints, so the count tuples weigh the same.
+    monkeypatch.setattr(response, "_BLOCK_BYTES", 1 << 15)
+    positions, repeats = 4096, 3
+    rng = np.random.default_rng(10)
+    peaks = []
+    for devices in (64, 256):
+        path = tmp_path / f"m{devices}.puf"
+        bits = rng.integers(0, 2, size=(devices, positions, repeats), dtype=np.uint8)
+        write_measurements(MeasurementTensor(bits=bits), path, fmt="binary")
+        tracemalloc.start()
+        try:
+            load_measurement_counts(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < response._BLOCK_BYTES, peaks
+
+
 def roundtrip(m: MeasurementTensor, fmt: str) -> MeasurementTensor:
     buf = io.BytesIO()
     write_measurements(m, buf, fmt=fmt)

@@ -34,7 +34,7 @@ def vote_in_blocks(bits, cuts):
     row_bytes = (t + 7) // 8
     packed = tensor(bits).rows
     blocks = [(a, b) for a, b in zip([0, *cuts], [*cuts, n]) if b > a]
-    parts = [_vote(packed, k, row_bytes, a, b) for a, b in blocks]
+    parts = [_vote(packed[a * k:b * k], k, row_bytes, a) for a, b in blocks]
     # to_bytes fails if a block's voted int reaches past its devices' rows
     voted = np.frombuffer(b"".join(v.to_bytes((b - a) * row_bytes, "little")
                                    for (v, _), (a, b) in zip(parts, blocks)),
@@ -153,7 +153,8 @@ class TestEquality:
     def test_file_counts_equal_count_ones(self):
         bits = np.random.default_rng(9).integers(0, 2, size=(9, 21, 3))
         m = tensor(bits)
-        counts, _, _ = response._count_voted(m.rows, m.devices, m.positions, m.repeats)
+        blocks = response._blocks(m.rows, m.positions, m.repeats)
+        counts, _, _ = response._count_voted(blocks, m.devices, m.positions, m.repeats)
         assert counts == count_ones(derive_noise_free_response(m))
         assert counts == count_ones(m)  # a raw tensor is voted first
 
@@ -241,10 +242,10 @@ class TestPackedVote:
         bits = np.zeros((4, 12, 2), dtype=np.uint8)
         bits[:, :, 0] = 1
         packed = tensor(bits).rows
-        voted, ties = _vote(packed, 2, 2, 1, 3)
+        voted, ties = _vote(packed[2:6], 2, 2, 1)
         assert voted.to_bytes(4, "little") == bytes([0xAA, 0x0A, 0x55, 0x05])
         assert ties == 2 * 12
-        whole, _ = _vote(packed, 2, 2, 0, 4)
+        whole, _ = _vote(packed, 2, 2, 0)
         assert whole.to_bytes(8, "little")[2:6] == voted.to_bytes(4, "little")
 
     def test_three_hundred_repeats_use_nine_planes(self):
