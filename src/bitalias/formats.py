@@ -222,19 +222,16 @@ def load_counts(source) -> PositionCounts:
         raise FormatError(
             f"line {lines[2][0]}: dimension mismatch, expected exactly one line of counts")
     row, line = lines[1]
-    fields = line.split(",")
+    fields = [token.strip() for token in line.split(",")]
     if len(fields) != positions:
         raise FormatError(f"line {row}: expected {positions} values, found {len(fields)}")
     ones = []
-    for col, token in enumerate(fields):
-        token = token.strip()
-        try:
-            value = int(token)
-        except ValueError:
-            raise FormatError(
-                f"line {row}: non-integer count {token!r} in field {col + 1}") from None
+    for col, token in enumerate(fields, 1):
+        value = _int(token)
+        if value is None:
+            raise FormatError(f"line {row}: non-integer count {token!r} in field {col}")
         if not 0 <= value <= devices:
-            raise FormatError(f"line {row}: count {value} in field {col + 1} outside 0..{devices}")
+            raise FormatError(f"line {row}: count {value} in field {col} outside 0..{devices}")
         ones.append(value)
     return PositionCounts(devices=devices, ones=ones)
 
@@ -247,14 +244,21 @@ def write_counts(c: PositionCounts, dest) -> None:
 
 
 def _parse_int_fields(line: str, count: int, lineno: int, shape: str) -> tuple[int, ...]:
-    fields = line.split(",")
+    fields = [token.strip() for token in line.split(",")]
     if len(fields) != count:
         raise FormatError(f"line {lineno}: malformed header, expected '{shape}'")
-    values = []
-    for token in fields:
-        try:
-            values.append(int(token.strip()))
-        except ValueError:
-            raise FormatError(
-                f"line {lineno}: malformed header, non-integer {token.strip()!r}") from None
+    values = [_int(token) for token in fields]
+    if None in values:
+        bad = fields[values.index(None)]
+        raise FormatError(f"line {lineno}: malformed header, non-integer {bad!r}")
     return tuple(values)
+
+
+def _int(token: str) -> int | None:
+    """An optional '-' and ASCII digits as an int, else None: ``int()`` would
+    also take a '+', '_' between digits and other scripts' digits."""
+    digits = token[1:] if token[:1] == "-" else token
+    try:
+        return int(token) if digits.isascii() and digits.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        return None

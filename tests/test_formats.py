@@ -84,7 +84,7 @@ FILE_CASES = [
     (load_counts, b"5,2\n3,6\n", "line 2: count 6 in field 2 outside 0..5"),
     (load_counts, b"5,2\n3,-1\n", "line 2: count -1 in field 2 outside 0..5"),
     (load_counts, b"5,2\n9,x\n", "line 2: count 9 in field 1 outside 0..5"),
-    (load_counts, "5,2\n\u0661,+2\n".encode(), (5, [1, 2])),
+    (load_counts, "5,2\n\u0661,+2\n".encode(), "line 2: non-integer count '\u0661' in field 1"),
     (load_counts, b"5,2\r\n 3 ,\t5\r\n\n", (5, [3, 5])),
     (load_counts, b"5,2\n\n3,5\n", (5, [3, 5])),
     # pytest names the cases without a message by list position, so new
@@ -112,6 +112,12 @@ FILE_CASES = [
      "byte 18: truncated payload, expected 2 bit-packed bytes, found 1"),
     (load_measurements, _binary_header(1, 3, 1) + bytes([0b1000, 0]),
      "byte 18: trailing data after bit payload"),
+    # integer fields are ASCII digits after an optional '-', which int() alone
+    # does not check
+    (load_counts, b"5_0,2\n1,1\n", "line 1: malformed header, non-integer '5_0'"),
+    (load_counts, b"50,2\n1_0,3\n", "line 2: non-integer count '1_0' in field 1"),
+    (load_counts, b"5,2\n3,+2\n", "line 2: non-integer count '+2' in field 2"),
+    (load_measurements, b"1_0,2,1\n0,1\n", "line 1: malformed header, non-integer '1_0'"),
 ]
 
 
