@@ -84,8 +84,7 @@ def load_measurement_counts(source) -> tuple[PositionCounts, int, int]:
         dims = _binary_dims(head, source.seek(0, os.SEEK_END) - start)
         source.seek(start + _HEADER_LEN)
         return _count_voted(_read_blocks(source, head, *dims), *dims)
-    source.seek(start)
-    rows, *dims = _csv_rows(source.read())
+    rows, *dims = _csv_rows(head + source.read())
     return _count_voted(_blocks(rows, *dims[1:]), *dims)
 
 
@@ -120,8 +119,7 @@ def _csv_rows(payload: bytes) -> tuple[bytes, int, int, int]:
     # only "\n" ends a line (no UTF-8 sequence holds its byte); strip() takes
     # the "\r" of a CRLF.  A line is decoded only where text rules apply.
     lines = payload.split(b"\n")
-    dims = _parse_int_fields(lines[0].decode(), 3, 1, "N,T,M")
-    devices, positions, repeats = dims
+    devices, positions, repeats = dims = _parse_int_fields(lines[0].decode(), 3, 1, "N,T,M")
     if min(dims) < 1:
         raise FormatError("line 1: dimensions must all be >= 1")
     expected = devices * repeats
@@ -247,11 +245,10 @@ def _parse_int_fields(line: str, count: int, lineno: int, shape: str) -> tuple[i
     fields = [token.strip() for token in line.split(",")]
     if len(fields) != count:
         raise FormatError(f"line {lineno}: malformed header, expected '{shape}'")
-    values = [_int(token) for token in fields]
-    if None in values:
-        bad = fields[values.index(None)]
-        raise FormatError(f"line {lineno}: malformed header, non-integer {bad!r}")
-    return tuple(values)
+    for token in fields:
+        if _int(token) is None:
+            raise FormatError(f"line {lineno}: malformed header, non-integer {token!r}")
+    return tuple(map(_int, fields))
 
 
 def _int(token: str) -> int | None:
