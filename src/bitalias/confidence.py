@@ -168,11 +168,13 @@ def ci_clopper_pearson(x, n, alpha) -> Interval:
     The boundary counts pin their outer bound: x = 0 forces lower = 0 and
     x = n forces upper = 1.
 
-    Against scipy at n = 10, 680 and 66546, over every x, each bound is
-    within 1.8e-10 relative for alpha from 1e-6 to 0.999, and within 7.3e-9
-    at alpha = 1e-9.  The upper bound solves I = 1 - alpha/2, so it degrades
-    as alpha shrinks (6.5e-6 at alpha = 1e-12) and is 1.0 once alpha falls
-    below about 2.2e-16.
+    Against scipy at n = 10 and 680 over every x, and at 66546 over every x
+    within 3000 of an end and every 13th between, each bound is within
+    1.8e-10 relative for alpha from 1e-6 to 0.999, and within 7.3e-9 at
+    alpha = 1e-9; at alpha = 1e-12 the lower bound is within 3.0e-8.  The
+    upper bound solves I = 1 - alpha/2, so it degrades as alpha shrinks
+    (6.6e-6 at alpha = 1e-12) and is 1.0 once alpha falls below about
+    2.2e-16.
     """
     x, n = _check_counts(x, n)
     alpha = _check_alpha(alpha)

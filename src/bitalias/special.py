@@ -18,9 +18,9 @@ All functions are pure and safe to call concurrently.  Implementation notes:
   natively instead of as ``1 - other_tail``, so tail p-values keep their
   leading digits.
   Their relative error grows about linearly with n, through cancellation in
-  the ``lgamma`` prefactor: against scipy, within three standard deviations
-  of the median at p = 0.5, it reaches 1e-12 at n = 1e3, 3.2e-10 at 1e5,
-  2.0e-9 at 1e6 and 2.2e-8 at 1e7.
+  the ``lgamma`` prefactor: against scipy, over every count within three
+  standard deviations of the median at p = 0.5, it reaches 1e-12 at n = 1e3,
+  3.3e-10 at 1e5, 2.7e-9 at 1e6 and 3.0e-8 at 1e7.
 * ``binomial_range_mass`` (the partial sum behind ``acceptance_probability``,
   its only caller) forms every term in log space and adds them with
   ``math.fsum``, exactly rounded, so results at n ~ 7000 keep their 1e-4
