@@ -194,7 +194,7 @@ def _read_blocks(f, head: bytes, devices: int, positions: int, repeats: int):
     for offset in range(_HEADER_LEN, end, step):
         block = buffer[:min(step, end - offset)]
         got = f.readinto(block)
-        if got < len(block):  # the file shrank after its size was taken
+        if got < len(block):  # the file shrank after its size was taken: raises
             _binary_dims(head, offset + got)
         _check_padding(block, positions, offset)
         yield block

@@ -190,6 +190,27 @@ def test_binary_counts_give_the_same_outcome_from_every_source(blob, outcome, tm
             assert_same_counts(load_measurement_counts(source), tensor_path(blob))
 
 
+class Shrunk(io.BytesIO):
+    """A file whose size, as seeking to its end reports it, is ``extra``
+    bytes more than can be read: one that shrank after its size was taken."""
+
+    def __init__(self, blob, extra):
+        super().__init__(blob)
+        self.extra = extra
+
+    def seek(self, pos, whence=io.SEEK_SET):
+        return super().seek(pos, whence) + (self.extra if whence == io.SEEK_END else 0)
+
+
+def test_binary_counts_reject_a_file_that_shrinks_while_read():
+    # the reported size passes the size check, the read comes back short, and
+    # the error is the one a file of the read size gets, not a vote of stale bytes
+    blob = _binary_header(2, 9, 1) + bytes(2)
+    with pytest.raises(FormatError) as info:
+        load_measurement_counts(Shrunk(blob, extra=2))
+    assert str(info.value) == "byte 19: truncated payload, expected 4 bit-packed bytes, found 2"
+
+
 @given(devices=st.integers(1, 40), positions=st.integers(1, 29), repeats=st.integers(1, 17),
        block_bytes=st.integers(1, 300), fmt=st.sampled_from(["csv", "binary"]),
        seed=st.integers(0, 2**32 - 1))
