@@ -100,8 +100,9 @@ def write_measurements(m: MeasurementTensor, dest, fmt: str = "csv") -> None:
         grid[:, -1] = ord("\n")
         blob = f"{m.devices},{m.positions},{m.repeats}\n".encode("ascii") + grid.tobytes()
     elif fmt == "binary":
-        dims = (d.to_bytes(4, "little") for d in (m.devices, m.positions, m.repeats))
-        blob = MAGIC + bytes([VERSION]) + b"".join(dims) + m.rows.tobytes()
+        blob = (MAGIC + bytes([VERSION]) + m.devices.to_bytes(4, "little")
+                + m.positions.to_bytes(4, "little") + m.repeats.to_bytes(4, "little")
+                + m.rows.tobytes())
     else:
         raise FormatError(f"unknown measurement format {fmt!r}, expected 'csv' or 'binary'")
     _write(dest, blob)
@@ -119,7 +120,8 @@ def _csv_rows(payload: bytes) -> tuple[bytes, int, int, int]:
     # only "\n" ends a line (no UTF-8 sequence holds its byte); strip() takes
     # the "\r" of a CRLF.  A line is decoded only where text rules apply.
     lines = payload.split(b"\n")
-    devices, positions, repeats = dims = _parse_int_fields(lines[0].decode(), 3, 1, "N,T,M")
+    dims = _parse_int_fields(lines[0].decode(), 3, 1, "N,T,M")
+    devices, positions, repeats = dims
     if min(dims) < 1:
         raise FormatError("line 1: dimensions must all be >= 1")
     expected = devices * repeats
