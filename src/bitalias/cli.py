@@ -9,22 +9,19 @@ position is rejected (or a check fails / an early stop advises aborting),
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .confidence import (ALIAS_GRID, DEVICE_GRID, METHODS, ci_width, plan_devices_exact,
                          plan_devices_normal)
-from .entropy import EntropySpec, limits_from_spec
 from .errors import BitAliasError
-from .qualification import AliasLimits, early_stop_decision, test_position, \
-    plan_devices_frr
-from .report import REPORT_FORMATS
 
-# simulate and validate load numpy, so only their commands import them;
-# analyze and early-stop load analysis and formats, which need no numpy.
+# Each command imports only the modules it runs: a child compiles every line it imports.
 
 DEFAULT_LIMITS = (0.45, 0.55)
-# simulate.ALIAS_PROFILES, named here so that building the parser needs no numpy
+# simulate.ALIAS_PROFILES and report.REPORT_FORMATS, named here for the parser
 ALIAS_PROFILE_NAMES = ("balanced", "linear")
+REPORT_FORMATS = ("text", "json", "csv")
 
 
 def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
@@ -43,9 +40,11 @@ def _limit_source(args) -> tuple[AliasLimits | None, EntropySpec | None]:
     if args.min_entropy is not None and args.shannon_entropy is not None:
         raise BitAliasError("give at most one of --min-entropy and --shannon-entropy")
     if args.min_entropy is None and args.shannon_entropy is None:
+        from .qualification import AliasLimits
         p_low = DEFAULT_LIMITS[0] if args.p_low is None else args.p_low
         p_high = DEFAULT_LIMITS[1] if args.p_high is None else args.p_high
         return AliasLimits(p_l=p_low, p_u=p_high), None
+    from .entropy import EntropySpec
     spec = (EntropySpec(kind="min", value=args.min_entropy) if args.min_entropy is not None
             else EntropySpec(kind="shannon", value=args.shannon_entropy))
     if args.p_low is not None or args.p_high is not None:
@@ -55,7 +54,10 @@ def _limit_source(args) -> tuple[AliasLimits | None, EntropySpec | None]:
 
 def _limits(args) -> AliasLimits:
     limits, spec = _limit_source(args)
-    return limits if spec is None else limits_from_spec(spec)
+    if spec is not None:
+        from .entropy import limits_from_spec
+        limits = limits_from_spec(spec)
+    return limits
 
 
 def _emit(blob: bytes, out: str | None) -> None:
@@ -94,6 +96,7 @@ def _cmd_plan(args) -> int:
         print(f"devices={plan.devices} method={plan.method} "
               f"target_width={plan.target_width} alpha={plan.alpha}")
         return 0
+    from .qualification import plan_devices_frr
     limits = _limits(args)
     plan = plan_devices_frr(limits, (args.inner_low, args.inner_high),
                             args.alpha, args.beta)
@@ -103,6 +106,7 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .qualification import test_position
     verdict = test_position(args.x, args.n, _limits(args), args.alpha)
     print(f"x={verdict.ones} n={args.n} accepted={'yes' if verdict.accepted else 'no'} "
           f"p_value_lower={verdict.p_value_lower:.6g} "
@@ -112,6 +116,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_early_stop(args) -> int:
     from .formats import load_counts, load_measurement_counts
+    from .qualification import early_stop_decision
 
     counts = load_counts(args.file) if args.counts else load_measurement_counts(args.file)[0]
     advice = early_stop_decision(counts, _limits(args), args.alpha,
@@ -258,6 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # simulate and validate never do linear algebra, but loading numpy starts
+    # an OpenBLAS worker that busy-waits: ask for one thread before numpy
+    # loads, unless it has (an in-process call), and keep a user's setting
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -227,8 +227,12 @@ def plan_devices_normal(target_width, alpha) -> PlanResult:
     target_width = _as_probability(target_width, "target_width", bounds="(0, 1)")
     alpha = _check_alpha(alpha)
     z = _z_for(alpha)
-    return PlanResult(devices=math.ceil((z / target_width) ** 2), alpha=alpha,
-                      method="normal", target_width=target_width)
+    try:
+        devices = math.ceil((z / target_width) ** 2)
+    except OverflowError:
+        raise DomainError(f"width {target_width} is too small: (z / width)^2 overflows") from None
+    return PlanResult(devices=devices, alpha=alpha, method="normal",
+                      target_width=target_width)
 
 
 def worst_case_width(method: str, n: int, alpha: float) -> float:
@@ -247,10 +251,12 @@ def plan_devices_exact(method: str, target_width, alpha) -> PlanResult:
     """Smallest device count whose worst-case width meets the target.
 
     Candidates are even counts, so the balanced worst case is realizable at
-    every probe.  Outward probes from the normal-approximation count (rounded
-    up to even), then binary search, end on a bracket that certifies the
-    result N: width(N) <= target < width(N - 2), with N - 2 probed, or N = 2.
-    Targets unreachable below the device cap raise CapacityError.
+    every probe.  Outward probes from a start (rounded up to even), then binary
+    search, end on a bracket that certifies the result N: width(N) <= target <
+    width(N - 2), with N - 2 probed, or N = 2.  Wilson starts at the normal
+    count (z/w)^2; Clopper-Pearson, whose width at n/2 is about z/sqrt(n) + 1/n,
+    at ((z + sqrt(z^2 + 4w)) / 2w)^2, at most 6 devices above the answer at
+    alpha >= 0.01.  Targets unreachable below the device cap raise CapacityError.
     """
     _as_choice(method, "method", ("wilson", "clopper_pearson"))
     target_width = _as_probability(target_width, "target_width", bounds="(0, 1)")
@@ -259,6 +265,8 @@ def plan_devices_exact(method: str, target_width, alpha) -> PlanResult:
     def ok(n: int) -> bool:
         return worst_case_width(method, n, alpha) <= target_width
 
-    guess = plan_devices_normal(target_width, alpha).devices
-    n = _bisect(ok, *_bracket(ok, guess + guess % 2, f"width {target_width}", 2), step=2)
+    z, w = _z_for(alpha), target_width
+    root = z / w if method == "wilson" else (z + math.sqrt(z * z + 4.0 * w)) / (2.0 * w)
+    guess = math.ceil(min(root, PLANNER_DEVICE_CAP) ** 2)  # _bracket clamps it to the cap
+    n = _bisect(ok, *_bracket(ok, guess + guess % 2, f"width {w}", 2), step=2)
     return PlanResult(devices=n, alpha=alpha, method=method, target_width=target_width)

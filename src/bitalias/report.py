@@ -1,9 +1,9 @@
 """Report rendering: an analysis result as a text table, JSON, or CSV.
 
 ``render_report`` serializes an ``analysis.AnalysisResult``; all three
-formats are byte-stable for fixed input.  The module needs no arrays, so the
-command-line parser can read ``REPORT_FORMATS`` without loading numpy, and it
-imports ``json`` only when a JSON report is rendered.
+formats are byte-stable for fixed input.  The module needs no arrays, so
+``analyze`` renders a report without loading numpy, and it imports ``json``
+only when a JSON report is rendered.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .response import MeasurementTensor
 from .special import Record, _as_choice, _as_count, _as_probability
 
 ALIAS_PROFILES = {
@@ -85,6 +84,8 @@ def simulate_population(spec: PopulationSpec) -> MeasurementTensor:
     consumes the stream exactly as one whole draw would, and each block of
     flips is packed straight into the tensor's rows.
     """
+    from .response import MeasurementTensor  # here, so validate's draws skip it
+
     rng = rng_stream(spec.seed)
     p = spec.alias_vector()
     n, t, m = spec.devices, spec.positions, spec.repeats

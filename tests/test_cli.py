@@ -123,6 +123,17 @@ class TestPlanCommand:
             "error: alpha must be at least 1e-323, where alpha/2 is still positive, "
             "got 5e-324\n")
 
+    @pytest.mark.parametrize("method, message", [
+        ("normal", "width 1e-160 is too small: (z / width)^2 overflows"),
+        ("wilson", "width 1e-160 unreachable below 10000000 devices"),
+        ("clopper_pearson", "width 1e-160 unreachable below 10000000 devices"),
+    ], ids=["normal", "wilson", "clopper_pearson"])
+    def test_width_whose_count_overflows_exits_two(self, capsys, method, message):
+        # (z / width)^2 overflows a float below a width of about 1.2e-154
+        assert main(["plan", "width", "--width", "1e-160", "--method", method]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
     def test_frr_planning_smoke(self, capsys):
         rc = main(["plan", "frr", "--inner-low", "0.3", "--inner-high", "0.7",
                    "--p-low", "0.1", "--p-high", "0.9", "--beta", "0.2",
@@ -223,8 +234,9 @@ class TestSimulateCommand:
         assert m.positions == 3
 
     def test_unknown_alias_token_exits_two(self, tmp_path, capsys):
-        from bitalias import cli, simulate
+        from bitalias import cli, report, simulate
         assert cli.ALIAS_PROFILE_NAMES == tuple(simulate.ALIAS_PROFILES)
+        assert cli.REPORT_FORMATS == report.REPORT_FORMATS
         for alias, message in (
                 ("zebra", "alias profile must be one of ('balanced', 'linear'), got 'zebra'"),
                 ("nan", "alias probabilities must lie in [0, 1]")):
@@ -393,41 +405,96 @@ class TestNumpyFreeCommands:
 
 
 # Runs `bitalias ARGS...` (or only builds the parser when there are none) and
-# prints, on stderr, the exit code and which of the modules that start-up must
-# not pay for were loaded.
+# prints, on stderr, the exit code, which of the modules that start-up must
+# not pay for were loaded, and the package's submodules that were loaded.
 _STARTUP_PROBE = """
 import sys
 import bitalias.cli as cli
 code = cli.main(sys.argv[1:]) if sys.argv[1:] else cli.build_parser() and 0
 loaded = sorted({"dataclasses", "inspect", "statistics", "numpy", "typing", "pathlib"}
                 & set(sys.modules))
-print(code, loaded, file=sys.stderr)
+package = sorted(name[9:] for name in sys.modules if name.startswith("bitalias."))
+print(code, loaded, " ".join(package), file=sys.stderr)
+"""
+_BASE = "cli confidence errors special"
+
+
+def _run_startup_probe(argv, tmp_path, site=False):
+    """The probe's last stderr line, from a child run without site packages
+    unless site is set."""
+    import os
+    import subprocess
+    import sys
+
+    import bitalias
+    readme_csv = tmp_path / "readme.csv"
+    readme_csv.write_text("2,3,2\n0,1,0\n0,1,1\n1,1,0\n1,0,0\n")
+    argv = [arg.format(readme_csv=readme_csv) for arg in argv]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bitalias.__file__))}
+    flags = [] if site else ["-S"]
+    proc = subprocess.run([sys.executable, *flags, "-c", _STARTUP_PROBE, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.splitlines()[-1]
+
+
+# Runs `bitalias validate`, which loads numpy, and prints OPENBLAS_NUM_THREADS
+# and the process's thread count (1 where /proc is missing).
+_BLAS_PROBE = """
+import os, sys
+from bitalias.cli import main
+main(["validate", "--kind", "frr", "--p", "0.5", "--devices", "100", "--trials", "1000",
+      "--seed", "1"])
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else 1
+print(os.environ.get("OPENBLAS_NUM_THREADS"), threads, file=sys.stderr)
 """
 
 
 class TestStartupImports:
-    @pytest.mark.parametrize("argv,code", [
-        ([], 0),
-        (["plan", "width", "--width", "0.1"], 0),
-        (["plan", "frr", "--inner-low", "0.48", "--inner-high", "0.52"], 0),
-        (["check", "--x", "340", "--n", "680"], 0),
-        (["analyze", "{readme_csv}"], 1),
-    ], ids=["build_parser", "plan-width", "plan-frr", "check", "analyze"])
+    # Each command loads only the submodules it runs: qualification for
+    # limits, entropy for an entropy floor, report only in analyze.
+    @pytest.mark.parametrize("argv,code,modules", [
+        ([], 0, _BASE),
+        (["plan", "width", "--width", "0.1"], 0, _BASE),
+        (["curve"], 0, _BASE),
+        (["plan", "frr", "--inner-low", "0.48", "--inner-high", "0.52"], 0,
+         "cli confidence errors qualification special"),
+        (["check", "--x", "340", "--n", "680"], 0,
+         "cli confidence errors qualification special"),
+        (["check", "--x", "340", "--n", "680", "--min-entropy", "0.9"], 1,
+         "cli confidence entropy errors qualification special"),
+        (["analyze", "{readme_csv}"], 1, "analysis cli confidence entropy errors formats "
+                                         "qualification report response special"),
+    ], ids=["build_parser", "plan-width", "curve", "plan-frr", "check", "check-entropy",
+            "analyze"])
     def test_commands_load_no_dataclasses_inspect_statistics_or_numpy(self, argv, code,
-                                                                       tmp_path):
+                                                                       modules, tmp_path):
+        assert _run_startup_probe(argv, tmp_path) == f"{code} [] {modules}"
+
+    @pytest.mark.parametrize("kind", ["coverage", "frr"])
+    def test_validate_loads_no_response_entropy_or_report(self, kind, tmp_path):
+        line = _run_startup_probe(["validate", "--kind", kind, "--p", "0.5", "--devices",
+                                   "100", "--trials", "1000", "--seed", "1"], tmp_path,
+                                  site=True)
+        assert line.split("] ")[-1] == \
+            "cli confidence errors qualification simulate special validate"
+
+    @pytest.mark.parametrize("given,expected", [(None, "1 1"), ("3", "3")])
+    def test_numpy_runs_on_one_blas_thread_unless_the_user_says(self, given, expected):
+        # numpy's OpenBLAS starts a busy-waiting worker per CPU when it loads;
+        # the CLI asks for one thread, so the process keeps a single thread
         import os
         import subprocess
         import sys
 
         import bitalias
-        readme_csv = tmp_path / "readme.csv"
-        readme_csv.write_text("2,3,2\n0,1,0\n0,1,1\n1,1,0\n1,0,0\n")
-        argv = [arg.format(readme_csv=readme_csv) for arg in argv]
-        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bitalias.__file__))}
-        proc = subprocess.run([sys.executable, "-S", "-c", _STARTUP_PROBE, *argv],
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bitalias.__file__)),
+               "OPENBLAS_NUM_THREADS": given}
+        env = {key: value for key, value in env.items() if value is not None}
+        proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-1] == f"{code} []"
+        assert proc.stderr.splitlines()[-1].startswith(expected)
 
 
 class TestValidateCommand:

@@ -258,6 +258,12 @@ class TestPlanDevicesExact:
     def test_unreachable_target_raises(self):
         with pytest.raises(CapacityError):
             plan_devices_exact("wilson", 1e-5, 0.01)
+        # (z / width)^2 overflows a float here; the start is clamped to the cap
+        for method in ("wilson", "clopper_pearson"):
+            for width in (1e-160, 5e-324):
+                with pytest.raises(CapacityError,
+                                   match=f"^width {width} unreachable below 10000000"):
+                    plan_devices_exact(method, width, 0.01)
 
     def test_searches_up_to_the_device_cap(self):
         # The answer lies between 2**23 and the 10**7 cap, where doubling
