@@ -223,14 +223,13 @@ ALIAS_GRID = tuple(round(i * 0.01, 2) for i in range(101))
 
 def plan_devices_normal(target_width, alpha) -> PlanResult:
     """First-cut device count from the normal approximation at alias 0.5:
-    ceil((z / target_width)^2)."""
+    ceil((z / target_width)^2).  Above the device cap it raises CapacityError,
+    as the exact planners do (z / target_width is clamped before squaring)."""
     target_width = _as_probability(target_width, "target_width", bounds="(0, 1)")
     alpha = _check_alpha(alpha)
-    z = _z_for(alpha)
-    try:
-        devices = math.ceil((z / target_width) ** 2)
-    except OverflowError:
-        raise DomainError(f"width {target_width} is too small: (z / width)^2 overflows") from None
+    devices = math.ceil(min(_z_for(alpha) / target_width, PLANNER_DEVICE_CAP) ** 2)
+    if devices > PLANNER_DEVICE_CAP:
+        raise CapacityError(f"width {target_width} unreachable below {PLANNER_DEVICE_CAP} devices")
     return PlanResult(devices=devices, alpha=alpha, method="normal",
                       target_width=target_width)
 

@@ -17,32 +17,24 @@ line or byte offset.  The text parsers accept whitespace around fields, CRLF
 line ends and trailing blank lines; the writers never emit them.  Only
 ``"\n"`` ends a line.
 
-Both measurement encodings parse to the binary format's packed rows as
-bytes, the layout a `MeasurementTensor` holds and `response._count_voted`
-votes, with no numpy.  A tensor's rows are a view of a binary file's bytes;
-counting one reads it a block of devices at a time into one buffer.  A CSV
-line as the writer emits it (0/1 at the even byte offsets, commas at the
-odd ones) is packed with one ``int(symbols[::-1], 2)`` on its bytes; any other
-line is decoded and checked field by field, which builds the error message.
-``load_counts`` gives a tuple of ints.
+Each measurement encoding has one reader, which gives the binary format's
+packed rows (what a `MeasurementTensor` holds and `response._count_voted`
+votes) a block of devices at a time, with no numpy.  A CSV line as the writer
+emits it (0/1 at the even byte offsets, commas at the odd ones) is packed
+with one ``int(symbols[::-1], 2)`` on its bytes; any other line is decoded
+and checked field by field, which builds the error message.  Only a source
+that cannot seek is read whole.  ``load_counts`` gives a tuple of ints.
 """
 
 import io
 import os
 
 from .errors import FormatError
-from .response import MeasurementTensor, PositionCounts, _block_bytes, _blocks, _count_voted
+from .response import MeasurementTensor, PositionCounts, _block_bytes, _count_voted
 
 MAGIC = b"PUFB"
 VERSION = 1
 _HEADER_LEN = 4 + 1 + 12  # magic, version, three uint32 dims
-
-
-def _read(source) -> bytes:
-    if hasattr(source, "read"):
-        return source.read()
-    with open(os.fspath(source), "rb") as f:
-        return f.read()
 
 
 def _write(dest, blob: bytes) -> None:
@@ -54,38 +46,34 @@ def _write(dest, blob: bytes) -> None:
 
 
 def load_measurements(source) -> MeasurementTensor:
-    """Read a measurement tensor from a path or binary file object; a binary
-    file's rows are wrapped, not copied."""
-    payload = _read(source)
-    if payload[:4] != MAGIC:
-        rows, _, positions, repeats = _csv_rows(payload)
-    else:
-        _, positions, repeats = _binary_dims(payload[:_HEADER_LEN], len(payload))
-        rows = memoryview(payload)[_HEADER_LEN:]
-        _check_padding(rows, positions, _HEADER_LEN)
-    return MeasurementTensor(_packed=(rows, positions, repeats))
+    """Read a measurement tensor from a path or binary file object, its rows
+    read as one block: a binary file's bytes straight into them."""
+    return _with_blocks(source, lambda blocks, devices, *dims: MeasurementTensor(
+        _packed=(*blocks, *dims)), whole=True)
 
 
 def load_measurement_counts(source) -> tuple[PositionCounts, int, int]:
     """Read a measurement file straight to ``(counts, repeats, tie_count)``:
-    what ``count_ones(derive_noise_free_response(load_measurements(f)))``
-    gives, voted one block of devices at a time without numpy.  A binary file
-    is read a block at a time, after its header and size are checked, so peak
-    memory is about one block plus the counts; a CSV file, or a source that
-    cannot seek, is read whole."""
+    ``count_ones(derive_noise_free_response(load_measurements(f)))``, voted a
+    block of devices at a time without numpy, in memory of about one block."""
+    return _with_blocks(source, _count_voted)
+
+
+def _with_blocks(source, use, whole: bool = False):
+    """``use(blocks, N, T, M)`` of a measurement file's blocks of packed rows,
+    as its format's reader gives them: `_block_bytes` each, or all in one if
+    ``whole``.  A source that cannot seek is read into memory first."""
     if not hasattr(source, "read"):
-        with open(os.fspath(source), "rb") as f:
-            return load_measurement_counts(f)
+        # a 64 KiB buffer halves the time to read a file's lines, against 8 KiB
+        with open(os.fspath(source), "rb", buffering=1 << 16) as f:
+            return _with_blocks(f, use, whole)
     if not (hasattr(source, "seekable") and source.seekable()):
         source = io.BytesIO(source.read())
     start = source.tell()
-    head = source.read(_HEADER_LEN)
-    if head[:4] == MAGIC:
-        dims = _binary_dims(head, source.seek(0, os.SEEK_END) - start)
-        source.seek(start + _HEADER_LEN)
-        return _count_voted(_read_blocks(source, head, *dims), *dims)
-    rows, *dims = _csv_rows(head + source.read())
-    return _count_voted(_blocks(rows, *dims[1:]), *dims)
+    binary = source.read(4) == MAGIC
+    source.seek(start)
+    blocks = (_read_blocks if binary else _csv_blocks)(source, whole)
+    return use(blocks, *next(blocks))
 
 
 def write_measurements(m: MeasurementTensor, dest, fmt: str = "csv") -> None:
@@ -108,52 +96,62 @@ def write_measurements(m: MeasurementTensor, dest, fmt: str = "csv") -> None:
     _write(dest, blob)
 
 
-def _csv_rows(payload: bytes) -> tuple[bytes, int, int, int]:
-    """Check a CSV measurement file; return its N*M rows of ceil(T/8) bytes,
-    packed a line at a time, N, T and M."""
-    try:
-        payload.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"byte {exc.start}: not a text measurement file") from None
-    if not payload:
+def _csv_blocks(f, whole: bool):
+    """The CSV reader, from ``f``'s position.  One pass over the lines checks
+    the text, the header and the count of data lines, then (N, T, M) is
+    yielded; a second packs the lines a block of devices (all if ``whole``) at
+    a time, checking each.  A block grows by checked rows only, so a header
+    never sizes an allocation; a line gone since the count, or no longer
+    UTF-8, fails its check."""
+    start, offset, header, data = f.tell(), 0, None, 0
+    # only "\n" ends a line, and no UTF-8 sequence holds its byte, so the
+    # first bad byte of the first bad line is the file's first bad byte
+    for i, line in enumerate(f):
+        try:
+            text = line.decode()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"byte {offset + exc.start}: not a text measurement file") from None
+        offset += len(line)
+        if not i:
+            header, body = text, offset
+        elif not text.isspace():
+            data = i  # data lines up to the last non-blank one
+    if header is None:
         raise FormatError("line 1: empty file, expected header 'N,T,M'")
-    # only "\n" ends a line (no UTF-8 sequence holds its byte); strip() takes
-    # the "\r" of a CRLF.  A line is decoded only where text rules apply.
-    lines = payload.split(b"\n")
-    dims = _parse_int_fields(lines[0].decode(), 3, 1, "N,T,M")
-    devices, positions, repeats = dims
+    devices, positions, repeats = dims = _parse_int_fields(header, 3, 1, "N,T,M")
     if min(dims) < 1:
         raise FormatError("line 1: dimensions must all be >= 1")
-    expected = devices * repeats
-    data_lines = lines[1:]
-    while data_lines and not data_lines[-1].decode().strip():
-        data_lines.pop()
-    if len(data_lines) < expected:
+    lines = devices * repeats
+    if data < lines:
         raise FormatError(
-            f"line {len(data_lines) + 2}: truncated payload, expected {expected} data lines, "
-            f"found {len(data_lines)}")
-    if len(data_lines) > expected:
+            f"line {data + 2}: truncated payload, expected {lines} data lines, found {data}")
+    if data > lines:
         raise FormatError(
-            f"line {expected + 2}: dimension mismatch, expected exactly {expected} data lines")
-    # rows of checked lines only, so a header alone never sizes an allocation
+            f"line {lines + 2}: dimension mismatch, expected exactly {lines} data lines")
+    f.seek(start + body)
+    yield dims
     row_bytes = (positions + 7) // 8
-    rows = []
-    for row, line in enumerate(data_lines):
-        symbols = line[::2]
-        if not (len(line) == 2 * positions - 1 and line[1::2].count(b",") == positions - 1
-                and not symbols.translate(None, b"01")):
-            fields = [token.strip() for token in line.decode().split(",")]
-            if len(fields) != positions:
-                raise FormatError(
-                    f"line {row + 2}: expected {positions} values, found {len(fields)}")
-            if not {"0", "1"}.issuperset(fields):
-                col, token = next((c, t) for c, t in enumerate(fields) if t not in ("0", "1"))
-                raise FormatError(
-                    f"line {row + 2}: non-binary symbol {token!r} in field {col + 1}")
-            symbols = "".join(fields)
-        # the first symbol is bit 0 of the row
-        rows.append(int(symbols[::-1], 2).to_bytes(row_bytes, "little"))
-    return b"".join(rows), devices, positions, repeats
+    per_block = lines if whole else _block_bytes(positions, repeats) // row_bytes
+    for first in range(0, lines, per_block):
+        block = bytearray()
+        for row in range(first, min(first + per_block, lines)):
+            # strip() takes the "\r" of a CRLF; only a line off the fast path is decoded
+            line = f.readline().rstrip(b"\n")
+            symbols = line[::2]
+            if not (len(line) == 2 * positions - 1 and line[1::2].count(b",") == positions - 1
+                    and not symbols.translate(None, b"01")):
+                fields = [token.strip() for token in line.decode(errors="replace").split(",")]
+                if len(fields) != positions:
+                    raise FormatError(
+                        f"line {row + 2}: expected {positions} values, found {len(fields)}")
+                if not {"0", "1"}.issuperset(fields):
+                    col, token = next((c, t) for c, t in enumerate(fields) if t not in ("0", "1"))
+                    raise FormatError(
+                        f"line {row + 2}: non-binary symbol {token!r} in field {col + 1}")
+                symbols = "".join(fields)
+            # the first symbol is bit 0 of the row
+            block += int(symbols[::-1], 2).to_bytes(row_bytes, "little")
+        yield block
 
 
 def _binary_dims(head: bytes, size: int) -> tuple[int, int, int]:
@@ -174,38 +172,41 @@ def _binary_dims(head: bytes, size: int) -> tuple[int, int, int]:
     return devices, positions, repeats
 
 
-def _check_padding(rows, positions: int, offset: int) -> None:
-    """Reject the first of a binary file's rows from byte ``offset`` on with a padding bit set."""
-    if positions % 8:
-        # the padding bits are the high bits of each row's last byte; the
-        # table maps a byte to 1 when any of them is set
-        row_bytes = (positions + 7) // 8
-        table = bytes(b >> positions % 8 != 0 for b in range(256))
-        bad = bytes(rows[row_bytes - 1::row_bytes]).translate(table).find(1)
-        if bad >= 0:
-            raise FormatError(f"byte {offset + bad * row_bytes + positions // 8}: "
-                              "nonzero padding bits")
-
-
-def _read_blocks(f, head: bytes, devices: int, positions: int, repeats: int):
-    """A checked binary file's rows, read from ``f`` after the header a block
-    at a time into one buffer, each block's padding checked as it is read."""
-    end = _HEADER_LEN + devices * repeats * ((positions + 7) // 8)
-    step = _block_bytes(positions, repeats)
+def _read_blocks(f, whole: bool):
+    """The binary reader, from ``f``'s position: it checks the header and size
+    and yields (N, T, M), then reads a block of devices (all if ``whole``) at a
+    time into one buffer, yielding each once its padding bits are checked."""
+    start = f.tell()
+    head = f.read(_HEADER_LEN)
+    devices, positions, repeats = dims = _binary_dims(head, f.seek(0, os.SEEK_END) - start)
+    f.seek(start + _HEADER_LEN)
+    yield dims
+    row_bytes = (positions + 7) // 8
+    end = _HEADER_LEN + devices * repeats * row_bytes
+    step = end - _HEADER_LEN if whole else _block_bytes(positions, repeats)
+    # the padding bits are the high bits of each row's last byte (none when
+    # 8 divides T); the table maps a byte to 1 when any of them is set
+    table = bytes(b >> (positions % 8 or 8) != 0 for b in range(256))
     buffer = memoryview(bytearray(min(step, end - _HEADER_LEN)))
     for offset in range(_HEADER_LEN, end, step):
         block = buffer[:min(step, end - offset)]
         got = f.readinto(block)
         if got < len(block):  # the file shrank after its size was taken: raises
             _binary_dims(head, offset + got)
-        _check_padding(block, positions, offset)
+        bad = bytes(block[row_bytes - 1::row_bytes]).translate(table).find(1)
+        if bad >= 0:
+            raise FormatError(f"byte {offset + bad * row_bytes + positions // 8}: "
+                              "nonzero padding bits")
         yield block
 
 
 def load_counts(source) -> PositionCounts:
     """Read a pre-counted (counts of 1s, device count) file."""
+    if not hasattr(source, "read"):
+        with open(os.fspath(source), "rb") as f:
+            return load_counts(f)
     try:
-        text = _read(source).decode("utf-8")
+        text = source.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"byte {exc.start}: not a text counts file") from None
     # (line number in the file, text) of the non-blank lines

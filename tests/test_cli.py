@@ -123,16 +123,17 @@ class TestPlanCommand:
             "error: alpha must be at least 1e-323, where alpha/2 is still positive, "
             "got 5e-324\n")
 
-    @pytest.mark.parametrize("method, message", [
-        ("normal", "width 1e-160 is too small: (z / width)^2 overflows"),
-        ("wilson", "width 1e-160 unreachable below 10000000 devices"),
-        ("clopper_pearson", "width 1e-160 unreachable below 10000000 devices"),
-    ], ids=["normal", "wilson", "clopper_pearson"])
-    def test_width_whose_count_overflows_exits_two(self, capsys, method, message):
-        # (z / width)^2 overflows a float below a width of about 1.2e-154
-        assert main(["plan", "width", "--width", "1e-160", "--method", method]) == 2
+    @pytest.mark.parametrize("method, width", [
+        ("normal", "1e-160"), ("wilson", "1e-160"), ("clopper_pearson", "1e-160"),
+        ("normal", "1e-100"),
+    ], ids=["normal", "wilson", "clopper_pearson", "normal-above-cap"])
+    def test_width_whose_count_overflows_exits_two(self, capsys, method, width):
+        # (z / width)^2 overflows a float below a width of about 1.2e-154; at
+        # 1e-100 it is a float, about 6.6e200, but far above the device cap
+        assert main(["plan", "width", "--width", width, "--method", method]) == 2
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert (captured.out, captured.err) == (
+            "", f"error: width {width} unreachable below 10000000 devices\n")
 
     def test_frr_planning_smoke(self, capsys):
         rc = main(["plan", "frr", "--inner-low", "0.3", "--inner-high", "0.7",

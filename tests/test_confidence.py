@@ -215,8 +215,11 @@ class TestTinyAlpha:
         assert (normal.lower, normal.upper) == (0.0, 1.0)
         assert ci_width("normal", 0.5, 10, alpha) == pytest.approx(2 * z * math.sqrt(0.025),
                                                                    rel=1e-14)
-        plan = plan_devices_normal(0.01, alpha)
-        assert plan.devices == pytest.approx((z / 0.01) ** 2, abs=1)
+        if (z / 0.01) ** 2 <= 1e7:
+            assert plan_devices_normal(0.01, alpha).devices == pytest.approx((z / 0.01) ** 2, abs=1)
+        else:  # 1.4e7 devices at alpha = 1e-300, above the device cap
+            with pytest.raises(CapacityError):
+                plan_devices_normal(0.01, alpha)
         for method in ("normal", "wilson"):
             widths = [ci_width(method, 0.5, n, alpha) for n in (2, 20, 200)]
             assert widths == sorted(widths, reverse=True)
@@ -264,6 +267,13 @@ class TestPlanDevicesExact:
                 with pytest.raises(CapacityError,
                                    match=f"^width {width} unreachable below 10000000"):
                     plan_devices_exact(method, width, 0.01)
+
+    def test_normal_plan_obeys_the_device_cap(self):
+        # (z / w)^2 at alpha 0.01 passes 10^7 between these two widths
+        assert plan_devices_normal(0.00081455, 0.01).devices == 9999970
+        for width in (0.00081454, 1e-100, 1e-160, 5e-324):
+            with pytest.raises(CapacityError, match=f"^width {width} unreachable below 10000000"):
+                plan_devices_normal(width, 0.01)
 
     def test_searches_up_to_the_device_cap(self):
         # The answer lies between 2**23 and the 10**7 cap, where doubling

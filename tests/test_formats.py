@@ -178,16 +178,18 @@ def _sources(blob, tmp_path):
 
 
 @pytest.mark.parametrize("blob, outcome", [
-    (blob, outcome) for loader, blob, outcome in FILE_CASES
-    if loader is load_measurements and blob.startswith(b"PUFB")])
-def test_binary_counts_give_the_same_outcome_from_every_source(blob, outcome, tmp_path):
-    for kind, source in _sources(blob, tmp_path).items():
-        if isinstance(outcome, str):
-            with pytest.raises(FormatError) as info:
-                load_measurement_counts(source)
-            assert str(info.value) == outcome, kind
-        else:
-            assert_same_counts(load_measurement_counts(source), tensor_path(blob))
+    (blob, outcome) for loader, blob, outcome in FILE_CASES if loader is load_measurements])
+def test_measurement_loads_give_the_same_outcome_from_every_source(blob, outcome, tmp_path):
+    for load in (load_measurements, load_measurement_counts):
+        for kind, source in _sources(blob, tmp_path).items():
+            if isinstance(outcome, str):
+                with pytest.raises(FormatError) as info:
+                    load(source)
+                assert str(info.value) == outcome, (load.__name__, kind)
+            elif load is load_measurements:
+                assert load(source).bits.tolist() == outcome, kind
+            else:
+                assert_same_counts(load(source), tensor_path(blob))
 
 
 class Shrunk(io.BytesIO):
@@ -200,6 +202,38 @@ class Shrunk(io.BytesIO):
 
     def seek(self, pos, whence=io.SEEK_SET):
         return super().seek(pos, whence) + (self.extra if whence == io.SEEK_END else 0)
+
+
+class Rewritten(io.BytesIO):
+    """A file whose bytes become ``after`` once it has been read to the end
+    and sought back: one that changed between a CSV reader's two passes."""
+
+    def __init__(self, blob, after):
+        super().__init__(blob)
+        self.after = after
+
+    def seek(self, pos, whence=io.SEEK_SET):
+        if self.after is not None and self.tell() == len(self.getvalue()):
+            super().seek(0)
+            self.truncate()
+            self.write(self.after)
+            self.after = None
+        return super().seek(pos, whence)
+
+
+@pytest.mark.parametrize("load", [load_measurements, load_measurement_counts])
+@pytest.mark.parametrize("after, message", [
+    # the count passes on four lines; the packing finds two, and the first
+    # missing line fails its check instead of leaving a short block
+    (b"2,3,2\n0,1,0\n1,1,0\n", "line 4: expected 3 values, found 1"),
+    (b"2,3,2\n0,1,0\n\xff,1,0\n0,0,1\n1,0,1\n",
+     "line 3: non-binary symbol '\ufffd' in field 1"),
+], ids=["lines-lost", "not-utf8"])
+def test_csv_loads_reject_a_file_that_changes_between_passes(load, after, message):
+    blob = b"2,3,2\n0,1,0\n1,1,0\n0,0,1\n1,0,1\n"
+    with pytest.raises(FormatError) as info:
+        load(Rewritten(blob, after))
+    assert str(info.value) == message
 
 
 def test_binary_counts_reject_a_file_that_shrinks_while_read():
@@ -229,7 +263,8 @@ def test_streamed_counts_match_tensor_path(devices, positions, repeats, block_by
     assert_same_counts(got, tensor_path(buf.getvalue()))
 
 
-def test_binary_counts_hold_one_block_whatever_the_device_count(tmp_path, monkeypatch):
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+def test_counts_hold_one_block_whatever_the_device_count(tmp_path, monkeypatch, fmt):
     # four times the devices, with T and M unchanged, adds rows to read but
     # not to hold: the two peaks differ by the count planes, not the file.
     # Counts up to 256 are cached ints, so the count tuples weigh the same.
@@ -238,9 +273,9 @@ def test_binary_counts_hold_one_block_whatever_the_device_count(tmp_path, monkey
     rng = np.random.default_rng(10)
     peaks = []
     for devices in (64, 256):
-        path = tmp_path / f"m{devices}.puf"
+        path = tmp_path / f"m{devices}.{fmt}"
         bits = rng.integers(0, 2, size=(devices, positions, repeats), dtype=np.uint8)
-        write_measurements(MeasurementTensor(bits=bits), path, fmt="binary")
+        write_measurements(MeasurementTensor(bits=bits), path, fmt=fmt)
         tracemalloc.start()
         try:
             load_measurement_counts(path)
@@ -402,7 +437,8 @@ class TestRoundTrips:
         assert buf.getvalue() == _binary_header(devices, positions, repeats) + bytes(body)
 
     def test_binary_load_holds_the_file_bytes(self, tmp_path):
-        # the tensor is a view of the bytes read, never an unpacked copy
+        # the file's rows are read straight into the tensor's one buffer,
+        # never unpacked, and not copied from a buffer of the whole file
         rng = np.random.default_rng(8)
         path = tmp_path / "m.puf"
         m = MeasurementTensor(bits=rng.integers(0, 2, size=(64, 4099, 3), dtype=np.uint8))

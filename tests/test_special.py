@@ -270,7 +270,7 @@ def _bad_argument_calls():
     noise rates, alias values, trial counts, width device counts, interval
     bounds and seed paths across every public entry point that takes them."""
     from bitalias.confidence import (Interval, ci_clopper_pearson, ci_normal, ci_width,
-                                     ci_wilson, plan_devices_normal, worst_case_width)
+                                     ci_wilson, worst_case_width)
     from bitalias.entropy import EntropySpec, limits_from_min_entropy, limits_from_shannon_entropy
     from bitalias.qualification import (acceptance_region, early_stop_p_values,
                                         p_value_lower, p_value_upper, test_position)
@@ -328,8 +328,6 @@ def _bad_argument_calls():
         yield pytest.param(lambda bad=bad: ci_width("wilson", 0.5, bad, 0.01),
                            id=f"ci_width-n-{label}")
     yield pytest.param(lambda: worst_case_width("wilson", 7, 0.01), id="worst_case_width-n-odd")
-    yield pytest.param(lambda: plan_devices_normal(1e-160, 0.01),
-                       id="plan_devices_normal-count-overflows")
     yield pytest.param(lambda: Interval(0.6, 0.4, 0.01, "wilson"), id="Interval-reversed")
     yield pytest.param(lambda: ci_width("wilson", None, 20, 0.01), id="ci_width-p_hat-none")
     yield pytest.param(lambda: rng_stream(-1), id="rng_stream-negative")
