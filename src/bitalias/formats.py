@@ -19,11 +19,13 @@ line ends and trailing blank lines; the writers never emit them.  Only
 
 Each measurement encoding has one reader, which gives the binary format's
 packed rows (what a `MeasurementTensor` holds and `response._count_voted`
-votes) a block of devices at a time, with no numpy.  A CSV line as the writer
-emits it (0/1 at the even byte offsets, commas at the odd ones) is packed
-with one ``int(symbols[::-1], 2)`` on its bytes; any other line is decoded
-and checked field by field, which builds the error message.  Only a source
-that cannot seek is read whole.  ``load_counts`` gives a tuple of ints.
+votes) a block of devices at a time, with no numpy.  CSV lines are packed
+about 64 KiB at a time: when every line is as the writer emits it (0/1 at
+the even byte offsets, commas at the odd ones), one slice and compare checks
+them all and ``int(symbols[::-1], 2)`` packs them, one number for all the lines when
+8 divides T; otherwise each line is decoded and checked field by field, which
+builds the error message.  Only a source that cannot seek is read whole.
+``load_counts`` gives a tuple of ints.
 """
 
 import io
@@ -130,28 +132,41 @@ def _csv_blocks(f, whole: bool):
             f"line {lines + 2}: dimension mismatch, expected exactly {lines} data lines")
     f.seek(start + body)
     yield dims
-    row_bytes = (positions + 7) // 8
+    row_bytes, line_bytes = (positions + 7) // 8, 2 * positions
     per_block = lines if whole else _block_bytes(positions, repeats) // row_bytes
+    # about 64 KiB of lines at a time, checked at once against the commas and
+    # line ends the writer emits; a file too short to hold one such line gets
+    # no layout, so the header sizes no allocation
+    per_read = max(1, (1 << 16) // line_bytes)
+    layout = (b"," * (positions - 1) + b"\n") * per_read if line_bytes <= offset - body else b""
     for first in range(0, lines, per_block):
-        block = bytearray()
-        for row in range(first, min(first + per_block, lines)):
-            # strip() takes the "\r" of a CRLF; only a line off the fast path is decoded
-            line = f.readline().rstrip(b"\n")
-            symbols = line[::2]
-            if not (len(line) == 2 * positions - 1 and line[1::2].count(b",") == positions - 1
-                    and not symbols.translate(None, b"01")):
-                fields = [token.strip() for token in line.decode(errors="replace").split(",")]
-                if len(fields) != positions:
-                    raise FormatError(
-                        f"line {row + 2}: expected {positions} values, found {len(fields)}")
-                if not {"0", "1"}.issuperset(fields):
-                    col, token = next((c, t) for c, t in enumerate(fields) if t not in ("0", "1"))
-                    raise FormatError(
-                        f"line {row + 2}: non-binary symbol {token!r} in field {col + 1}")
-                symbols = "".join(fields)
-            # the first symbol is bit 0 of the row
-            block += int(symbols[::-1], 2).to_bytes(row_bytes, "little")
+        block, last = bytearray(), min(first + per_block, lines)
+        for row in range(first, last, per_read):
+            chunk = [f.readline() for _ in range(min(per_read, last - row))]
+            text = b"".join(chunk)
+            symbols = text[::2]
+            if (len(text) != len(chunk) * line_bytes or text[1::2] != layout[:len(symbols)]
+                    or symbols.translate(None, b"01")):
+                symbols = "".join(_csv_symbols(line, i, positions)
+                                  for i, line in enumerate(chunk, row + 2))
+            # rows hold no padding bits when 8 divides T, so then the read packs
+            # as one number; the first symbol is bit 0 of its row
+            step = len(symbols) if positions % 8 == 0 else positions
+            for i in range(0, len(symbols), step):
+                block += int(symbols[i:i + step][::-1], 2).to_bytes((step + 7) // 8, "little")
         yield block
+
+
+def _csv_symbols(line: bytes, lineno: int, positions: int) -> str:
+    """A CSV data line's symbols, checked field by field; the error names the
+    line and the first field at fault.  strip() takes the "\r" of a CRLF."""
+    fields = [token.strip() for token in line.rstrip(b"\n").decode(errors="replace").split(",")]
+    if len(fields) != positions:
+        raise FormatError(f"line {lineno}: expected {positions} values, found {len(fields)}")
+    if not {"0", "1"}.issuperset(fields):
+        col, token = next((c, t) for c, t in enumerate(fields) if t not in ("0", "1"))
+        raise FormatError(f"line {lineno}: non-binary symbol {token!r} in field {col + 1}")
+    return "".join(fields)
 
 
 def _binary_dims(head: bytes, size: int) -> tuple[int, int, int]:

@@ -6,6 +6,9 @@ coverage for a chosen estimator, the false acceptance rate at an out-of-range
 alias, or the false rejection rate at an in-range alias.  Every kind counts
 the draws inside one count range: the acceptance region (for false rejection,
 one minus that share), or the run of counts whose interval contains the alias.
+The draws come from one seeded stream in fixed chunks, which give the numbers
+one call for all of them would, so memory does not depend on the number of
+trials and time grows linearly with it; an empty range takes no draws.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from .special import (Record, _as_choice, _as_count, _as_probability, _check_alp
                       _check_counts)
 
 KINDS = ("coverage", "far", "frr")
+# draws per chunk (64 KiB of int64); the stream gives the same numbers whatever the chunk
+_CHUNK = 8192
 
 
 class CoverageParams(Record):
@@ -67,9 +72,12 @@ def monte_carlo_validate(kind: str, params, trials: int, seed: int,
         p = _as_probability(params.p, "p")
         region = acceptance_region(params.devices, params.limits, params.alpha)
         n, counted = region.devices, None if region.is_empty else (region.x_l, region.x_u)
-    draws = rng.binomial(n, p, size=trials)
-    inside = 0 if counted is None else int(
-        np.count_nonzero((draws >= counted[0]) & (draws <= counted[1])))
+    inside = 0
+    if counted is not None:
+        low, high = counted
+        for done in range(0, trials, _CHUNK):
+            draws = rng.binomial(n, p, size=min(_CHUNK, trials - done))
+            inside += int(np.count_nonzero((draws >= low) & (draws <= high)))
     value = 1.0 - inside / trials if kind == "frr" else inside / trials
     return MonteCarloEstimate(kind=kind, value=value,
                               std_error=math.sqrt(value * (1.0 - value) / trials),

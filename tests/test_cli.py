@@ -513,6 +513,19 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "kind=far" in out
 
+    @pytest.mark.parametrize("argv, line", [
+        (["--kind", "frr", "--p", "0.4985", "--p-low", "0.497", "--p-high", "0.503",
+          "--devices", "2671077"],
+         "kind=frr value=0.00975 std_error=0.000310724 trials=100000"),
+        (["--kind", "coverage", "--method", "clopper_pearson", "--p", "0.5",
+          "--devices", "6653"],
+         "kind=coverage value=0.9904 std_error=0.000308348 trials=100000"),
+    ], ids=["frr", "coverage"])
+    def test_benchmark_queries_pinned_at_seed_one(self, capsys, argv, line):
+        # the two validate queries of perfbench's plan-scale workload
+        assert main(["validate", *argv, "--seed", "1"]) == 0
+        assert capsys.readouterr().out == line + "\n"
+
     @pytest.mark.parametrize("kind", ["coverage", "far", "frr"])
     @pytest.mark.parametrize("flags, message", [
         (["--devices", "-1"], "n must be >= 0, got -1"),

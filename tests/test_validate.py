@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from bitalias import validate
 from bitalias.confidence import METHODS, confidence_interval
 from bitalias.errors import DomainError
-from bitalias.qualification import AliasLimits
+from bitalias.qualification import AliasLimits, acceptance_region
 from bitalias.simulate import rng_stream
 from bitalias.validate import (CoverageParams, QualificationParams, _coverage_run,
                                monte_carlo_validate)
@@ -87,6 +88,49 @@ def _per_draw_coverage(method, p, n, alpha, trials, seed, task=0):
                   if confidence_interval(method, x, n, alpha).contains(p))
     value = covered / trials
     return value, math.sqrt(value * (1.0 - value) / trials)
+
+
+CHUNK_EDGE_TRIALS = (validate._CHUNK - 1, validate._CHUNK, validate._CHUNK + 1,
+                     3 * validate._CHUNK + 17)
+
+
+@pytest.mark.parametrize("trials", CHUNK_EDGE_TRIALS)
+@pytest.mark.parametrize("kind, params", [
+    ("coverage", CoverageParams("wilson", p=0.3, devices=680, alpha=0.01)),
+    ("far", QualificationParams(devices=680, limits=LIMITS, alpha=0.01, p=0.55)),
+    ("frr", QualificationParams(devices=2671077, limits=AliasLimits(0.497, 0.503),
+                                alpha=0.01, p=0.4985)),
+])
+def test_chunked_draws_equal_one_array_of_draws(kind, params, trials):
+    # the draws come in chunks; the count is the one a single array of all
+    # the trials gives, also when trials sits at a chunk edge
+    est = monte_carlo_validate(kind, params, trials=trials, seed=29, task=3)
+    if kind == "coverage":
+        expected = _per_draw_coverage(params.method, params.p, params.devices, params.alpha,
+                                      trials, 29, 3)
+    else:
+        region = acceptance_region(params.devices, params.limits, params.alpha)
+        draws = rng_stream(29, 3).binomial(region.devices, params.p, size=trials)
+        inside = int(((draws >= region.x_l) & (draws <= region.x_u)).sum())
+        value = 1.0 - inside / trials if kind == "frr" else inside / trials
+        expected = value, math.sqrt(value * (1.0 - value) / trials)
+    assert (est.value, est.std_error) == expected
+
+
+@pytest.mark.parametrize("trials", [10**5, 10**6])
+def test_draws_take_memory_independent_of_trials(trials):
+    # numpy reports its buffers to tracemalloc; all trials held at once
+    # would take 8 bytes each (1.1 and 10 MB here)
+    params = QualificationParams(devices=2671077, limits=AliasLimits(0.497, 0.503),
+                                 alpha=0.01, p=0.4985)
+    monte_carlo_validate("frr", params, trials=1000, seed=1)
+    tracemalloc.start()
+    try:
+        monte_carlo_validate("frr", params, trials=trials, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024, peak
 
 
 IDENTITY_DEVICES = (1, 2, 10, 100, 680, 6653)
