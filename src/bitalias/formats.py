@@ -22,10 +22,10 @@ packed rows (what a `MeasurementTensor` holds and `response._count_voted`
 votes) a block of devices at a time, with no numpy.  CSV lines are packed
 about 64 KiB at a time: when every line is as the writer emits it (0/1 at
 the even byte offsets, commas at the odd ones), one slice and compare checks
-them all and ``int(symbols[::-1], 2)`` packs them, one number for all the lines when
-8 divides T; otherwise each line is decoded and checked field by field, which
-builds the error message.  Only a source that cannot seek is read whole.
-``load_counts`` gives a tuple of ints.
+them all and ``int(symbols[::-1], 2)`` packs them, one number for all the
+lines when 8 divides T; otherwise each line is decoded and checked field by
+field, which builds the error message.  Only a source that cannot seek is
+read whole.  ``load_counts`` gives a tuple of ints.
 """
 
 import io

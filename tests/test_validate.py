@@ -90,11 +90,8 @@ def _per_draw_coverage(method, p, n, alpha, trials, seed, task=0):
     return value, math.sqrt(value * (1.0 - value) / trials)
 
 
-CHUNK_EDGE_TRIALS = (validate._CHUNK - 1, validate._CHUNK, validate._CHUNK + 1,
-                     3 * validate._CHUNK + 17)
-
-
-@pytest.mark.parametrize("trials", CHUNK_EDGE_TRIALS)
+@pytest.mark.parametrize("trials", [validate._CHUNK - 1, validate._CHUNK,
+                                    validate._CHUNK + 1, 3 * validate._CHUNK + 17])
 @pytest.mark.parametrize("kind, params", [
     ("coverage", CoverageParams("wilson", p=0.3, devices=680, alpha=0.01)),
     ("far", QualificationParams(devices=680, limits=LIMITS, alpha=0.01, p=0.55)),
@@ -123,7 +120,7 @@ def test_draws_take_memory_independent_of_trials(trials):
     # would take 8 bytes each (1.1 and 10 MB here)
     params = QualificationParams(devices=2671077, limits=AliasLimits(0.497, 0.503),
                                  alpha=0.01, p=0.4985)
-    monte_carlo_validate("frr", params, trials=1000, seed=1)
+    monte_carlo_validate("frr", params, trials=1000, seed=1)  # what a first call loads
     tracemalloc.start()
     try:
         monte_carlo_validate("frr", params, trials=trials, seed=1)
