@@ -23,43 +23,27 @@ METHODS = ("normal", "wilson", "clopper_pearson")
 PLANNER_DEVICE_CAP = 10_000_000
 
 
-def _bisect(ok, lo: int, hi: int, step: int = 1) -> int:
-    """Smallest count in (lo, hi] on the grid lo + k*step meeting ok, given
-    that ok fails at lo and holds at hi and flips once in between."""
-    while hi - lo > step:
-        mid = lo + (hi - lo) // (2 * step) * step
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _bracket(ok, start: int, what: str, step: int = 1,
-             limit: int = PLANNER_DEVICE_CAP) -> tuple[int, int]:
-    """(lo, hi] with ok failing at lo and holding at hi, for an ok that flips
-    once on the grid start + k*step and fails at 0.  Probes outward from start
-    (clamped into [0, limit]) by 1, 2, 4, ... grid steps: down while ok holds,
-    up while it fails, with the last upward probe clamped to limit, where a
-    failure raises CapacityError.  From start = 1: 1, 2, 4, ..., 2^23, limit."""
+def _first(ok, start: int, what: str, step: int = 1, limit: int = PLANNER_DEVICE_CAP) -> int:
+    """Smallest count in (0, limit] on the grid start + k*step meeting ok, for
+    an ok that fails at 0 and flips once.  Probes outward from start (clamped
+    into [0, limit]) by 1, 2, 4, ... grid steps, down while ok holds and up
+    while it fails, the last upward probe clamped to limit, where a failure
+    raises CapacityError; then bisects.  From 1: 1, 2, 4, ..., 2^23, limit."""
     lo, gap = min(max(start, 0), limit), step
     if lo > 0 and ok(lo):
         hi = lo
         while (lo := hi - gap) > 0 and ok(lo):
             hi, gap = lo, 2 * gap
-        return max(lo, 0), hi
-    while lo < limit:
-        hi = min(lo + gap, limit)
-        if ok(hi):
-            return lo, hi
-        lo, gap = hi, 2 * gap
-    raise CapacityError(f"{what} unreachable below {limit} devices")
-
-
-def _run_end(ok, start: int, n: int) -> int:
-    """Smallest x in (0, n] meeting ok, given that ok fails at 0, holds at n and
-    flips once (callers settle the ends): outward probes from start, bisection."""
-    return _bisect(ok, *_bracket(ok, start, "run end", limit=n))
+        lo = max(lo, 0)
+    else:
+        while lo < limit and not ok(hi := min(lo + gap, limit)):
+            lo, gap = hi, 2 * gap
+        if lo == limit:
+            raise CapacityError(f"{what} unreachable below {limit} devices")
+    while hi - lo > step:
+        mid = lo + (hi - lo) // (2 * step) * step
+        hi, lo = (mid, lo) if ok(mid) else (hi, mid)
+    return hi
 
 
 def _z_for(alpha: float) -> float:
@@ -266,6 +250,6 @@ def plan_devices_exact(method: str, target_width, alpha) -> PlanResult:
 
     z, w = _z_for(alpha), target_width
     root = z / w if method == "wilson" else (z + math.sqrt(z * z + 4.0 * w)) / (2.0 * w)
-    guess = math.ceil(min(root, PLANNER_DEVICE_CAP) ** 2)  # _bracket clamps it to the cap
-    n = _bisect(ok, *_bracket(ok, guess + guess % 2, f"width {w}", 2), step=2)
+    guess = math.ceil(min(root, PLANNER_DEVICE_CAP) ** 2)  # _first clamps it to the cap
+    n = _first(ok, guess + guess % 2, f"width {w}", 2)
     return PlanResult(devices=n, alpha=alpha, method=method, target_width=target_width)

@@ -160,9 +160,7 @@ def _csv_blocks(f, whole: bool):
 def _csv_symbols(line: bytes, lineno: int, positions: int) -> str:
     """A CSV data line's symbols, checked field by field; the error names the
     line and the first field at fault.  strip() takes the "\r" of a CRLF."""
-    fields = [token.strip() for token in line.rstrip(b"\n").decode(errors="replace").split(",")]
-    if len(fields) != positions:
-        raise FormatError(f"line {lineno}: expected {positions} values, found {len(fields)}")
+    fields = _fields(line.rstrip(b"\n").decode(errors="replace"), positions, lineno)
     if not {"0", "1"}.issuperset(fields):
         col, token = next((c, t) for c, t in enumerate(fields) if t not in ("0", "1"))
         raise FormatError(f"line {lineno}: non-binary symbol {token!r} in field {col + 1}")
@@ -238,11 +236,8 @@ def load_counts(source) -> PositionCounts:
         raise FormatError(
             f"line {lines[2][0]}: dimension mismatch, expected exactly one line of counts")
     row, line = lines[1]
-    fields = [token.strip() for token in line.split(",")]
-    if len(fields) != positions:
-        raise FormatError(f"line {row}: expected {positions} values, found {len(fields)}")
     ones = []
-    for col, token in enumerate(fields, 1):
+    for col, token in enumerate(_fields(line, positions, row), 1):
         value = _int(token)
         if value is None:
             raise FormatError(f"line {row}: non-integer count {token!r} in field {col}")
@@ -257,6 +252,14 @@ def write_counts(c: PositionCounts, dest) -> None:
     blob = (f"{c.devices},{c.positions}\n"
             + ",".join(str(int(v)) for v in c.ones) + "\n").encode("ascii")
     _write(dest, blob)
+
+
+def _fields(text: str, count: int, lineno: int) -> list[str]:
+    """A data line's ``count`` comma-separated fields, stripped."""
+    fields = [token.strip() for token in text.split(",")]
+    if len(fields) != count:
+        raise FormatError(f"line {lineno}: expected {count} values, found {len(fields)}")
+    return fields
 
 
 def _parse_int_fields(line: str, count: int, lineno: int, shape: str) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .confidence import PlanResult, _bisect, _bracket, _normal_half, _run_end, _z_for
+from .confidence import PlanResult, _first, _normal_half, _z_for
 from .errors import DomainError
 from .special import (Record, _as_count, _as_probability, _check_alpha, _check_counts,
                       binomial_cdf, binomial_range_mass, binomial_sf)
@@ -112,11 +112,12 @@ def acceptance_region(n, limits: AliasLimits, alpha) -> AcceptanceRegion:
 
     x_u is the largest x with p_value_upper(x) < alpha/2 and x_l the smallest
     x with p_value_lower(x) < alpha/2.  Each is one end of a count run, found
-    by ``_run_end`` from its normal-approximation count n*p -+ z*sqrt(n*p*(1-p)),
+    by ``_first`` from its normal-approximation count n*p -+ z*sqrt(n*p*(1-p)),
     so a region costs a handful of tail calls.
     """
     _, n = _check_counts(0, n)
     limits = _as_limits(limits)
+    p_l, p_u = limits.p_l, limits.p_u
     alpha = _check_alpha(alpha)
     half = 0.5 * alpha
     z = _z_for(alpha)
@@ -124,11 +125,11 @@ def acceptance_region(n, limits: AliasLimits, alpha) -> AcceptanceRegion:
     # cdf(x; n, p_u) rises in x to cdf(n) = 1, so x_u ends a prefix run, and
     # sf(x; n, p_l) falls in x from sf(0) = 1, so x_l starts a suffix run.  One
     # tail call each settles the other end: whether the run is empty.
-    if binomial_cdf(0, n, limits.p_u) < half and binomial_sf(n, n, limits.p_l) < half:
-        x_u = _run_end(lambda x: not binomial_cdf(x, n, limits.p_u) < half,
-                       math.floor(n * (limits.p_u - _normal_half(limits.p_u, n, z))) + 1, n) - 1
-        x_l = _run_end(lambda x: binomial_sf(x, n, limits.p_l) < half,
-                       math.ceil(n * (limits.p_l + _normal_half(limits.p_l, n, z))), n)
+    if binomial_cdf(0, n, p_u) < half and binomial_sf(n, n, p_l) < half:
+        x_u = _first(lambda x: not binomial_cdf(x, n, p_u) < half,
+                     math.floor(n * (p_u - _normal_half(p_u, n, z))) + 1, "run end", limit=n) - 1
+        x_l = _first(lambda x: binomial_sf(x, n, p_l) < half,
+                     math.ceil(n * (p_l + _normal_half(p_l, n, z))), "run end", limit=n)
         if x_l <= x_u:
             return AcceptanceRegion(devices=n, limits=limits, alpha=alpha, x_l=x_l, x_u=x_u)
     return AcceptanceRegion(devices=n, limits=limits, alpha=alpha, x_l=None, x_u=None)
@@ -196,7 +197,7 @@ def plan_devices_frr(limits: AliasLimits, inner: tuple[float, float],
         return all(binomial_cdf(region.x_l - 1, n, p) + binomial_sf(region.x_u + 1, n, p)
                    <= beta for p in (p_k, p_v))
 
-    best = _bisect(frr_ok, *_bracket(frr_ok, 1, f"beta {beta}"))
+    best = _first(frr_ok, 1, f"beta {beta}")
     for m in range(max(1, best - _FRR_CERTIFY_WINDOW), best):
         if frr_ok(m):
             best = m

@@ -16,7 +16,8 @@ All functions are pure and safe to call concurrently.  Implementation notes:
 * ``binomial_cdf`` / ``binomial_sf`` go through the incomplete-beta identity
   rather than summing terms: it is O(1) in n, and each tail is produced
   natively instead of as ``1 - other_tail``, so tail p-values keep their
-  leading digits.
+  leading digits.  The lower tail is the mirrored upper tail, P[X <= k] =
+  P[n - X >= n - k], so both make their incomplete-beta call in one place.
   Their relative error grows about linearly with n, through cancellation in
   the ``lgamma`` prefactor: against scipy, over every count within three
   standard deviations of the median at p = 0.5, it reaches 1e-12 at n = 1e3,
@@ -292,17 +293,10 @@ def binomial_pmf_log(k, n, p) -> float:
 
 
 def binomial_cdf(k, n, p) -> float:
-    """P[X <= k] for X ~ Binomial(n, p), via the incomplete-beta identity
-    P[X <= k] = I_{1-p}(n - k, k + 1)."""
+    """P[X <= k] for X ~ Binomial(n, p), as the upper tail P[n - X >= n - k] of
+    n - X ~ Binomial(n, 1 - p): the same I_{1-p}(n - k, k + 1), not 1 - sf."""
     k, n = _check_counts(k, n, "k", min_n=0)
-    p = _as_probability(p, "p")
-    if k == n:
-        return 1.0
-    if p == 0.0:
-        return 1.0
-    if p == 1.0:
-        return 0.0
-    return regularized_incomplete_beta(1.0 - p, n - k, k + 1)
+    return binomial_sf(n - k, n, 1.0 - _as_probability(p, "p"))
 
 
 def binomial_sf(k, n, p) -> float:

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .confidence import METHODS, _normal_half, _run_end, _z_for, confidence_interval
+from .confidence import METHODS, _first, _normal_half, _z_for, confidence_interval
 from .errors import DomainError
 from .qualification import AliasLimits, acceptance_region
 from .simulate import rng_stream
@@ -97,8 +97,8 @@ def _coverage_run(params: CoverageParams):
     def interval(x: int):
         return confidence_interval(params.method, x, n, alpha)
 
-    first = 0 if interval(0).upper >= p else _run_end(
-        lambda x: interval(x).upper >= p, math.ceil(n * (p - half)), n)
-    last = n if interval(n).lower <= p else _run_end(
-        lambda x: interval(x).lower > p, math.floor(n * (p + half)) + 1, n) - 1
+    first = 0 if interval(0).upper >= p else _first(
+        lambda x: interval(x).upper >= p, math.ceil(n * (p - half)), "run end", limit=n)
+    last = n if interval(n).lower <= p else _first(
+        lambda x: interval(x).lower > p, math.floor(n * (p + half)) + 1, "run end", limit=n) - 1
     return p, n, (first, last) if first <= last else None

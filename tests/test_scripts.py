@@ -1,4 +1,5 @@
 import hashlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +21,23 @@ def test_width_curves_csv_bytes(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in tmp_path.iterdir()} == WIDTH_CURVE_FILES
+
+
+def test_cli_corpus_lines(tmp_path):
+    ids = ["check-accept", "plan-width-capacity", "curve-out", "help-plan-frr"]
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "cli_corpus.py"), str(tmp_path), *ids],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [line["id"] for line in lines] == ids
+    for line in lines:
+        assert set(line) == {"id", "argv", "exit", "stdout_sha256", "stderr_last", "files"}
+        assert len(line["stdout_sha256"]) == 64
+    check, capacity, curve, help_ = lines
+    assert check["argv"] == ["check", "--x", "340", "--n", "680"] and check["exit"] == 0
+    assert capacity["exit"] == 2
+    assert capacity["stderr_last"] == "error: width 0.0005 unreachable below 10000000 devices"
+    assert curve["stdout_sha256"] == hashlib.sha256(b"").hexdigest()
+    assert curve["files"] == {"curve.csv": hashlib.sha256(
+        (tmp_path / "curve-out" / "curve.csv").read_bytes()).hexdigest()}
+    assert (help_["exit"], help_["stderr_last"], help_["files"]) == (0, "", {})

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from bitalias import confidence as conf
 from bitalias import qualification as qual
-from bitalias.confidence import PLANNER_DEVICE_CAP, _bisect, _bracket, plan_devices_exact
+from bitalias.confidence import PLANNER_DEVICE_CAP, _first, plan_devices_exact
 from bitalias.errors import CapacityError
 from bitalias.qualification import AliasLimits, acceptance_region, plan_devices_frr
 from bitalias.special import binomial_cdf, binomial_sf
@@ -90,14 +90,14 @@ def test_width_plan_search_certifies_its_answer(monkeypatch, method):
     # the answer N met the target, and N = 2 or N - 2 was probed and failed,
     # so no even count below N is left to try
     probed = {}
-    for name in ("_bracket", "_bisect"):
-        def recording(ok, *args, search=getattr(conf, name), **kwargs):
-            def seen(n):
-                probed[n] = ok(n)
-                return probed[n]
-            return search(seen, *args, **kwargs)
 
-        monkeypatch.setattr(conf, name, recording)
+    def recording(ok, *args, **kwargs):
+        def seen(n):
+            probed[n] = ok(n)
+            return probed[n]
+        return _first(seen, *args, **kwargs)
+
+    monkeypatch.setattr(conf, "_first", recording)
     for alpha, answers in WIDTH_PLANS[method].items():
         for width, answer in zip(WIDTHS, answers):
             if isinstance(answer, int):
@@ -167,9 +167,24 @@ def test_bracket_from_one_doubles_to_the_cap():
         return False
 
     with pytest.raises(CapacityError) as err:
-        _bracket(never, 1, "beta 0.01")
+        _first(never, 1, "beta 0.01")
     assert str(err.value) == "beta 0.01 unreachable below 10000000 devices"
     assert probes == [2 ** k for k in range(24)] + [PLANNER_DEVICE_CAP]
+
+
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("start", [20, 21, 10 ** 9])
+def test_start_clamped_to_a_failing_limit_raises_after_one_probe(step, start):
+    probes = []
+
+    def never(n):
+        probes.append(n)
+        return False
+
+    with pytest.raises(CapacityError) as err:
+        _first(never, start, "target", step, limit=20)
+    assert str(err.value) == "target unreachable below 20 devices"
+    assert probes == [20]
 
 
 @given(st.sampled_from([1, 2]), st.integers(1, 3000), st.data())
@@ -185,13 +200,12 @@ def test_outward_search_matches_plain_bisection(step, cells, data):
 
     if threshold > limit:
         with pytest.raises(CapacityError) as err:
-            _bracket(ok, start, "target", step, limit)
+            _first(ok, start, "target", step, limit)
         assert str(err.value) == f"target unreachable below {limit} devices"
-        return
-    lo, hi = _bracket(ok, start, "target", step, limit)
-    assert 0 <= lo < hi <= limit and not (lo and ok(lo)) and ok(hi)
-    assert _bisect(ok, lo, hi, step) == _bisect(ok, 0, limit, step)
+    else:
+        assert _first(ok, start, "target", step, limit) == -(-threshold // step) * step
     assert all(0 < x <= limit and x % step == 0 for x in probes)
+    assert len(probes) == len(set(probes))
 
 
 def _counting(monkeypatch, module, *names):

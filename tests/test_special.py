@@ -189,6 +189,46 @@ class TestBinomialPmfLog:
         assert binomial_pmf_log(k, n, p) <= 0.0
 
 
+# (k, n, p, binomial_cdf as float.hex): the region ends and the FRR tails of the
+# four plan-scale FRR answers at alpha = 0.01, then the 680-device fixtures,
+# small-n examples, point masses and n = 10^7
+CDF_PINS = (
+    (3554, 6653, 0.55, '0x1.46bed32a0ce14p-8'),
+    (3555, 6653, 0.55, '0x1.5ebef084dad16p-8'),
+    (3098, 6653, 0.48, '0x1.43f0884136682p-7'),
+    (3098, 6653, 0.52, '0x1.e8962b10a9e15p-62'),
+    (484274, 961460, 0.505, '0x1.47ad3ff617914p-8'),
+    (484275, 961460, 0.505, '0x1.499d61af4396fp-8'),
+    (477185, 961460, 0.4975, '0x1.47182712d381bp-7'),
+    (477185, 961460, 0.5025, '0x1.d88104910e00dp-112'),
+    (1341446, 2671077, 0.503, '0x1.47407eab7b0a1p-8'),
+    (1341447, 2671077, 0.503, '0x1.48697df4070b1p-8'),
+    (1329630, 2671077, 0.4985, '0x1.4748ce0f20092p-7'),
+    (1329630, 2671077, 0.5015, '0x1.d614b82c116a1p-112'),
+    (3016354, 6008979, 0.5025, '0x1.476116cac84f6p-8'),
+    (3016355, 6008979, 0.5025, '0x1.482710d153e27p-8'),
+    (2992624, 6008979, 0.4985, '0x1.4783975996a03p-7'),
+    (2992624, 6008979, 0.5015, '0x1.332bd78fcab16p-215'),
+    (340, 680, 0.55, '0x1.46bda40172cfcp-8'),
+    (341, 680, 0.55, '0x1.96e15bb1d2f52p-8'),
+    (340, 680, 0.45, '0x1.fdf60aa1b0a2ep-1'),
+    (0, 680, 0.45, '0x1.6aa3f63ce8615p-587'),
+    (679, 680, 0.55, '0x1.0000000000000p+0'),
+    (10, 50, 0.45, '0x1.a621191ce2540p-13'),
+    (7, 20, 0.4, '0x1.a9dfd695c9b7ap-2'),
+    (3, 10, 0.55, '0x1.a1c573b9d194dp-4'),
+    (2, 5, 0.5, '0x1.ffffffffffff4p-2'),
+    (1, 2, 0.5, '0x1.8000000000000p-1'),
+    (3, 10, 0.0, '0x1.0000000000000p+0'),
+    (3, 10, 1.0, '0x0.0p+0'),
+    (0, 1, 1e-300, '0x1.0000000000000p+0'),
+    (0, 0, 0.3, '0x1.0000000000000p+0'),
+    (0, 10000000, 0.9999999999999999, '0x0.0p+0'),
+    (5000000, 10000000, 0.5, '0x1.001089561dd06p-1'),
+    (4990000, 10000000, 0.5, '0x1.17cdc4111e951p-33'),
+)
+
+
 class TestBinomialTails:
     def test_full_support(self):
         assert binomial_cdf(50, 50, 0.37) == 1.0
@@ -227,6 +267,18 @@ class TestBinomialTails:
 
     def test_deterministic(self):
         assert binomial_cdf(340, 680, 0.55) == binomial_cdf(340, 680, 0.55)
+
+    @given(st.integers(0, 10 ** 7),
+           st.sampled_from([0.0, 1.0, 1e-300, 1 - 1e-16]) | st.floats(0.0, 1.0),
+           st.data())
+    def test_cdf_is_the_mirrored_survival(self, n, p, data):
+        # P[X <= k] = P[n - X >= n - k]: the same tail, with no complement taken
+        k = data.draw(st.integers(0, n), label="k")
+        assert binomial_cdf(k, n, p) == binomial_sf(n - k, n, 1.0 - p)
+
+    @pytest.mark.parametrize("k, n, p, value", CDF_PINS)
+    def test_cdf_values_pinned(self, k, n, p, value):
+        assert binomial_cdf(k, n, p) == float.fromhex(value)
 
 
 class TestBinomialRangeMass:
