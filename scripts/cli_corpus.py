@@ -33,19 +33,24 @@ REPORTS = ("text", "json", "csv")
 PAPER, BINARY, TIED, COUNTS, README, BAD = (
     f"../fixtures/{name}" for name in
     ("paper.csv", "paper.puf", "tied.puf", "counts.csv", "readme.csv", "bad.csv"))
-# the benchmark's plan-scale queries (perfbench/workloads.py), validate at seed 1
-PLAN_SCALE = (
-    ("width", "--width", "0.01", "--method", "clopper_pearson"),
-    ("width", "--width", "0.001", "--method", "clopper_pearson"),
-    ("width", "--width", "0.001", "--method", "wilson"),
-    ("frr", "--p-low", "0.45", "--p-high", "0.55", "--inner-low", "0.48", "--inner-high", "0.52"),
-    ("frr", "--p-low", "0.495", "--p-high", "0.505",
-     "--inner-low", "0.4975", "--inner-high", "0.5025"),
-    ("frr", "--p-low", "0.497", "--p-high", "0.503",
-     "--inner-low", "0.4985", "--inner-high", "0.5015"),
-    ("frr", "--p-low", "0.4975", "--p-high", "0.5025",
-     "--inner-low", "0.4985", "--inner-high", "0.5015"),
-)
+# the benchmark's plan-scale queries, by their names in perfbench/workloads.py
+PLAN_SCALE = {
+    "width-cp-0.01": ["plan", "width", "--width", "0.01", "--method", "clopper_pearson"],
+    "width-cp-0.001": ["plan", "width", "--width", "0.001", "--method", "clopper_pearson"],
+    "width-wilson-0.001": ["plan", "width", "--width", "0.001", "--method", "wilson"],
+    "frr-default": ["plan", "frr", "--p-low", "0.45", "--p-high", "0.55",
+                    "--inner-low", "0.48", "--inner-high", "0.52"],
+    "frr-0.495": ["plan", "frr", "--p-low", "0.495", "--p-high", "0.505",
+                  "--inner-low", "0.4975", "--inner-high", "0.5025"],
+    "frr-0.497": ["plan", "frr", "--p-low", "0.497", "--p-high", "0.503",
+                  "--inner-low", "0.4985", "--inner-high", "0.5015"],
+    "frr-0.4975": ["plan", "frr", "--p-low", "0.4975", "--p-high", "0.5025",
+                   "--inner-low", "0.4985", "--inner-high", "0.5015"],
+    "validate-frr": ["validate", "--kind", "frr", "--p", "0.4985", "--p-low", "0.497",
+                     "--p-high", "0.503", "--devices", "2671077", "--seed", "1"],
+    "validate-coverage": ["validate", "--kind", "coverage", "--method", "clopper_pearson",
+                          "--p", "0.5", "--devices", "6653", "--seed", "1"],
+}
 
 
 def write_fixtures(folder: Path) -> None:
@@ -55,13 +60,13 @@ def write_fixtures(folder: Path) -> None:
     folder.mkdir()
     paper = simulate_population(PopulationSpec(devices=680, positions=128, repeats=5,
                                                seed=5, alias="linear", flip_noise=0.05))
-    write_measurements(paper, str(folder / "paper.csv"), "csv")
-    write_measurements(paper, str(folder / "paper.puf"), "binary")
-    write_counts(count_ones(derive_noise_free_response(paper)), str(folder / "counts.csv"))
+    write_measurements(paper, folder / "paper.csv", "csv")
+    write_measurements(paper, folder / "paper.puf", "binary")
+    write_counts(count_ones(derive_noise_free_response(paper)), folder / "counts.csv")
     # an even repeat count gives ties in the vote; 77 positions pad each row
     tied = simulate_population(PopulationSpec(devices=64, positions=77, repeats=4,
                                               seed=3, alias=0.5, flip_noise=0.1))
-    write_measurements(tied, str(folder / "tied.puf"), "binary")
+    write_measurements(tied, folder / "tied.puf", "binary")
     (folder / "readme.csv").write_bytes(b"2,3,2\n0,1,0\n0,1,1\n1,1,0\n1,0,0\n")
     (folder / "bad.csv").write_bytes(b"2,3,1\n0,1,0\n0,2,1\n")
 
@@ -108,16 +113,7 @@ def invocations() -> list[tuple[str, list[str]]]:
         ("check-limits-reversed", ["check", "--x", "3", "--n", "6",
                                    "--p-low", "0.6", "--p-high", "0.5"]),
     ]
-    for i, query in enumerate(PLAN_SCALE):
-        runs.append((f"plan-scale-{i}-{query[0]}", ["plan", *query]))
-    runs += [
-        ("plan-scale-7-validate-frr",
-         ["validate", "--kind", "frr", "--p", "0.4985", "--p-low", "0.497", "--p-high", "0.503",
-          "--devices", "2671077", "--seed", "1"]),
-        ("plan-scale-8-validate-coverage",
-         ["validate", "--kind", "coverage", "--method", "clopper_pearson", "--p", "0.5",
-          "--devices", "6653", "--seed", "1"]),
-    ]
+    runs += [(f"plan-scale-{name}", argv) for name, argv in PLAN_SCALE.items()]
     for method in METHODS:
         runs.append((f"plan-width-0.1-{method}", ["plan", "width", "--width", "0.1",
                                                   "--method", method]))
@@ -195,7 +191,7 @@ def run(out: Path, ident: str, argv: list[str]) -> dict:
             "files": {path.name: sha256(path.read_bytes()) for path in sorted(cwd.iterdir())}}
 
 
-def main() -> int:
+def main() -> None:
     if len(sys.argv) < 2:
         sys.exit(__doc__)
     out = Path(sys.argv[1])
@@ -211,8 +207,7 @@ def main() -> int:
     for ident, argv in runs:
         if not chosen or ident in chosen:
             print(json.dumps(run(out, ident, argv)), flush=True)
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
