@@ -99,6 +99,15 @@ def invocations() -> list[tuple[str, list[str]]]:
                                         "--p-low", "0.4"]),
         ("analyze-both-entropies", ["analyze", PAPER, "--min-entropy", "0.9",
                                     "--shannon-entropy", "0.99"]),
+        # JSON through each branch of its renderer: entropy floors, early
+        # stop on counts, an empty acceptance region and a tied campaign
+        ("analyze-counts-min-entropy-early-stop-json",
+         ["analyze", "--counts", COUNTS, "--min-entropy", "0.9", "--early-stop-alpha", "0.01",
+          "--format", "json"]),
+        ("analyze-shannon-entropy-json", ["analyze", PAPER, "--shannon-entropy", "0.99",
+                                          "--format", "json"]),
+        ("analyze-readme-json", ["analyze", README, "--format", "json"]),
+        ("analyze-tied-json", ["analyze", TIED, "--format", "json"]),
         ("analyze-missing-file", ["analyze", "../fixtures/missing.csv"]),
         ("analyze-malformed", ["analyze", BAD]),
         ("early-stop-csv", ["early-stop", PAPER]),

@@ -309,11 +309,7 @@ def binomial_sf(k, n, p) -> float:
     p = _as_probability(p, "p")
     if k == 0:
         return 1.0
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    return regularized_incomplete_beta(p, k, n - k + 1)
+    return regularized_incomplete_beta(p, k, n - k + 1)  # exactly 0 and 1 at p = 0 and 1
 
 
 def binomial_range_mass(lo, hi, n, p) -> float:

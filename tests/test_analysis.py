@@ -253,3 +253,97 @@ def test_report_bytes_pinned(paper_campaign, method, source, fmt):
         result = analyze_counts(PositionCounts(devices=680, ones=REPEATED_ONES), cfg)
     digest = hashlib.sha256(render_report(result, fmt)).hexdigest()
     assert digest == PINNED_REPORTS[method, source, fmt]
+
+
+def reference_json(result) -> bytes:
+    """The JSON report built the direct way: one dict per position and one
+    indented dump of the whole payload."""
+    cfg, s = result.config, result.summary
+    advice = s.early_stop
+    payload = {
+        "config": {
+            "alpha": cfg.alpha,
+            "p_l": s.region.limits.p_l,
+            "p_u": s.region.limits.p_u,
+            "ci_method": cfg.ci_method,
+            "entropy_spec": None if cfg.entropy_spec is None else
+                {"kind": cfg.entropy_spec.kind, "value": cfg.entropy_spec.value},
+            "early_stop": None if cfg.early_stop is None else
+                {"alpha": cfg.early_stop.alpha,
+                 "max_flag_fraction": cfg.early_stop.max_flag_fraction},
+            "per_position_alpha": True,
+        },
+        "summary": {
+            "devices": s.devices,
+            "positions": s.positions,
+            "repeats": s.repeats,
+            "tie_count": s.tie_count,
+            "accepted": s.accepted,
+            "rejected": s.rejected,
+            "region": {"empty": s.region.is_empty, "x_l": s.region.x_l, "x_u": s.region.x_u},
+            "early_stop": None if advice is None else {
+                "decision": advice.decision,
+                "flagged_positions": list(advice.flagged_positions),
+                "p_values_low": list(advice.p_values_low),
+                "p_values_high": list(advice.p_values_high),
+            },
+        },
+        "positions": [{
+            "t": t,
+            "x": r.ones,
+            "n": r.devices,
+            "p_hat": r.alias,
+            "ci": {"method": r.interval.method, "lower": r.interval.lower,
+                   "upper": r.interval.upper, "alpha": r.interval.alpha},
+            "p_value_lower": r.verdict.p_value_lower,
+            "p_value_upper": r.verdict.p_value_upper,
+            "accepted": r.verdict.accepted,
+            "min_entropy": r.min_entropy,
+            "shannon_entropy": r.shannon_entropy,
+            "min_entropy_ci_worst": r.min_entropy_worst,
+            "shannon_entropy_ci_worst": r.shannon_entropy_worst,
+        } for t, r in enumerate(result.reports)],
+    }
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii")
+
+
+LIMIT_SOURCES = {
+    "limits": {"limits": LIMITS},
+    "min-entropy": {"entropy_spec": EntropySpec("min", 0.9)},
+    "shannon-entropy": {"entropy_spec": EntropySpec("shannon", 0.99)},
+}
+
+
+@pytest.fixture(scope="module")
+def tied_campaign():
+    """680 devices x 64 positions x 4 repeats: the even repeat count gives ties."""
+    return simulate_population(PopulationSpec(devices=680, positions=64, repeats=4,
+                                              seed=7, alias="linear", flip_noise=0.1))
+
+
+@pytest.mark.parametrize("early_stop", [False, True], ids=["no-early-stop", "early-stop"])
+@pytest.mark.parametrize("source", sorted(LIMIT_SOURCES))
+@pytest.mark.parametrize("method", ["normal", "wilson", "clopper_pearson"])
+def test_json_report_equals_one_dict_per_position(tied_campaign, method, source, early_stop):
+    cfg = AnalysisConfig(alpha=0.01, ci_method=method, **LIMIT_SOURCES[source],
+                         early_stop=EarlyStopConfig(alpha=0.01) if early_stop else None)
+    result = analyze(tied_campaign, cfg)
+    assert result.summary.tie_count > 0
+    assert len({id(r) for r in result.reports}) < len(result.reports)
+    assert render_report(result, "json") == reference_json(result)
+
+
+@pytest.mark.parametrize("case", ["repeated-counts", "empty-region", "one-position",
+                                  "no-positions"])
+def test_json_report_equals_one_dict_per_position_edge_cases(case):
+    cfg = AnalysisConfig(alpha=0.01, limits=LIMITS, early_stop=EarlyStopConfig(alpha=0.01))
+    if case == "empty-region":
+        result = analyze_counts(PositionCounts(devices=3, ones=np.array([1, 2, 1, 0])), cfg)
+        assert result.summary.region.is_empty
+    elif case == "one-position":
+        result = analyze_counts(PositionCounts(devices=680, ones=np.array([340])), cfg)
+    else:
+        result = analyze_counts(PositionCounts(devices=680, ones=REPEATED_ONES), cfg)
+        if case == "no-positions":
+            result = type(result)(config=result.config, reports=(), summary=result.summary)
+    assert render_report(result, "json") == reference_json(result)

@@ -134,6 +134,21 @@ def test_parser_outcomes_are_exact(loader, blob, outcome):
         assert loader(io.BytesIO(blob)).bits.tolist() == outcome
 
 
+# not in FILE_CASES, whose test ids would spell out each 5000-digit file
+@pytest.mark.parametrize("where", ["header", "count"])
+def test_integer_longer_than_int_converts_is_malformed(where):
+    # int() raises ValueError beyond its digit limit (4300 by default), which
+    # is reported like any other non-integer field
+    digits = "1" * 5000
+    if where == "header":
+        blob, message = f"{digits},2\n1,1\n", f"line 1: malformed header, non-integer {digits!r}"
+    else:
+        blob, message = f"5,2\n{digits},3\n", f"line 2: non-integer count {digits!r} in field 1"
+    with pytest.raises(FormatError) as info:
+        load_counts(io.BytesIO(blob.encode()))
+    assert str(info.value) == message
+
+
 def tensor_path(blob: bytes) -> tuple[PositionCounts, int, int]:
     """What `load_measurement_counts` must return, by way of the whole tensor."""
     m = load_measurements(io.BytesIO(blob))

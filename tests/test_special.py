@@ -276,6 +276,16 @@ class TestBinomialTails:
         k = data.draw(st.integers(0, n), label="k")
         assert binomial_cdf(k, n, p) == binomial_sf(n - k, n, 1.0 - p)
 
+    @pytest.mark.parametrize("n", [0, 1, 5, 40, 10 ** 7])
+    def test_degenerate_p_is_a_point_mass(self, n):
+        # X is 0 at p = 0 and n at p = 1; the incomplete beta returns these
+        # values exactly at its endpoints, so sf and cdf need no branch for them
+        for k in range(n + 1) if n <= 40 else [*range(41), n - 1, n]:
+            assert binomial_sf(k, n, 0.0) == (1.0 if k == 0 else 0.0)
+            assert binomial_sf(k, n, 1.0) == 1.0
+            assert binomial_cdf(k, n, 0.0) == 1.0
+            assert binomial_cdf(k, n, 1.0) == (1.0 if k == n else 0.0)
+
     @pytest.mark.parametrize("k, n, p, value", CDF_PINS)
     def test_cdf_values_pinned(self, k, n, p, value):
         assert binomial_cdf(k, n, p) == float.fromhex(value)
