@@ -110,6 +110,8 @@ def invocations() -> list[tuple[str, list[str]]]:
         ("analyze-tied-json", ["analyze", TIED, "--format", "json"]),
         ("analyze-missing-file", ["analyze", "../fixtures/missing.csv"]),
         ("analyze-malformed", ["analyze", BAD]),
+        # the fraction sets only the early-stop forecast, so alone it is a usage error
+        ("analyze-flag-fraction-alone", ["analyze", PAPER, "--max-flag-fraction", "2"]),
         ("early-stop-csv", ["early-stop", PAPER]),
         ("early-stop-tied", ["early-stop", TIED]),
         ("early-stop-counts", ["early-stop", "--counts", COUNTS]),
@@ -175,6 +177,13 @@ def invocations() -> list[tuple[str, list[str]]]:
                                       "--seed", "4", "--alias", "zebra", "--out", "sim.csv"]),
         ("simulate-nan", ["simulate", "--devices", "8", "--positions", "2", "--seed", "4",
                           "--alias", "nan", "--out", "sim.csv"]),
+        # 139 KB of CSV lines, written and drawn over several 64 KiB blocks
+        ("simulate-csv-blocks", ["simulate", "--devices", "300", "--positions", "77",
+                                 "--repeats", "3", "--alias", "linear", "--noise", "0.1",
+                                 "--seed", "7", "--out", "sim.csv"]),
+        ("simulate-binary-blocks", ["simulate", "--devices", "300", "--positions", "77",
+                                    "--repeats", "3", "--alias", "linear", "--noise", "0.1",
+                                    "--seed", "7", "--format", "binary", "--out", "sim.puf"]),
         ("no-command", []),
         ("help", ["--help"]),
     ]

@@ -73,8 +73,10 @@ def _cmd_analyze(args) -> int:
     from .formats import load_counts, load_measurement_counts
 
     limits, spec = _limit_source(args)
+    if args.early_stop_alpha is None and args.max_flag_fraction is not None:
+        raise BitAliasError("--max-flag-fraction needs --early-stop-alpha")
     early = None if args.early_stop_alpha is None else EarlyStopConfig(
-        alpha=args.early_stop_alpha, max_flag_fraction=args.max_flag_fraction)
+        alpha=args.early_stop_alpha, max_flag_fraction=args.max_flag_fraction or 0.0)
     cfg = AnalysisConfig(alpha=args.alpha, limits=limits, entropy_spec=spec,
                          ci_method=args.ci_method, early_stop=early,
                          output_format=args.format)
@@ -188,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--early-stop-alpha", type=float, default=None,
                    help="also run the early-stop forecast at this level")
-    p.add_argument("--max-flag-fraction", type=float, default=0.0)
+    p.add_argument("--max-flag-fraction", type=float, default=None)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("plan", help="device counts needed for width or error targets")

@@ -49,7 +49,7 @@ def min_entropy_from_limits(p) -> float:
     p = 0 and p = 1 return 0 bits (the outcome is certain).
     """
     p = _as_probability(p, "p")
-    return -math.log2(max(p, 1.0 - p))
+    return 0.0 - math.log2(max(p, 1.0 - p))  # +0.0 there, where -log2(1) is -0.0
 
 
 def shannon_entropy(p) -> float:

@@ -13,38 +13,40 @@ Two interchangeable encodings carry raw measurement tensors:
 A third, pre-counted format carries just the sufficient statistic: a header
 line ``N,T`` and one line of T comma-separated counts of 1s.  All formats are
 version 1; parsers reject anything else with an error naming the offending
-line or byte offset.  The text parsers accept whitespace around fields, CRLF
-line ends and trailing blank lines; the writers never emit them.  Only
-``"\n"`` ends a line.
+line or byte offset.  The text parsers accept whitespace around fields and
+CRLF line ends, a measurement file trailing blank lines and a counts file
+blank lines anywhere; the writers never emit them.  Only ``"\n"`` ends a line.
 
 Each measurement encoding has one reader, which gives the binary format's
 packed rows (what a `MeasurementTensor` holds and `response._count_voted`
-votes) a block of devices at a time, with no numpy.  CSV lines are packed
-about 64 KiB at a time: when every line is as the writer emits it (0/1 at
-the even byte offsets, commas at the odd ones), one slice and compare checks
-them all and ``int(symbols[::-1], 2)`` packs them, one number for all the
-lines when 8 divides T; otherwise each line is decoded and checked field by
-field, which builds the error message.  Only a source that cannot seek is
-read whole.  ``load_counts`` gives a tuple of ints.
+votes) a block of devices at a time, with no numpy; every block, read and
+write is a `special._spans` span of about 64 KiB.  CSV lines are packed a
+read at a time: when every line is as the writer emits it (0/1 at the even
+byte offsets, commas at the odd ones), one slice and compare checks them all
+and ``int(symbols[::-1], 2)`` packs them, one number for all the lines when
+8 divides T; otherwise each line is decoded and checked field by field,
+which builds the error message.  Only a source that cannot seek is read
+whole.  ``load_counts`` gives a tuple of ints.
 """
 
 import io
 import os
 
+from . import special
 from .errors import FormatError
-from .response import MeasurementTensor, PositionCounts, _block_bytes, _count_voted
+from .response import MeasurementTensor, PositionCounts, _count_voted
 
 MAGIC = b"PUFB"
 VERSION = 1
 _HEADER_LEN = 4 + 1 + 12  # magic, version, three uint32 dims
 
 
-def _write(dest, blob: bytes) -> None:
-    if hasattr(dest, "write"):
-        dest.write(blob)
-    else:
+def _write(dest, blobs) -> None:
+    if not hasattr(dest, "write"):
         with open(os.fspath(dest), "wb") as f:
-            f.write(blob)
+            return _write(f, blobs)
+    for blob in blobs:
+        dest.write(blob)
 
 
 def load_measurements(source) -> MeasurementTensor:
@@ -63,11 +65,11 @@ def load_measurement_counts(source) -> tuple[PositionCounts, int, int]:
 
 def _with_blocks(source, use, whole: bool = False):
     """``use(blocks, N, T, M)`` of a measurement file's blocks of packed rows,
-    as its format's reader gives them: `_block_bytes` each, or all in one if
-    ``whole``.  A source that cannot seek is read into memory first."""
+    as its format's reader gives them: a `_spans` span of devices each, or all
+    in one if ``whole``.  A source that cannot seek is read into memory first."""
     if not hasattr(source, "read"):
         # a 64 KiB buffer halves the time to read a file's lines, against 8 KiB
-        with open(os.fspath(source), "rb", buffering=1 << 16) as f:
+        with open(os.fspath(source), "rb", buffering=special._BLOCK_BYTES) as f:
             return _with_blocks(f, use, whole)
     if not (hasattr(source, "seekable") and source.seekable()):
         source = io.BytesIO(source.read())
@@ -79,23 +81,29 @@ def _with_blocks(source, use, whole: bool = False):
 
 
 def write_measurements(m: MeasurementTensor, dest, fmt: str = "csv") -> None:
-    """Write a measurement tensor as ``csv`` or ``binary``."""
-    import numpy as np
-
+    """Write a measurement tensor as ``csv``, a span of lines at a time, or ``binary``."""
     if fmt == "csv":
-        # digits in the even columns, commas between, a newline in the last
-        rows = np.unpackbits(m.rows, axis=1, count=m.positions, bitorder="little")
-        grid = np.full((rows.shape[0], 2 * m.positions), ord(","), dtype=np.uint8)
-        grid[:, ::2] = rows + ord("0")
-        grid[:, -1] = ord("\n")
-        blob = f"{m.devices},{m.positions},{m.repeats}\n".encode("ascii") + grid.tobytes()
+        blobs = _csv_text(m)
     elif fmt == "binary":
-        blob = (MAGIC + bytes([VERSION]) + m.devices.to_bytes(4, "little")
-                + m.positions.to_bytes(4, "little") + m.repeats.to_bytes(4, "little")
-                + m.rows.tobytes())
+        blobs = (MAGIC + bytes([VERSION]) + m.devices.to_bytes(4, "little")
+                 + m.positions.to_bytes(4, "little") + m.repeats.to_bytes(4, "little"), m.rows)
     else:
         raise FormatError(f"unknown measurement format {fmt!r}, expected 'csv' or 'binary'")
-    _write(dest, blob)
+    _write(dest, blobs)
+
+
+def _csv_text(m: MeasurementTensor):
+    """The CSV file of a tensor: its header, then its lines a span at a time."""
+    import numpy as np
+
+    yield f"{m.devices},{m.positions},{m.repeats}\n".encode("ascii")
+    for a, b in special._spans(len(m.rows), 2 * m.positions):
+        # digits in the even columns, commas between, a newline in the last
+        bits = np.unpackbits(m.rows[a:b], axis=1, count=m.positions, bitorder="little")
+        grid = np.full((b - a, 2 * m.positions), ord(","), dtype=np.uint8)
+        grid[:, ::2] = bits + ord("0")
+        grid[:, -1] = ord("\n")
+        yield grid
 
 
 def _csv_blocks(f, whole: bool):
@@ -132,23 +140,22 @@ def _csv_blocks(f, whole: bool):
             f"line {lines + 2}: dimension mismatch, expected exactly {lines} data lines")
     f.seek(start + body)
     yield dims
-    row_bytes, line_bytes = (positions + 7) // 8, 2 * positions
-    per_block = lines if whole else _block_bytes(positions, repeats) // row_bytes
-    # about 64 KiB of lines at a time, checked at once against the commas and
-    # line ends the writer emits; a file too short to hold one such line gets
-    # no layout, so the header sizes no allocation
-    per_read = max(1, (1 << 16) // line_bytes)
-    layout = (b"," * (positions - 1) + b"\n") * per_read if line_bytes <= offset - body else b""
-    for first in range(0, lines, per_block):
-        block, last = bytearray(), min(first + per_block, lines)
-        for row in range(first, last, per_read):
-            chunk = [f.readline() for _ in range(min(per_read, last - row))]
+    line_bytes, device = 2 * positions, repeats * ((positions + 7) // 8)
+    # the commas and line ends the writer emits, against which a read's lines
+    # are checked at once; it is built from a read whose length shows that T
+    # is real, so the header sizes no allocation
+    layout = b""
+    for first, last in [(0, devices)] if whole else special._spans(devices, device):
+        block = bytearray()
+        for a, b in special._spans((last - first) * repeats, line_bytes):
+            chunk = [f.readline() for _ in range(b - a)]
             text = b"".join(chunk)
-            symbols = text[::2]
-            if (len(text) != len(chunk) * line_bytes or text[1::2] != layout[:len(symbols)]
-                    or symbols.translate(None, b"01")):
+            symbols, sized = text[::2], len(text) == len(chunk) * line_bytes
+            if sized and len(layout) < len(symbols):
+                layout = (b"," * (positions - 1) + b"\n") * len(chunk)
+            if not sized or text[1::2] != layout[:len(symbols)] or symbols.translate(None, b"01"):
                 symbols = "".join(_csv_symbols(line, i, positions)
-                                  for i, line in enumerate(chunk, row + 2))
+                                  for i, line in enumerate(chunk, first * repeats + a + 2))
             # rows hold no padding bits when 8 divides T, so then the read packs
             # as one number; the first symbol is bit 0 of its row
             step = len(symbols) if positions % 8 == 0 else positions
@@ -188,25 +195,23 @@ def _binary_dims(head: bytes, size: int) -> tuple[int, int, int]:
 def _read_blocks(f, whole: bool):
     """The binary reader, from ``f``'s position: it checks the header and size
     and yields (N, T, M), then reads a block of devices (all if ``whole``) at a
-    time into one buffer, yielding each once its padding bits are checked."""
+    time, yielding each once its padding bits are checked."""
     start = f.tell()
     head = f.read(_HEADER_LEN)
     devices, positions, repeats = dims = _binary_dims(head, f.seek(0, os.SEEK_END) - start)
     f.seek(start + _HEADER_LEN)
     yield dims
     row_bytes = (positions + 7) // 8
-    end = _HEADER_LEN + devices * repeats * row_bytes
-    step = end - _HEADER_LEN if whole else _block_bytes(positions, repeats)
+    device = repeats * row_bytes
     # the padding bits are the high bits of each row's last byte (none when
     # 8 divides T); the table maps a byte to 1 when any of them is set
     table = bytes(b >> (positions % 8 or 8) != 0 for b in range(256))
-    buffer = memoryview(bytearray(min(step, end - _HEADER_LEN)))
-    for offset in range(_HEADER_LEN, end, step):
-        block = buffer[:min(step, end - offset)]
-        got = f.readinto(block)
-        if got < len(block):  # the file shrank after its size was taken: raises
-            _binary_dims(head, offset + got)
-        bad = bytes(block[row_bytes - 1::row_bytes]).translate(table).find(1)
+    for first, last in [(0, devices)] if whole else special._spans(devices, device):
+        size, offset = (last - first) * device, _HEADER_LEN + first * device
+        block = f.read(size)
+        if len(block) < size:  # the file shrank after its size was taken: raises
+            _binary_dims(head, offset + len(block))
+        bad = block[row_bytes - 1::row_bytes].translate(table).find(1)
         if bad >= 0:
             raise FormatError(f"byte {offset + bad * row_bytes + positions // 8}: "
                               "nonzero padding bits")
@@ -251,7 +256,7 @@ def write_counts(c: PositionCounts, dest) -> None:
     """Write pre-counted sufficient statistics."""
     blob = (f"{c.devices},{c.positions}\n"
             + ",".join(str(int(v)) for v in c.ones) + "\n").encode("ascii")
-    _write(dest, blob)
+    _write(dest, [blob])
 
 
 def _fields(text: str, count: int, lineno: int) -> list[str]:

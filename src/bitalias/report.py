@@ -3,9 +3,10 @@
 ``render_report`` serializes an ``analysis.AnalysisResult``; all three
 formats are byte-stable for fixed input, and each renders once per distinct
 count: positions with equal counts share one report, whose text around the
-position index is formatted once.  The module needs no arrays, so ``analyze``
-renders a report without loading numpy, and it imports ``json`` only when a
-JSON report is rendered.
+position index is formatted once.  Only the early-stop p-value lists of a
+JSON report still go through ``json``'s encoder one value per position.  The
+module needs no arrays, so ``analyze`` renders a report without loading
+numpy, and it imports ``json`` only when a JSON report is rendered.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ import sys
 from collections.abc import Sequence
 
 from .errors import DomainError
-from .special import Record, _as_count
+from .special import Record, _as_count, _spans
 
 
 def _checked_bits(arr, ndim: int, what: str) -> np.ndarray:
@@ -198,24 +198,10 @@ def _vote(block, repeats: int, row_bytes: int, first: int) -> tuple[int, int]:
     return gt | eq & parity, eq.bit_count()
 
 
-# Packed input bytes per block of devices (repeats x ceil(T/8) bytes per
-# device); a block holds at least one device, however wide.  On a
-# 4096 x 4096 x 6 file, 64 KiB to 16 MiB blocks all vote in 0.06-0.07 s,
-# while the traced peak of voting the file's 12.6 MB of rows in memory grows
-# with the block: 14.5 MB at 1 MiB, 32.7 MB at 16 MiB.
-_BLOCK_BYTES = 1 << 20
-
-
-def _block_bytes(positions: int, repeats: int) -> int:
-    """`_BLOCK_BYTES`, read at call time, in whole devices, at least one."""
-    device = repeats * ((positions + 7) // 8)
-    return max(1, _BLOCK_BYTES // device) * device
-
-
 def _blocks(rows, positions: int, repeats: int):
-    """A buffer of packed rows as consecutive byte views of `_block_bytes`."""
-    rows, step = memoryview(rows).cast("B"), _block_bytes(positions, repeats)
-    return (rows[i:i + step] for i in range(0, len(rows), step))
+    """A buffer of packed rows as consecutive byte views of `_spans` of devices."""
+    rows, device = memoryview(rows).cast("B"), repeats * ((positions + 7) // 8)
+    return (rows[a * device:b * device] for a, b in _spans(len(rows) // device, device))
 
 
 def _vote_blocks(blocks, positions: int, repeats: int):

@@ -14,7 +14,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .special import Record, _as_choice, _as_count, _as_probability
+from .special import Record, _as_choice, _as_count, _as_probability, _spans
 
 ALIAS_PROFILES = {
     "balanced": lambda t: np.full(t, 0.5),
@@ -71,17 +71,12 @@ class PopulationSpec(Record):
         return vec
 
 
-# Uniform doubles drawn at a time by `simulate_population` (8 MiB); a block
-# holds at least one device.
-_DRAW_BLOCK = 1 << 20
-
-
 def simulate_population(spec: PopulationSpec) -> MeasurementTensor:
     """Draw a full measurement tensor for the given population.
 
     Every device's stable bits are drawn first, then every repeat's flips,
-    device-major.  Both are drawn one block of devices at a time, which
-    consumes the stream exactly as one whole draw would, and each block of
+    device-major.  Both are drawn a `_spans` span of devices at a time, which
+    consumes the stream exactly as one whole draw would, and each span of
     flips is packed straight into the tensor's rows.
     """
     from .response import MeasurementTensor  # here, so validate's draws skip it
@@ -89,13 +84,10 @@ def simulate_population(spec: PopulationSpec) -> MeasurementTensor:
     rng = rng_stream(spec.seed)
     p = spec.alias_vector()
     n, t, m = spec.devices, spec.positions, spec.repeats
-    per_block = max(1, _DRAW_BLOCK // (t * m))
-    starts = range(0, n, per_block)
-    stable = np.concatenate([rng.random((min(per_block, n - a), t)) < p for a in starts])
+    stable = np.concatenate([rng.random((b - a, t)) < p for a, b in _spans(n, 8 * t)])
     rows = np.empty((n * m, (t + 7) // 8), dtype=np.uint8)
-    for a in starts:
-        size = min(per_block, n - a)
-        bits = stable[a:a + size, :, None] ^ (rng.random((size, t, m)) < spec.flip_noise)
+    for a, b in _spans(n, 8 * t * m):
+        bits = stable[a:b, :, None] ^ (rng.random((b - a, t, m)) < spec.flip_noise)
         packed = np.packbits(bits.transpose(0, 2, 1), axis=2, bitorder="little")
-        rows[a * m:(a + size) * m] = packed.reshape(-1, rows.shape[1])
+        rows[a * m:b * m] = packed.reshape(-1, rows.shape[1])
     return MeasurementTensor(_packed=(rows, t, m))

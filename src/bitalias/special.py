@@ -30,7 +30,8 @@ All functions are pure and safe to call concurrently.  Implementation notes:
 The argument checks every module shares live here too: ``_as_probability``
 and ``_as_count`` for one number, ``_as_choice`` for a method, kind or format
 name, ``_check_counts`` for a count and its device count, ``_check_alpha``
-for a significance level; so does ``Record``, every record type's base.
+for a significance level; so does ``Record``, every record type's base, and
+``_spans``, which sizes every streamed loop from the one ``_BLOCK_BYTES``.
 
 Log-scale probabilities are plain floats in natural log; ``-inf`` is the
 distinguished encoding of log(0).
@@ -165,6 +166,19 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
+
+
+# Bytes that every streamed loop holds at a time.  64 KiB to 16 MiB blocks all
+# vote a 4096 x 4096 x 6 file in 0.06-0.07 s, while the traced peak grows with
+# the block.
+_BLOCK_BYTES = 1 << 16
+
+
+def _spans(count: int, size: int):
+    """``(start, stop)`` spans that cover range(count) in order, each of about
+    `_BLOCK_BYTES` (read at call time) of ``size``-byte items, at least one."""
+    step = max(1, _BLOCK_BYTES // size)
+    return ((i, min(i + step, count)) for i in range(0, count, step))
 
 
 def std_normal_cdf(z: float) -> float:

@@ -22,11 +22,9 @@ from .errors import DomainError
 from .qualification import AliasLimits, acceptance_region
 from .simulate import rng_stream
 from .special import (Record, _as_choice, _as_count, _as_probability, _check_alpha,
-                      _check_counts)
+                      _check_counts, _spans)
 
 KINDS = ("coverage", "far", "frr")
-# draws per chunk (64 KiB of int64); the stream gives the same numbers whatever the chunk
-_CHUNK = 8192
 
 
 class CoverageParams(Record):
@@ -75,8 +73,8 @@ def monte_carlo_validate(kind: str, params, trials: int, seed: int,
     inside = 0
     if counted is not None:
         low, high = counted
-        for done in range(0, trials, _CHUNK):
-            draws = rng.binomial(n, p, size=min(_CHUNK, trials - done))
+        for a, b in _spans(trials, 8):
+            draws = rng.binomial(n, p, size=b - a)
             inside += int(np.count_nonzero((draws >= low) & (draws <= high)))
     value = 1.0 - inside / trials if kind == "frr" else inside / trials
     return MonteCarloEstimate(kind=kind, value=value,

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -206,6 +207,17 @@ class TestRenderReport:
         with pytest.raises(DomainError):
             render_report(balanced_result(positions=2), "yaml")
 
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_certain_positions_print_no_negative_zero(self, fmt):
+        # alias 0 and 1, whose worst-case endpoints are there too, have 0 bits
+        # of min-entropy, rendered as 0 and never as -0
+        result = analyze_counts(PositionCounts(devices=680, ones=[0, 680, 340]),
+                                AnalysisConfig(alpha=0.01, limits=LIMITS))
+        assert [r.min_entropy_worst for r in result.reports][:2] == [0.0, 0.0]
+        tokens = re.split(rb"[\s,:\[\]{}]+", render_report(result, fmt))
+        assert b"0" in tokens or b"0.0" in tokens
+        assert b"-0" not in tokens and b"-0.0" not in tokens
+
 
 # sha256 of the text and csv reports, early stop on.  JSON is left out: its
 # full-precision floats may differ in the last bits between libm builds.
@@ -215,25 +227,25 @@ PINNED_REPORTS = {
     ("normal", "campaign", "csv"):
         "a08762869986fb8e3cda02d979293b6c764f3bab79c692feba93481158157cad",
     ("normal", "counts", "text"):
-        "3be32314d7adb8d8414afa919d879ef6d22c196a6fe87df36081fce850885dd0",
+        "97ec919ebc120e3f2d4bea6af18035db223950317e103e05ea64883fa88845dd",
     ("normal", "counts", "csv"):
-        "0519159d1a10942eaa17d0ef7c6e16c3df9d6fb790fe5944716bbe1d139734f5",
+        "c78636c8592ec34febf02eb5d22235684f464c61c2d620c51dba7996954792e4",
     ("wilson", "campaign", "text"):
         "6370b78f84d6a47ace4b8f31d5896a8224fb0b559a8bec82d8138a850e381800",
     ("wilson", "campaign", "csv"):
         "9a610108629e9cc567927ff83ba19b7c064b131eb93377c139c4ac6c8aef2653",
     ("wilson", "counts", "text"):
-        "b2f7f3ad9370882aa3eb3c4b370a5876720c18d3f3aa351ca5146fd98dc75499",
+        "c6c17968f65cab1e49f7a971d906432c08b1cae223e6d23c8cc92f15defb7c9d",
     ("wilson", "counts", "csv"):
-        "2eac0edd1c40ebb387761c7b166324593dcc6de4de4bff1976311a1f34eeb68e",
+        "7f29692af4f34dcf1b36cb42ba737bffebc1f424c24aa4403bb23dc7d3b6810d",
     ("clopper_pearson", "campaign", "text"):
         "68f682366adc8d0ee9669c2cfd2c21e5c39bb826af652541611a5c1fc2db5dcc",
     ("clopper_pearson", "campaign", "csv"):
         "d1f596f9dedfd3a2a8da73453924a8cd9a2432782f336e24f176741fe7026e8d",
     ("clopper_pearson", "counts", "text"):
-        "ccaffb5137b2e515c0c2ab89bb1400b297a9873d90636fd66f35724369c7c6fe",
+        "c876cb7863f011c4d267e1ee101d913e5d56d8922fbcfe53ac0d8ce5eb8048d0",
     ("clopper_pearson", "counts", "csv"):
-        "380d7585bb4b955cf9306456fc5b18c9dd9d07938c783ffb4eedd3ed4035cb1c",
+        "3550e4045d9a2ac3e6f0d8802bb4ebdb2365d7a3e33fd2e50a7add2d34f6f6ff",
 }
 
 @pytest.fixture(scope="module")

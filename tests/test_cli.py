@@ -81,6 +81,16 @@ class TestAnalyzeCommand:
         assert capsys.readouterr().err == \
             "error: per-position entropy must lie in (0, 1], got 0.0\n"
 
+    @pytest.mark.parametrize("fraction", ["2", "0.5", "0"])
+    def test_flag_fraction_without_early_stop_exits_two(self, balanced_file, capsys, fraction):
+        # the fraction only sets the early-stop forecast, so alone it is an error,
+        # not a flag silently ignored
+        assert main(["analyze", str(balanced_file), "--max-flag-fraction", fraction]) == 2
+        assert capsys.readouterr() == ("", "error: --max-flag-fraction needs --early-stop-alpha\n")
+        argv = ["analyze", str(balanced_file), "--early-stop-alpha", "0.01",
+                "--max-flag-fraction", fraction]
+        assert main(argv) == (2 if fraction == "2" else 1)
+
     def test_parse_error_exits_two(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"1,2,1\n0,7\n")

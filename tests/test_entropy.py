@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -43,6 +45,19 @@ class TestMinEntropyFromLimits:
     def test_certain_outcomes_carry_zero_bits(self):
         assert min_entropy_from_limits(0.0) == 0.0
         assert min_entropy_from_limits(1.0) == 0.0
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, 5e-324])
+    def test_zero_bits_are_positive_zero(self, p):
+        # -log2(1) is -0.0, which a report would print as "-0"; at 5e-324,
+        # max(p, 1 - p) rounds to 1 too
+        h = min_entropy_from_limits(p)
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
+
+    @given(st.floats(0.0, 1.0))
+    def test_same_bits_as_negated_log(self, p):
+        h = min_entropy_from_limits(p)
+        if h:
+            assert h == -math.log2(max(p, 1.0 - p))
 
     def test_rejects_outside_unit_interval(self):
         with pytest.raises(DomainError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitalias import response
+from bitalias import special
 from bitalias.errors import FormatError
 from bitalias.formats import (load_counts, load_measurement_counts, load_measurements,
                               write_counts, write_measurements)
@@ -273,7 +273,7 @@ def test_streamed_counts_match_tensor_path(devices, positions, repeats, block_by
     buf = io.BytesIO()
     write_measurements(m, buf, fmt=fmt)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(response, "_BLOCK_BYTES", block_bytes)
+        mp.setattr(special, "_BLOCK_BYTES", block_bytes)
         got = load_measurement_counts(io.BytesIO(buf.getvalue()))
     assert_same_counts(got, tensor_path(buf.getvalue()))
 
@@ -283,7 +283,7 @@ def test_counts_hold_one_block_whatever_the_device_count(tmp_path, monkeypatch, 
     # four times the devices, with T and M unchanged, adds rows to read but
     # not to hold: the two peaks differ by the count planes, not the file.
     # Counts up to 256 are cached ints, so the count tuples weigh the same.
-    monkeypatch.setattr(response, "_BLOCK_BYTES", 1 << 15)
+    monkeypatch.setattr(special, "_BLOCK_BYTES", 1 << 15)
     positions, repeats = 4096, 3
     rng = np.random.default_rng(10)
     peaks = []
@@ -297,7 +297,7 @@ def test_counts_hold_one_block_whatever_the_device_count(tmp_path, monkeypatch, 
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] - peaks[0] < response._BLOCK_BYTES, peaks
+    assert peaks[1] - peaks[0] < special._BLOCK_BYTES, peaks
 
 
 def roundtrip(m: MeasurementTensor, fmt: str) -> MeasurementTensor:
@@ -482,6 +482,40 @@ class TestRoundTrips:
             write_measurements(m, buf, fmt="binary")
             blobs.append(buf.getvalue())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("block_bytes", [1, 64, None])
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_written_bytes_do_not_depend_on_the_block(self, tmp_path, monkeypatch, block_bytes,
+                                                      fmt):
+        # 300 x 77 x 3 makes 139 KB of CSV, several default blocks, and pads
+        # each row; the reference is the whole file made at once
+        bits = np.random.default_rng(6).integers(0, 2, size=(300, 77, 3), dtype=np.uint8)
+        m = MeasurementTensor(bits=bits)
+        if fmt == "csv":
+            lines = bits.transpose(0, 2, 1).reshape(-1, 77).astype(str)
+            expected = ("300,77,3\n" + "".join(",".join(row) + "\n" for row in lines)).encode()
+        else:
+            expected = _binary_header(300, 77, 3) + m.rows.tobytes()
+        if block_bytes is not None:
+            monkeypatch.setattr(special, "_BLOCK_BYTES", block_bytes)
+        path = tmp_path / "m"
+        write_measurements(m, path, fmt=fmt)
+        assert path.read_bytes() == expected
+
+    def test_csv_writer_holds_one_span_whatever_the_device_count(self, tmp_path):
+        # four times the devices, with T and M unchanged, adds lines to write
+        # but not to hold
+        rng = np.random.default_rng(9)
+        peaks = []
+        for devices in (64, 256):
+            m = MeasurementTensor(bits=rng.integers(0, 2, size=(devices, 4096, 3), dtype=np.uint8))
+            tracemalloc.start()
+            try:
+                write_measurements(m, tmp_path / f"m{devices}.csv", fmt="csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < special._BLOCK_BYTES, peaks
 
 
 class TestCountsFormat:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitalias import response
+from bitalias import response, special
 from bitalias.errors import DomainError
 from bitalias.response import (MeasurementTensor, NoiseFreeResponse, PositionCounts, _vote,
                                bit_alias, count_ones, derive_noise_free_response)
@@ -106,7 +106,7 @@ class TestNoiseFreeResponse:
     def test_derived_response_holds_the_voted_rows_packed(self, monkeypatch):
         # the response keeps the voted rows (N x ceil(T/8) bytes) as they
         # come from the vote; unpacking them, as bits, takes 8 times as much
-        monkeypatch.setattr(response, "_BLOCK_BYTES", 1 << 16)
+        monkeypatch.setattr(special, "_BLOCK_BYTES", 1 << 16)
         n, t, k = 512, 1024, 4
         m = tensor(np.random.default_rng(8).integers(0, 2, size=(n, t, k)))
         voted = n * ((t + 7) // 8)

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from bitalias import simulate
+from bitalias import special
 from bitalias.errors import DomainError
 from bitalias.response import bit_alias, count_ones, derive_noise_free_response
 from bitalias.simulate import PopulationSpec, rng_stream, simulate_population
@@ -102,10 +102,10 @@ SIMULATED_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("draw_block", [1, 100, 1 << 20])
+@pytest.mark.parametrize("block_bytes", [1, 8 * 100, 8 << 20])
 @pytest.mark.parametrize("kw, digest", SIMULATED_ROWS)
-def test_seeded_population_bytes_pinned(kw, digest, draw_block, monkeypatch):
-    # a small draw block splits the devices over many blocks, one each at 1
-    monkeypatch.setattr(simulate, "_DRAW_BLOCK", draw_block)
+def test_seeded_population_bytes_pinned(kw, digest, block_bytes, monkeypatch):
+    # a small block splits the devices over many spans of draws, one each at 1
+    monkeypatch.setattr(special, "_BLOCK_BYTES", block_bytes)
     m = simulate_population(PopulationSpec(**kw))
     assert hashlib.sha256(m.rows.tobytes()).hexdigest() == digest

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bitalias import special
 from bitalias.errors import DomainError
-from bitalias.special import (beta_quantile, binomial_cdf, binomial_pmf_log,
+from bitalias.special import (_spans, beta_quantile, binomial_cdf, binomial_pmf_log,
                               binomial_range_mass, binomial_sf,
                               regularized_incomplete_beta, std_normal_cdf,
                               std_normal_quantile)
@@ -325,6 +326,32 @@ class TestBinomialRangeMass:
     def test_rejects_range_outside_support(self):
         with pytest.raises(DomainError):
             binomial_range_mass(0, 11, 10, 0.5)
+
+
+class TestSpans:
+    def test_no_items_no_spans(self):
+        assert list(_spans(0, 8)) == []
+
+    def test_an_item_larger_than_the_block_is_a_span_alone(self, monkeypatch):
+        monkeypatch.setattr(special, "_BLOCK_BYTES", 64)
+        assert list(_spans(3, 100)) == [(0, 1), (1, 2), (2, 3)]
+        assert list(_spans(5, 64)) == [(i, i + 1) for i in range(5)]
+
+    def test_the_block_is_read_at_call_time(self, monkeypatch):
+        assert list(_spans(3, special._BLOCK_BYTES)) == [(0, 1), (1, 2), (2, 3)]
+        monkeypatch.setattr(special, "_BLOCK_BYTES", 3 * special._BLOCK_BYTES)
+        assert list(_spans(4, special._BLOCK_BYTES // 3)) == [(0, 3), (3, 4)]
+
+    @given(st.integers(0, 5000), st.integers(1, 300), st.integers(1, 4096))
+    def test_spans_cover_the_range_exactly(self, count, size, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(special, "_BLOCK_BYTES", block)
+            spans = list(_spans(count, size))
+        assert [i for a, b in spans for i in range(a, b)] == list(range(count))
+        # every span but the last holds the same items, as many as fit, at least one
+        per_span = max(1, block // size)
+        assert all(b - a == per_span for a, b in spans[:-1])
+        assert all(0 < b - a <= per_span for a, b in spans)
 
 
 def _bad_argument_calls():

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from bitalias import validate
+from bitalias import special, validate
 from bitalias.confidence import METHODS, confidence_interval
 from bitalias.errors import DomainError
 from bitalias.qualification import AliasLimits, acceptance_region
@@ -90,8 +90,10 @@ def _per_draw_coverage(method, p, n, alpha, trials, seed, task=0):
     return value, math.sqrt(value * (1.0 - value) / trials)
 
 
-@pytest.mark.parametrize("trials", [validate._CHUNK - 1, validate._CHUNK,
-                                    validate._CHUNK + 1, 3 * validate._CHUNK + 17])
+CHUNK = special._BLOCK_BYTES // 8  # int64 draws per span
+
+
+@pytest.mark.parametrize("trials", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
 @pytest.mark.parametrize("kind, params", [
     ("coverage", CoverageParams("wilson", p=0.3, devices=680, alpha=0.01)),
     ("far", QualificationParams(devices=680, limits=LIMITS, alpha=0.01, p=0.55)),
