@@ -30,9 +30,12 @@ sys.path.insert(0, str(SRC))
 
 METHODS = ("normal", "wilson", "clopper_pearson")
 REPORTS = ("text", "json", "csv")
-PAPER, BINARY, TIED, COUNTS, README, BAD = (
+PAPER, BINARY, TIED, COUNTS, README, BAD, COUNTS_1E20, COUNTS_HUGE = (
     f"../fixtures/{name}" for name in
-    ("paper.csv", "paper.puf", "tied.puf", "counts.csv", "readme.csv", "bad.csv"))
+    ("paper.csv", "paper.puf", "tied.puf", "counts.csv", "readme.csv", "bad.csv",
+     "counts-1e20.csv", "counts-huge.csv"))
+# an integer of 401 digits, past any float
+HUGE = "1" + "0" * 400
 # the benchmark's plan-scale queries, by their names in perfbench/workloads.py
 PLAN_SCALE = {
     "width-cp-0.01": ["plan", "width", "--width", "0.01", "--method", "clopper_pearson"],
@@ -69,6 +72,9 @@ def write_fixtures(folder: Path) -> None:
     write_measurements(tied, folder / "tied.puf", "binary")
     (folder / "readme.csv").write_bytes(b"2,3,2\n0,1,0\n0,1,1\n1,1,0\n1,0,0\n")
     (folder / "bad.csv").write_bytes(b"2,3,1\n0,1,0\n0,2,1\n")
+    # device counts that overflow a float, or the incomplete beta's prefactor
+    (folder / "counts-1e20.csv").write_bytes(b"100000000000000000000,1\n5\n")
+    (folder / "counts-huge.csv").write_bytes(f"{HUGE},1\n5\n".encode())
 
 
 def invocations() -> list[tuple[str, list[str]]]:
@@ -123,6 +129,15 @@ def invocations() -> list[tuple[str, list[str]]]:
         ("check-min-entropy", ["check", "--x", "340", "--n", "680", "--min-entropy", "0.99"]),
         ("check-limits-reversed", ["check", "--x", "3", "--n", "6",
                                    "--p-low", "0.6", "--p-high", "0.5"]),
+        # each ended in an OverflowError traceback before it became a usage error
+        ("analyze-counts-n-1e20", ["analyze", "--counts", COUNTS_1E20]),
+        ("analyze-counts-n-401-digits", ["analyze", "--counts", COUNTS_HUGE]),
+        ("check-n-401-digits", ["check", "--x", "5", "--n", HUGE]),
+        ("curve-grid-1e20", ["curve", "--method", "clopper_pearson",
+                             "--grid", "100000000000000000000"]),
+        ("validate-far-devices-1e20", ["validate", "--kind", "far", "--p", "0.5",
+                                       "--devices", "100000000000000000000", "--seed", "1",
+                                       "--trials", "1000"]),
     ]
     runs += [(f"plan-scale-{name}", argv) for name, argv in PLAN_SCALE.items()]
     for method in METHODS:

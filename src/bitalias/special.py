@@ -63,7 +63,7 @@ def _as_probability(value, name: str, *, bounds: str = "[0, 1]") -> float:
     """A real number in ``bounds``: "[0, 1]", "(0, 1]" or "(0, 1)"."""
     try:
         v = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{name} must be a real number, got {value!r}") from None
     above = 0.0 < v if bounds[0] == "(" else 0.0 <= v
     below = v < 1.0 if bounds[-1] == ")" else v <= 1.0
@@ -75,7 +75,7 @@ def _as_probability(value, name: str, *, bounds: str = "[0, 1]") -> float:
 def _as_positive(value, name: str) -> float:
     try:
         v = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{name} must be a real number, got {value!r}") from None
     if not math.isfinite(v) or v <= 0.0:
         raise DomainError(f"{name} must be finite and > 0, got {value!r}")
@@ -202,7 +202,11 @@ def regularized_incomplete_beta(x, a, b) -> float:
         return 1.0
     ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
                 + a * math.log(x) + b * math.log1p(-x))
-    front = math.exp(ln_front)
+    try:
+        front = math.exp(ln_front)
+    except OverflowError:  # a true prefactor is below sqrt(ab/(a+b)): lgamma cancelled
+        raise ConvergenceError(
+            f"incomplete beta prefactor overflowed at a={a}, b={b}, x={x}") from None
     if x < (a + 1.0) / (a + b + 2.0):
         result = front * _beta_cf(a, b, x) / a
     else:

@@ -553,3 +553,33 @@ class TestValidateCommand:
         assert rc == 2
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+# An integer of 401 digits is past any float: float() raises OverflowError.
+_HUGE = "1" + "0" * 400
+
+
+class TestOverflowingIntegers:
+    # Each once ended in an OverflowError traceback with exit 1, the code of
+    # a rejection: float() of the count, or exp() of the incomplete beta's
+    # prefactor, whose lgamma terms cancel badly near 1e20.
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "--counts", "{1e20}"], "incomplete beta prefactor overflowed at a="),
+        (["analyze", "--counts", "{huge}"], f"a must be a real number, got {_HUGE[:20]}"),
+        (["check", "--x", "5", "--n", _HUGE], "a must be a real number, got 99999"),
+        (["curve", "--method", "clopper_pearson", "--grid", "100000000000000000000"],
+         "incomplete beta prefactor overflowed at a=5e+19, b=5e+19, x=0.5"),
+        (["validate", "--kind", "far", "--p", "0.5", "--devices", "100000000000000000000",
+          "--seed", "1", "--trials", "1000"], "incomplete beta prefactor overflowed at a="),
+    ], ids=["counts-1e20", "counts-huge", "check-huge", "curve-1e20", "validate-1e20"])
+    def test_exits_two_with_one_error_line(self, tmp_path, capsys, argv, message):
+        files = {"1e20": "100000000000000000000", "huge": _HUGE}
+        for name, devices in files.items():
+            (tmp_path / f"{name}.csv").write_text(f"{devices},1\n5\n")
+        argv = [arg.format(**{name: str(tmp_path / f"{name}.csv") for name in files})
+                for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message)
+        assert captured.err.count("\n") == 1

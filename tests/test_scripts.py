@@ -1,8 +1,11 @@
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -41,3 +44,45 @@ def test_cli_corpus_lines(tmp_path):
     assert curve["files"] == {"curve.csv": hashlib.sha256(
         (tmp_path / "curve-out" / "curve.csv").read_bytes()).hexdigest()}
     assert (help_["exit"], help_["stderr_last"], help_["files"]) == (0, "", {})
+
+
+def children(*args, cwd):
+    return subprocess.run([sys.executable, str(SCRIPTS / "children.py"), *args], cwd=cwd,
+                          capture_output=True, text=True)
+
+
+def test_children_measure_returns_exit_times_rss_and_output():
+    spec = importlib.util.spec_from_file_location("children", SCRIPTS / "children.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    code, wall, cpu, rss, output, digest = module.measure(["check", "--x", "300", "--n", "680"])
+    assert code == 1 and output.startswith("x=300 n=680")
+    assert wall > 0 and cpu > 0 and rss > 0
+    assert module.measure(["check", "--x", "300", "--n", "680"])[5] == digest
+
+
+def test_children_bounds_validate(tmp_path):
+    proc = children("bounds", "validate", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("validate peak RSS growth: ")
+    assert proc.stdout.splitlines()[-1].endswith(" MB (limit 4 MB)")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["bounds", "nothing"], "children.py bounds"), (["bounds"], "children.py bounds"),
+    (["ab", "."], "children.py ab"), ([], "children.py ab"),
+    (["ab", "nowhere", "nowhere", "--help"], "no src/bitalias under "),
+])
+def test_children_usage_exits_two(tmp_path, args, message):
+    proc = children(*args, cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, "") and message in proc.stderr
+
+
+def test_children_ab_of_one_tree_with_itself(tmp_path):
+    tree = str(SCRIPTS.parent)
+    proc = children("ab", tree, tree, "--help", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[3:6]] == ["wall_s", "cpu_s", "peak_rss_mb"]
+    assert all(line.endswith(" of 10") for line in lines[3:6])
+    assert lines[6:] == ["outputs: same, exit 0"]
