@@ -4,11 +4,12 @@
     python scripts/children.py bounds {validate,simulate,files}
     python scripts/children.py ab TREE_A TREE_B ARGV...
 
-``bounds NAME`` runs one memory check of the CI workflow: children that
-differ only in the size of their input, whose peak RSS may differ by less
-than 4 MB.  It prints a line per child and per gap, and exits 1 when a child
-gives another exit code than expected or a traceback, or a gap reaches the
-limit.  The simulate and files checks write their files into a new directory
+``bounds NAME`` runs one memory check of the tier-1 tests
+(``test_children_bounds`` in tests/test_scripts.py): children that differ
+only in the size of their input, whose peak RSS may differ by less than 4 MB.
+It prints a line per child and per gap, and exits 1 when a child gives
+another exit code than expected or a traceback, or a gap reaches the limit.
+The simulate and files checks write their files into a new directory
 children.tmp under the current directory and remove it at the end.
 
 ``ab TREE_A TREE_B ARGV...`` runs ``bitalias ARGV`` on the ``src`` of each
@@ -38,8 +39,8 @@ SCRATCH = "children.tmp"
 
 VALIDATE = ["validate", "--kind", "frr", "--p", "0.4985", "--p-low", "0.497",
             "--p-high", "0.503", "--devices", "2671077", "--seed", "1"]
-SIMULATE = ["simulate", "--devices", "1024", "--positions", "4096", "--repeats", "6",
-            "--noise", "0.05", "--seed", "1"]
+SIMULATE = ["simulate", "--devices", "1024", "--positions", "4096", "--noise", "0.05",
+            "--seed", "1"]
 REPEATS = 5
 # files check: (format, devices, positions) in its seeded writer's order, and the exit
 # codes of analyze (1: it rejects a position) and early-stop (1: it says abort) on each
@@ -51,10 +52,14 @@ BOUNDS = {
     "validate": ((), {f"--trials {trials}": ([*VALIDATE, "--trials", trials], 0)
                       for trials in ("100000", "10000000")},
                  [("validate peak RSS growth", "--trials 10000000", "--trials 100000")]),
-    "simulate": ((), {f"simulate --format {fmt}": (
-        [*SIMULATE, "--format", fmt, "--out", os.path.join(SCRATCH, "simulated." + fmt)], 0)
-        for fmt in ("csv", "binary")},
-        [("CSV over binary peak RSS", "simulate --format csv", "simulate --format binary")]),
+    "simulate": ((), {f"simulate --format {fmt} --repeats {repeats}": (
+        [*SIMULATE, "--repeats", repeats, "--format", fmt,
+         "--out", os.path.join(SCRATCH, "simulated." + fmt)], 0)
+        for fmt, repeats in (("csv", "6"), ("binary", "6"), ("binary", "1"))},
+        [("CSV over binary peak RSS", "simulate --format csv --repeats 6",
+          "simulate --format binary --repeats 6"),
+         ("6 over 1 repeats peak RSS", "simulate --format binary --repeats 6",
+          "simulate --format binary --repeats 1")]),
     "files": (tuple(CAMPAIGNS),
               {f"{fmt} {command} {devices} devices": ([command, FILE.format(fmt, devices)], want)
                for (fmt, devices, _), wants in CAMPAIGNS.items()

@@ -99,6 +99,9 @@ def invocations() -> list[tuple[str, list[str]]]:
         ("analyze-out-csv", ["analyze", TIED, "--format", "csv", "--out", "report.csv"]),
         ("analyze-alpha-1e-6", ["analyze", PAPER, "--alpha", "1e-6",
                                 "--ci-method", "clopper_pearson"]),
+        # Clopper-Pearson's upper bound collapses to 1.0 below alpha ~ 2.2e-16
+        ("analyze-alpha-1e-17", ["analyze", PAPER, "--alpha", "1e-17",
+                                 "--ci-method", "clopper_pearson"]),
         ("analyze-min-entropy", ["analyze", PAPER, "--min-entropy", "0.9"]),
         ("analyze-shannon-entropy", ["analyze", BINARY, "--shannon-entropy", "0.99"]),
         ("analyze-entropy-and-limits", ["analyze", PAPER, "--min-entropy", "0.9",
@@ -133,6 +136,8 @@ def invocations() -> list[tuple[str, list[str]]]:
         ("analyze-counts-n-1e20", ["analyze", "--counts", COUNTS_1E20]),
         ("analyze-counts-n-401-digits", ["analyze", "--counts", COUNTS_HUGE]),
         ("check-n-401-digits", ["check", "--x", "5", "--n", HUGE]),
+        # a verdict from tails past their stated accuracy, before the device cap
+        ("check-n-1e15", ["check", "--x", "450000031464265", "--n", "1000000000000000"]),
         ("curve-grid-1e20", ["curve", "--method", "clopper_pearson",
                              "--grid", "100000000000000000000"]),
         ("validate-far-devices-1e20", ["validate", "--kind", "far", "--p", "0.5",
@@ -148,6 +153,12 @@ def invocations() -> list[tuple[str, list[str]]]:
                                                      "--method", method]))
     runs += [
         ("plan-width-alpha-1e-6", ["plan", "width", "--width", "0.05", "--alpha", "1e-6"]),
+        # Clopper-Pearson at tiny alpha: 6424 devices where 6432 is the answer,
+        # and a capacity error where 7334 is
+        ("plan-width-cp-alpha-1e-15", ["plan", "width", "--width", "0.1", "--method",
+                                       "clopper_pearson", "--alpha", "1e-15"]),
+        ("plan-width-cp-alpha-1e-17", ["plan", "width", "--width", "0.1", "--method",
+                                       "clopper_pearson", "--alpha", "1e-17"]),
         ("plan-width-capacity", ["plan", "width", "--width", "0.0005", "--method", "wilson"]),
         ("plan-width-normal-capacity", ["plan", "width", "--width", "1e-100",
                                         "--method", "normal"]),
@@ -178,6 +189,9 @@ def invocations() -> list[tuple[str, list[str]]]:
         ("curve-alias-cp", ["curve", "--sweep", "alias", "--devices", "7",
                             "--grid", "0.1,0.25,0.9", "--method", "clopper_pearson"]),
         ("curve-grid", ["curve", "--grid", "2,20,200,5000", "--p-hat", "0.3"]),
+        # prints a width of 0.660681 where the true width is 0.321
+        ("curve-cp-alpha-1e-17", ["curve", "--method", "clopper_pearson", "--sweep", "devices",
+                                  "--grid", "680", "--alpha", "1e-17"]),
         ("curve-normal-alias", ["curve", "--sweep", "alias", "--method", "normal"]),
         ("curve-out", ["curve", "--method", "clopper_pearson", "--out", "curve.csv"]),
         ("simulate-csv", ["simulate", "--devices", "20", "--positions", "16", "--repeats", "3",

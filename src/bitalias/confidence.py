@@ -15,15 +15,14 @@ from __future__ import annotations
 import math
 
 from .errors import CapacityError, DomainError
-from .special import (Record, _as_choice, _as_count, _as_positive, _as_probability,
-                      _check_alpha, _check_counts, beta_quantile, std_normal_quantile)
+from .special import (DEVICE_CAP, Record, _as_choice, _as_count, _as_positive,
+                      _as_probability, _check_alpha, _check_counts, beta_quantile,
+                      std_normal_quantile)
 
 METHODS = ("normal", "wilson", "clopper_pearson")
 
-PLANNER_DEVICE_CAP = 10_000_000
 
-
-def _first(ok, start: int, what: str, step: int = 1, limit: int = PLANNER_DEVICE_CAP) -> int:
+def _first(ok, start: int, what: str, step: int = 1, limit: int = DEVICE_CAP) -> int:
     """Smallest count in (0, limit] on the grid start + k*step meeting ok, for
     an ok that fails at 0 and flips once.  Probes outward from start (clamped
     into [0, limit]) by 1, 2, 4, ... grid steps, down while ok holds and up
@@ -189,8 +188,8 @@ def ci_width(method: str, p_hat: float, n: float, alpha: float) -> float:
     p_hat = _as_probability(p_hat, "p_hat")
     alpha = _check_alpha(alpha)
     n = _as_positive(n, "n")
-    if n < 1.0:
-        raise DomainError(f"n must be >= 1, got {n!r}")
+    if not 1.0 <= n <= DEVICE_CAP:
+        raise DomainError(f"n must lie in [1, {DEVICE_CAP}], got {n!r}")
     if method == "clopper_pearson":
         lower, upper = _clopper_pearson(p_hat * n, n, alpha)
         return upper - lower
@@ -211,9 +210,9 @@ def plan_devices_normal(target_width, alpha) -> PlanResult:
     as the exact planners do (z / target_width is clamped before squaring)."""
     target_width = _as_probability(target_width, "target_width", bounds="(0, 1)")
     alpha = _check_alpha(alpha)
-    devices = math.ceil(min(_z_for(alpha) / target_width, PLANNER_DEVICE_CAP) ** 2)
-    if devices > PLANNER_DEVICE_CAP:
-        raise CapacityError(f"width {target_width} unreachable below {PLANNER_DEVICE_CAP} devices")
+    devices = math.ceil(min(_z_for(alpha) / target_width, DEVICE_CAP) ** 2)
+    if devices > DEVICE_CAP:
+        raise CapacityError(f"width {target_width} unreachable below {DEVICE_CAP} devices")
     return PlanResult(devices=devices, alpha=alpha, method="normal",
                       target_width=target_width)
 
@@ -250,6 +249,6 @@ def plan_devices_exact(method: str, target_width, alpha) -> PlanResult:
 
     z, w = _z_for(alpha), target_width
     root = z / w if method == "wilson" else (z + math.sqrt(z * z + 4.0 * w)) / (2.0 * w)
-    guess = math.ceil(min(root, PLANNER_DEVICE_CAP) ** 2)  # _first clamps it to the cap
+    guess = math.ceil(min(root, DEVICE_CAP) ** 2)  # _first clamps it to the cap
     n = _first(ok, guess + guess % 2, f"width {w}", 2)
     return PlanResult(devices=n, alpha=alpha, method=method, target_width=target_width)

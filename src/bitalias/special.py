@@ -21,7 +21,8 @@ All functions are pure and safe to call concurrently.  Implementation notes:
   Their relative error grows about linearly with n, through cancellation in
   the ``lgamma`` prefactor: against scipy, over every count within three
   standard deviations of the median at p = 0.5, it reaches 1e-12 at n = 1e3,
-  3.3e-10 at 1e5, 2.7e-9 at 1e6 and 3.0e-8 at 1e7.
+  3.3e-10 at 1e5, 2.7e-9 at 1e6 and 3.0e-8 at 1e7, ``DEVICE_CAP``, the most
+  devices that any count, interval, plan or curve accepts.
 * ``binomial_range_mass`` (the partial sum behind ``acceptance_probability``,
   its only caller) forms every term in log space and adds them with
   ``math.fsum``, exactly rounded, so results at n ~ 7000 keep their 1e-4
@@ -58,6 +59,8 @@ _BETA_CF_TINY = 1e-300
 _QUANTILE_MAX_ITER = 200
 _QUANTILE_XTOL = 1e-13
 _QUANTILE_FTOL = 1e-12
+
+DEVICE_CAP = 10_000_000
 
 def _as_probability(value, name: str, *, bounds: str = "[0, 1]") -> float:
     """A real number in ``bounds``: "[0, 1]", "(0, 1]" or "(0, 1)"."""
@@ -100,11 +103,13 @@ def _as_choice(value, name: str, choices: tuple[str, ...]) -> str:
 
 def _check_counts(x, n, name: str = "x", min_n: int = 1) -> tuple[int, int]:
     """A count ``name`` of 1s out of n trials: integers with 0 <= x <= n and
-    n >= min_n."""
+    min_n <= n <= DEVICE_CAP."""
     x = _as_count(x, name)
     n = _as_count(n, "n")
     if n < min_n:
         raise DomainError(f"n must be >= {min_n}")
+    if n > DEVICE_CAP:
+        raise DomainError(f"n must be <= {DEVICE_CAP}, got {n}")
     if x > n:
         raise DomainError(f"{name} must not exceed n, got {name}={x}, n={n}")
     return x, n

@@ -416,8 +416,9 @@ class TestNumpyFreeCommands:
 
 
 # Runs `bitalias ARGS...` (or only builds the parser when there are none) and
-# prints, on stderr, the exit code, which of the modules that start-up must
-# not pay for were loaded, and the package's submodules that were loaded.
+# prints, on stderr, whether numpy could be imported, then the exit code, which
+# of the modules that start-up must not pay for were loaded, and the package's
+# submodules that were loaded.
 _STARTUP_PROBE = """
 import sys
 import bitalias.cli as cli
@@ -425,14 +426,17 @@ code = cli.main(sys.argv[1:]) if sys.argv[1:] else cli.build_parser() and 0
 loaded = sorted({"dataclasses", "inspect", "statistics", "numpy", "typing", "pathlib"}
                 & set(sys.modules))
 package = sorted(name[9:] for name in sys.modules if name.startswith("bitalias."))
+import importlib.util
+print("numpy importable:", importlib.util.find_spec("numpy") is not None, file=sys.stderr)
 print(code, loaded, " ".join(package), file=sys.stderr)
 """
 _BASE = "cli confidence errors special"
+_ANALYZE = "analysis cli confidence entropy errors formats qualification report response special"
 
 
 def _run_startup_probe(argv, tmp_path, site=False):
-    """The probe's last stderr line, from a child run without site packages
-    unless site is set."""
+    """The probe's stdout and last stderr line, from a child run without site
+    packages unless site is set; numpy can be imported only with them."""
     import os
     import subprocess
     import sys
@@ -446,7 +450,9 @@ def _run_startup_probe(argv, tmp_path, site=False):
     proc = subprocess.run([sys.executable, *flags, "-c", _STARTUP_PROBE, *argv],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    return proc.stderr.splitlines()[-1]
+    *_, importable, line = proc.stderr.splitlines()
+    assert importable == f"numpy importable: {site}"
+    return proc.stdout, line
 
 
 # Runs `bitalias validate`, which loads numpy, and prints OPENBLAS_NUM_THREADS
@@ -463,30 +469,49 @@ print(os.environ.get("OPENBLAS_NUM_THREADS"), threads, file=sys.stderr)
 
 class TestStartupImports:
     # Each command loads only the submodules it runs: qualification for
-    # limits, entropy for an entropy floor, report only in analyze.
-    @pytest.mark.parametrize("argv,code,modules", [
-        ([], 0, _BASE),
-        (["plan", "width", "--width", "0.1"], 0, _BASE),
-        (["curve"], 0, _BASE),
+    # limits, entropy for an entropy floor, report only in analyze.  Each runs
+    # where numpy cannot be imported, and prints its usual output: `line` is
+    # one whole line of it.
+    @pytest.mark.parametrize("argv,code,modules,line", [
+        ([], 0, _BASE, None),
+        (["plan", "width", "--width", "0.1"], 0, _BASE,
+         "devices=680 method=clopper_pearson target_width=0.1 alpha=0.01"),
+        (["curve"], 0, _BASE, "2,0.876574"),
         (["plan", "frr", "--inner-low", "0.48", "--inner-high", "0.52"], 0,
-         "cli confidence errors qualification special"),
+         "cli confidence errors qualification special",
+         "devices=6653 method=frr p_l=0.45 p_u=0.55 inner=(0.48, 0.52) alpha=0.01 beta=0.01"),
         (["check", "--x", "340", "--n", "680"], 0,
-         "cli confidence errors qualification special"),
+         "cli confidence errors qualification special",
+         "x=340 n=680 accepted=yes p_value_lower=0.00498567 p_value_upper=0.00498567 "
+         "alpha=0.01"),
         (["check", "--x", "340", "--n", "680", "--min-entropy", "0.9"], 1,
-         "cli confidence entropy errors qualification special"),
-        (["analyze", "{readme_csv}"], 1, "analysis cli confidence entropy errors formats "
-                                         "qualification report response special"),
+         "cli confidence entropy errors qualification special",
+         "x=340 n=680 accepted=no p_value_lower=0.0331515 p_value_upper=0.0331515 "
+         "alpha=0.01"),
+        (["analyze", "{readme_csv}"], 1, _ANALYZE, "accepted=0 rejected=3"),
+        (["analyze", "{readme_csv}", "--format", "json"], 1, _ANALYZE, '    "rejected": 3,'),
+        (["analyze", "{readme_csv}", "--format", "csv"], 1, _ANALYZE,
+         "t,x,N,p_hat,ci_lo,ci_hi,p_val_lo,p_val_hi,accepted,min_entropy,shannon_entropy"),
+        (["early-stop", "{readme_csv}"], 0,
+         "cli confidence errors formats qualification response special",
+         "decision=continue flagged=0/3 positions=-"),
+        (["curve", "--sweep", "alias", "--devices", "7", "--grid", "0.1,0.25,0.9",
+          "--method", "clopper_pearson"], 0, _BASE, "0.25,0.762016"),
+        (["curve", "--grid", "2,20,200,5000", "--p-hat", "0.3"], 0, _BASE, "5000,0.0333686"),
     ], ids=["build_parser", "plan-width", "curve", "plan-frr", "check", "check-entropy",
-            "analyze"])
+            "analyze", "analyze-json", "analyze-csv", "early-stop", "curve-alias-cp",
+            "curve-grid"])
     def test_commands_load_no_dataclasses_inspect_statistics_or_numpy(self, argv, code,
-                                                                       modules, tmp_path):
-        assert _run_startup_probe(argv, tmp_path) == f"{code} [] {modules}"
+                                                                       modules, line, tmp_path):
+        stdout, probed = _run_startup_probe(argv, tmp_path)
+        assert probed == f"{code} [] {modules}"
+        assert (stdout == "") if line is None else (line in stdout.splitlines())
 
     @pytest.mark.parametrize("kind", ["coverage", "frr"])
     def test_validate_loads_no_response_entropy_or_report(self, kind, tmp_path):
-        line = _run_startup_probe(["validate", "--kind", kind, "--p", "0.5", "--devices",
-                                   "100", "--trials", "1000", "--seed", "1"], tmp_path,
-                                  site=True)
+        _, line = _run_startup_probe(["validate", "--kind", kind, "--p", "0.5", "--devices",
+                                      "100", "--trials", "1000", "--seed", "1"], tmp_path,
+                                     site=True)
         assert line.split("] ")[-1] == \
             "cli confidence errors qualification simulate special validate"
 
@@ -562,16 +587,21 @@ _HUGE = "1" + "0" * 400
 class TestOverflowingIntegers:
     # Each once ended in an OverflowError traceback with exit 1, the code of
     # a rejection: float() of the count, or exp() of the incomplete beta's
-    # prefactor, whose lgamma terms cancel badly near 1e20.
+    # prefactor, whose lgamma terms cancel badly near 1e20.  The check at
+    # 10^15 once exited 0 with accepted=yes, from a lower tail of 0.0016
+    # where the true tail is 0.0228.  The device cap now rejects each.
     @pytest.mark.parametrize("argv, message", [
-        (["analyze", "--counts", "{1e20}"], "incomplete beta prefactor overflowed at a="),
-        (["analyze", "--counts", "{huge}"], f"a must be a real number, got {_HUGE[:20]}"),
-        (["check", "--x", "5", "--n", _HUGE], "a must be a real number, got 99999"),
+        (["analyze", "--counts", "{1e20}"], "n must be <= 10000000, got 100000000000000000000"),
+        (["analyze", "--counts", "{huge}"], f"n must be <= 10000000, got {_HUGE}"),
+        (["check", "--x", "5", "--n", _HUGE], f"n must be <= 10000000, got {_HUGE}"),
         (["curve", "--method", "clopper_pearson", "--grid", "100000000000000000000"],
-         "incomplete beta prefactor overflowed at a=5e+19, b=5e+19, x=0.5"),
+         "n must lie in [1, 10000000], got 1e+20"),
         (["validate", "--kind", "far", "--p", "0.5", "--devices", "100000000000000000000",
-          "--seed", "1", "--trials", "1000"], "incomplete beta prefactor overflowed at a="),
-    ], ids=["counts-1e20", "counts-huge", "check-huge", "curve-1e20", "validate-1e20"])
+          "--seed", "1", "--trials", "1000"], "n must be <= 10000000, got 100000000000000000000"),
+        (["check", "--x", "450000031464265", "--n", "1000000000000000"],
+         "n must be <= 10000000, got 1000000000000000"),
+    ], ids=["counts-1e20", "counts-huge", "check-huge", "curve-1e20", "validate-1e20",
+            "check-1e15"])
     def test_exits_two_with_one_error_line(self, tmp_path, capsys, argv, message):
         files = {"1e20": "100000000000000000000", "huge": _HUGE}
         for name, devices in files.items():
@@ -580,6 +610,40 @@ class TestOverflowingIntegers:
                 for arg in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: " + message)
-        assert captured.err.count("\n") == 1
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+_CAP_CASES = pytest.mark.parametrize("argv, output, message", [
+    (["check", "--x", "5000000", "--n", "{n}"],
+     "x=5000000 n={n} accepted=yes p_value_lower=0 p_value_upper=0 alpha=0.01",
+     "n must be <= 10000000, got 10000001"),
+    (["analyze", "--counts", "{counts}", "--format", "csv"],
+     "0,5000000,{n},0.5,0.499593,0.500407,0,0,1,1,1", "n must be <= 10000000, got 10000001"),
+    (["curve", "--grid", "{n}"], "{n},0.000814548",
+     "n must lie in [1, 10000000], got 10000001.0"),
+    (["validate", "--kind", "far", "--p", "0.5", "--devices", "{n}", "--seed", "1",
+      "--trials", "1000"], "kind=far value=1 std_error=0 trials=1000",
+     "n must be <= 10000000, got 10000001"),
+], ids=["check", "counts-header", "curve-grid", "validate-devices"])
+
+
+class TestDeviceCap:
+    # Every device count is at most special.DEVICE_CAP = 10^7, where the
+    # binomial tails' stated accuracy ends: `output` is a whole line that the
+    # cap itself prints, and one device more is a usage error naming n.
+    @staticmethod
+    def run(argv, n, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        counts.write_text(f"{n},1\n5000000\n")
+        code = main([arg.format(n=n, counts=counts) for arg in argv])
+        return code, *capsys.readouterr()
+
+    @_CAP_CASES
+    def test_cap_runs(self, tmp_path, capsys, argv, output, message):
+        code, out, err = self.run(argv, 10_000_000, tmp_path, capsys)
+        assert (code, err) == (0, "")
+        assert output.format(n=10_000_000) in out.splitlines()
+
+    @_CAP_CASES
+    def test_one_device_more_exits_two(self, tmp_path, capsys, argv, output, message):
+        assert self.run(argv, 10_000_001, tmp_path, capsys) == (2, "", f"error: {message}\n")

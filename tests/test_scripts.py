@@ -1,13 +1,15 @@
 import hashlib
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 # sha256 of each CSV that scripts/width_curves.py writes
 WIDTH_CURVE_FILES = {
@@ -61,11 +63,20 @@ def test_children_measure_returns_exit_times_rss_and_output():
     assert module.measure(["check", "--x", "300", "--n", "680"])[5] == digest
 
 
-def test_children_bounds_validate(tmp_path):
-    proc = children("bounds", "validate", cwd=tmp_path)
+# Each check runs children.py as its own process: Linux counts a parent's
+# peak RSS in each child's, so children of pytest itself would show no gap.
+@pytest.mark.parametrize("check, gaps", [
+    ("validate", ["validate peak RSS growth"]),
+    ("simulate", ["CSV over binary peak RSS", "6 over 1 repeats peak RSS"]),
+    ("files", ["binary analyze peak RSS growth", "csv analyze peak RSS growth"]),
+], ids=["validate", "simulate", "files"])
+def test_children_bounds(tmp_path, check, gaps):
+    proc = children("bounds", check, cwd=tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1].startswith("validate peak RSS growth: ")
-    assert proc.stdout.splitlines()[-1].endswith(" MB (limit 4 MB)")
+    lines = proc.stdout.splitlines()[-len(gaps):]
+    assert [line.split(": ")[0] for line in lines] == gaps
+    assert all(line.endswith(" MB (limit 4 MB)") for line in lines)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("args, message", [
@@ -86,3 +97,32 @@ def test_children_ab_of_one_tree_with_itself(tmp_path):
     assert [line.split(":")[0] for line in lines[3:6]] == ["wall_s", "cpu_s", "peak_rss_mb"]
     assert all(line.endswith(" of 10") for line in lines[3:6])
     assert lines[6:] == ["outputs: same, exit 0"]
+
+
+def test_readme_library_quick_start(capsys):
+    # the python block under "## Library quick start", run as a reader pastes it
+    section = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md quick start", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "7 of 256 positions accepted"
+
+
+def test_plan_devices_prints_the_counts_that_readme_quotes():
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "plan_devices.py")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # normal approximation, Wilson, Clopper-Pearson, then the FRR plan
+    assert re.findall(r"(\d+) devices", proc.stdout) == ["664", "658", "680", "6653"]
+
+
+def test_mc_validation_runs():
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "mc_validation.py")],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_workflow_names_only_scripts_that_exist():
+    # the workflow runs only on a CI host, where a renamed script would fail unseen
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    named = set(re.findall(r"\b(?:scripts|perfbench)/\w+\.py", workflow))
+    assert named and sorted(path for path in named if not (ROOT / path).is_file()) == []

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from bitalias import confidence as conf
 from bitalias import qualification as qual
-from bitalias.confidence import PLANNER_DEVICE_CAP, _first, plan_devices_exact
+from bitalias.confidence import _first, plan_devices_exact
 from bitalias.errors import CapacityError
 from bitalias.qualification import AliasLimits, acceptance_region, plan_devices_frr
-from bitalias.special import binomial_cdf, binomial_sf
+from bitalias.special import DEVICE_CAP, binomial_cdf, binomial_sf
 
 # (limits, inner band, answer, probe count, sha256 of the comma-joined probes)
 # for the planner-scale FRR queries at alpha = beta = 0.01.  The FRR curve is
@@ -169,7 +169,7 @@ def test_bracket_from_one_doubles_to_the_cap():
     with pytest.raises(CapacityError) as err:
         _first(never, 1, "beta 0.01")
     assert str(err.value) == "beta 0.01 unreachable below 10000000 devices"
-    assert probes == [2 ** k for k in range(24)] + [PLANNER_DEVICE_CAP]
+    assert probes == [2 ** k for k in range(24)] + [DEVICE_CAP]
 
 
 @pytest.mark.parametrize("step", [1, 2])
