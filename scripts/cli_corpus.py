@@ -25,8 +25,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import PLAN_QUERIES  # the benchmark's plan-scale queries
 
 METHODS = ("normal", "wilson", "clopper_pearson")
 REPORTS = ("text", "json", "csv")
@@ -36,24 +40,8 @@ PAPER, BINARY, TIED, COUNTS, README, BAD, COUNTS_1E20, COUNTS_HUGE = (
      "counts-1e20.csv", "counts-huge.csv"))
 # an integer of 401 digits, past any float
 HUGE = "1" + "0" * 400
-# the benchmark's plan-scale queries, by their names in perfbench/workloads.py
-PLAN_SCALE = {
-    "width-cp-0.01": ["plan", "width", "--width", "0.01", "--method", "clopper_pearson"],
-    "width-cp-0.001": ["plan", "width", "--width", "0.001", "--method", "clopper_pearson"],
-    "width-wilson-0.001": ["plan", "width", "--width", "0.001", "--method", "wilson"],
-    "frr-default": ["plan", "frr", "--p-low", "0.45", "--p-high", "0.55",
-                    "--inner-low", "0.48", "--inner-high", "0.52"],
-    "frr-0.495": ["plan", "frr", "--p-low", "0.495", "--p-high", "0.505",
-                  "--inner-low", "0.4975", "--inner-high", "0.5025"],
-    "frr-0.497": ["plan", "frr", "--p-low", "0.497", "--p-high", "0.503",
-                  "--inner-low", "0.4985", "--inner-high", "0.5015"],
-    "frr-0.4975": ["plan", "frr", "--p-low", "0.4975", "--p-high", "0.5025",
-                   "--inner-low", "0.4985", "--inner-high", "0.5015"],
-    "validate-frr": ["validate", "--kind", "frr", "--p", "0.4985", "--p-low", "0.497",
-                     "--p-high", "0.503", "--devices", "2671077", "--seed", "1"],
-    "validate-coverage": ["validate", "--kind", "coverage", "--method", "clopper_pearson",
-                          "--p", "0.5", "--devices", "6653", "--seed", "1"],
-}
+# the target widths of the width planner's pinned answers in tests/test_search.py
+WIDTHS = ("0.9", "0.3", "0.05", "0.01", "0.001", "0.00086", "0.0005")
 
 
 def write_fixtures(folder: Path) -> None:
@@ -138,19 +126,33 @@ def invocations() -> list[tuple[str, list[str]]]:
         ("check-n-401-digits", ["check", "--x", "5", "--n", HUGE]),
         # a verdict from tails past their stated accuracy, before the device cap
         ("check-n-1e15", ["check", "--x", "450000031464265", "--n", "1000000000000000"]),
+        # the ends of the device-count rule and of the trial floor
+        ("check-n-0", ["check", "--x", "0", "--n", "0"]),
+        ("curve-grid-0", ["curve", "--grid", "0"]),
+        ("curve-grid-10000001", ["curve", "--grid", "10000001"]),
+        ("curve-alias-devices-0", ["curve", "--sweep", "alias", "--devices", "0"]),
+        ("validate-devices-0", ["validate", "--kind", "far", "--p", "0.5", "--devices", "0",
+                                "--seed", "1", "--trials", "1000"]),
+        ("validate-trials-999", ["validate", "--kind", "far", "--p", "0.56", "--devices", "680",
+                                 "--seed", "2", "--trials", "999"]),
         ("curve-grid-1e20", ["curve", "--method", "clopper_pearson",
                              "--grid", "100000000000000000000"]),
         ("validate-far-devices-1e20", ["validate", "--kind", "far", "--p", "0.5",
                                        "--devices", "100000000000000000000", "--seed", "1",
                                        "--trials", "1000"]),
     ]
-    runs += [(f"plan-scale-{name}", argv) for name, argv in PLAN_SCALE.items()]
+    runs += [(f"plan-scale-{query.name}", query.argv(1)) for query in PLAN_QUERIES]
     for method in METHODS:
         runs.append((f"plan-width-0.1-{method}", ["plan", "width", "--width", "0.1",
                                                   "--method", method]))
         # the count overflowed a float before it was capped
         runs.append((f"plan-width-1e-160-{method}", ["plan", "width", "--width", "1e-160",
                                                      "--method", method]))
+    for alpha in ("0.01", "1e-6"):
+        for method in METHODS:
+            runs += [(f"plan-width-{width}-{method}-alpha-{alpha}",
+                      ["plan", "width", "--width", width, "--method", method, "--alpha", alpha])
+                     for width in WIDTHS]
     runs += [
         ("plan-width-alpha-1e-6", ["plan", "width", "--width", "0.05", "--alpha", "1e-6"]),
         # Clopper-Pearson at tiny alpha: 6424 devices where 6432 is the answer,

@@ -15,9 +15,8 @@ from __future__ import annotations
 import math
 
 from .errors import CapacityError, DomainError
-from .special import (DEVICE_CAP, Record, _as_choice, _as_count, _as_positive,
-                      _as_probability, _check_alpha, _check_counts, beta_quantile,
-                      std_normal_quantile)
+from .special import (DEVICE_CAP, Record, _as_choice, _as_devices, _as_probability,
+                      _check_alpha, _check_counts, beta_quantile, std_normal_quantile)
 
 METHODS = ("normal", "wilson", "clopper_pearson")
 
@@ -165,11 +164,7 @@ def ci_clopper_pearson(x, n, alpha) -> Interval:
     return Interval(lower=lower, upper=upper, alpha=alpha, method="clopper_pearson")
 
 
-_CI_BY_METHOD = {
-    "normal": ci_normal,
-    "wilson": ci_wilson,
-    "clopper_pearson": ci_clopper_pearson,
-}
+_CI_BY_METHOD = dict(zip(METHODS, (ci_normal, ci_wilson, ci_clopper_pearson)))
 
 
 def confidence_interval(method: str, x, n, alpha) -> Interval:
@@ -187,9 +182,7 @@ def ci_width(method: str, p_hat: float, n: float, alpha: float) -> float:
     _as_choice(method, "method", METHODS)
     p_hat = _as_probability(p_hat, "p_hat")
     alpha = _check_alpha(alpha)
-    n = _as_positive(n, "n")
-    if not 1.0 <= n <= DEVICE_CAP:
-        raise DomainError(f"n must lie in [1, {DEVICE_CAP}], got {n!r}")
+    n = _as_devices(n, real=True)
     if method == "clopper_pearson":
         lower, upper = _clopper_pearson(p_hat * n, n, alpha)
         return upper - lower
@@ -206,15 +199,13 @@ ALIAS_GRID = tuple(round(i * 0.01, 2) for i in range(101))
 
 def plan_devices_normal(target_width, alpha) -> PlanResult:
     """First-cut device count from the normal approximation at alias 0.5:
-    ceil((z / target_width)^2).  Above the device cap it raises CapacityError,
-    as the exact planners do (z / target_width is clamped before squaring)."""
+    ceil((z / target_width)^2).  Above the device cap ``_first`` raises the
+    exact planners' CapacityError (z / target_width is clamped before squaring)."""
     target_width = _as_probability(target_width, "target_width", bounds="(0, 1)")
     alpha = _check_alpha(alpha)
-    devices = math.ceil(min(_z_for(alpha) / target_width, DEVICE_CAP) ** 2)
-    if devices > DEVICE_CAP:
-        raise CapacityError(f"width {target_width} unreachable below {DEVICE_CAP} devices")
-    return PlanResult(devices=devices, alpha=alpha, method="normal",
-                      target_width=target_width)
+    need = math.ceil(min(_z_for(alpha) / target_width, DEVICE_CAP) ** 2)
+    return PlanResult(devices=_first(need.__le__, need, f"width {target_width}"), alpha=alpha,
+                      method="normal", target_width=target_width)
 
 
 def worst_case_width(method: str, n: int, alpha: float) -> float:
@@ -223,9 +214,9 @@ def worst_case_width(method: str, n: int, alpha: float) -> float:
     Defined for even n: only there is the worst-case alias 0.5 realizable as
     an integer count.  Odd counts sit slightly off the peak and understate it.
     """
-    n = _as_count(n, "n")
-    if n < 2 or n % 2:
-        raise DomainError("worst-case width needs an even device count >= 2")
+    n = _as_devices(n, 2)
+    if n % 2:
+        raise DomainError(f"worst-case width needs an even device count, got {n}")
     return confidence_interval(method, n // 2, n, alpha).width
 
 

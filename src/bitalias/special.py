@@ -28,10 +28,11 @@ All functions are pure and safe to call concurrently.  Implementation notes:
   ``math.fsum``, exactly rounded, so results at n ~ 7000 keep their 1e-4
   digits.  The FRR planner sums the two native tails instead.
 
-The argument checks every module shares live here too: ``_as_probability``
-and ``_as_count`` for one number, ``_as_choice`` for a method, kind or format
-name, ``_check_counts`` for a count and its device count, ``_check_alpha``
-for a significance level; so does ``Record``, every record type's base, and
+The argument checks every module shares live here too, one message per rule,
+each echoing the value through ``_excerpt``: ``_as_probability``, ``_as_count``
+and ``_as_devices`` for one number, ``_as_choice`` for a method, kind or format
+name, ``_check_counts`` for a count and its device count, ``_check_alpha`` for
+a significance level; so does ``Record``, every record type's base, and
 ``_spans``, which sizes every streamed loop from the one ``_BLOCK_BYTES``.
 
 Log-scale probabilities are plain floats in natural log; ``-inf`` is the
@@ -62,26 +63,34 @@ _QUANTILE_FTOL = 1e-12
 
 DEVICE_CAP = 10_000_000
 
+def _excerpt(value) -> str:
+    """``repr(value)`` as every message echoes it: past 20 characters, its
+    first 19, an ellipsis and, for an integer, its digit count."""
+    text = repr(value)
+    digits = f" ({len(text.lstrip('-'))} digits)" if isinstance(value, int) else ""
+    return text if len(text) <= 20 else f"{text[:19]}…{digits}"
+
+
+def _as_real(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be a real number, got {_excerpt(value)}") from None
+
+
 def _as_probability(value, name: str, *, bounds: str = "[0, 1]") -> float:
     """A real number in ``bounds``: "[0, 1]", "(0, 1]" or "(0, 1)"."""
-    try:
-        v = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{name} must be a real number, got {value!r}") from None
+    v = _as_real(value, name)
     above = 0.0 < v if bounds[0] == "(" else 0.0 <= v
     below = v < 1.0 if bounds[-1] == ")" else v <= 1.0
     if not (above and below):  # NaN is neither
-        raise DomainError(f"{name} must lie in {bounds}, got {value!r}")
+        raise DomainError(f"{name} must lie in {bounds}, got {_excerpt(value)}")
     return v
 
 
 def _as_positive(value, name: str) -> float:
-    try:
-        v = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{name} must be a real number, got {value!r}") from None
-    if not math.isfinite(v) or v <= 0.0:
-        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+    if not 0.0 < (v := _as_real(value, name)) < math.inf:  # NaN is neither
+        raise DomainError(f"{name} must be finite and > 0, got {_excerpt(value)}")
     return v
 
 
@@ -89,29 +98,35 @@ def _as_count(value, name: str, minimum: int = 0) -> int:
     try:
         v = operator.index(value)
     except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+        raise DomainError(f"{name} must be an integer, got {_excerpt(value)}") from None
     if v < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {v}")
+        raise DomainError(f"{name} must be >= {minimum}, got {_excerpt(v)}")
+    return v
+
+
+def _as_devices(n, minimum: int = 1, real: bool = False):
+    """A device count in [minimum, DEVICE_CAP], where the tails' stated accuracy
+    ends: an integer or, with ``real`` set, also a float; one message for every
+    n outside, NaN too, showing an integral n as an integer."""
+    v = _as_real(n, "n") if real and not isinstance(n, int) else _as_count(n, "n", -math.inf)
+    if not minimum <= v <= DEVICE_CAP:  # NaN is neither
+        shown = int(v) if isinstance(v, float) and v.is_integer() else v
+        raise DomainError(f"n must lie in [{minimum}, {DEVICE_CAP}], got {_excerpt(shown)}")
     return v
 
 
 def _as_choice(value, name: str, choices: tuple[str, ...]) -> str:
     if value not in choices:
-        raise DomainError(f"{name} must be one of {choices}, got {value!r}")
+        raise DomainError(f"{name} must be one of {choices}, got {_excerpt(value)}")
     return value
 
 
 def _check_counts(x, n, name: str = "x", min_n: int = 1) -> tuple[int, int]:
     """A count ``name`` of 1s out of n trials: integers with 0 <= x <= n and
     min_n <= n <= DEVICE_CAP."""
-    x = _as_count(x, name)
-    n = _as_count(n, "n")
-    if n < min_n:
-        raise DomainError(f"n must be >= {min_n}")
-    if n > DEVICE_CAP:
-        raise DomainError(f"n must be <= {DEVICE_CAP}, got {n}")
+    x, n = _as_count(x, name), _as_devices(n, min_n)
     if x > n:
-        raise DomainError(f"{name} must not exceed n, got {name}={x}, n={n}")
+        raise DomainError(f"{name} must not exceed n, got {name}={_excerpt(x)}, n={n}")
     return x, n
 
 
@@ -121,7 +136,7 @@ def _check_alpha(alpha) -> float:
     alpha = _as_probability(alpha, "alpha", bounds="(0, 1)")
     if 0.5 * alpha == 0.0:
         raise DomainError(f"alpha must be at least 1e-323, where alpha/2 is still "
-                          f"positive, got {alpha!r}")
+                          f"positive, got {_excerpt(alpha)}")
     return alpha
 
 
@@ -342,12 +357,9 @@ def binomial_range_mass(lo, hi, n, p) -> float:
     both tails are tiny.  Terms are built in log space and summed exactly
     rounded by ``math.fsum``.
     """
-    lo = _as_count(lo, "lo")
-    hi = _as_count(hi, "hi")
-    n = _as_count(n, "n")
+    lo, n = _check_counts(lo, n, "lo", min_n=0)
+    hi, n = _check_counts(hi, n, "hi", min_n=0)
     p = _as_probability(p, "p")
-    if lo > n or hi > n:
-        raise DomainError(f"range [{lo}, {hi}] must lie within 0..{n}")
     if hi < lo:
         return 0.0
     if p == 0.0:

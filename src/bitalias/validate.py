@@ -18,11 +18,10 @@ import math
 import numpy as np
 
 from .confidence import METHODS, _first, _normal_half, _z_for, confidence_interval
-from .errors import DomainError
 from .qualification import AliasLimits, acceptance_region
 from .simulate import rng_stream
-from .special import (Record, _as_choice, _as_count, _as_probability, _check_alpha,
-                      _check_counts, _spans)
+from .special import (Record, _as_choice, _as_count, _as_devices, _as_probability,
+                      _check_alpha, _spans)
 
 KINDS = ("coverage", "far", "frr")
 
@@ -60,9 +59,7 @@ def monte_carlo_validate(kind: str, params, trials: int, seed: int,
     cell its own reproducible randomness from one campaign seed.
     """
     _as_choice(kind, "kind", KINDS)
-    trials = _as_count(trials, "trials")
-    if trials < 1000:
-        raise DomainError("trials must be at least 1000")
+    trials = _as_count(trials, "trials", 1000)
     rng = rng_stream(seed, task)
     if kind == "coverage":
         p, n, counted = _coverage_run(params)
@@ -88,7 +85,7 @@ def _coverage_run(params: CoverageParams):
     and upper(n) = 1 >= p, so only its other two ends take a call to settle."""
     _as_choice(params.method, "method", METHODS)
     p = _as_probability(params.p, "p")
-    _, n = _check_counts(0, params.devices)
+    n = _as_devices(params.devices)
     alpha = _check_alpha(params.alpha)
     half = _normal_half(p, n, _z_for(alpha))
 

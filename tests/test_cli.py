@@ -1,10 +1,12 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from bitalias.cli import main
+from bitalias.errors import BitAliasError
 from bitalias.formats import write_counts, write_measurements
 from bitalias.response import (MeasurementTensor, PositionCounts, count_ones,
                                derive_noise_free_response)
@@ -305,232 +307,142 @@ class TestCurveCommand:
         assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest
 
 
-class TestModuleEntryPoint:
-    def test_python_m_invocation(self):
-        import os
-        import subprocess
-        import sys
-
-        import bitalias
-        src = os.path.dirname(os.path.dirname(bitalias.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run(
-            [sys.executable, "-m", "bitalias", "plan", "width",
-             "--width", "0.1", "--method", "wilson"],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 0
-        assert "devices=658" in proc.stdout
-
-
-# Runs CLI commands in a fresh interpreter and prints, as JSON, every module
-# imported along the way whose file lies outside the stdlib, numpy and bitalias.
-# Modules loaded at startup (editable-install finders, site hooks) are left out;
-# modules without a file (built-ins, Cython's shared modules) are allowed.
-_IMPORT_PROBE = """
+# Runs `python -m bitalias ARGS...` through runpy and prints, as the last line
+# of stderr, a JSON report: the exit code; the package's submodules loaded;
+# which modules that start-up must not pay for were loaded; whether numpy was
+# loaded and whether it could be; every module loaded from outside the stdlib,
+# numpy and bitalias; OPENBLAS_NUM_THREADS and the thread count (1 where /proc
+# is missing).  Modules loaded before the command (site hooks, editable-install
+# finders) are left out; modules without a file (built-ins) are allowed.
+_PROBE = """
 import sys
 started = set(sys.modules)
-import io, json, os, sysconfig
-from contextlib import redirect_stdout
-from bitalias.cli import main
-for argv in json.loads(sys.argv[1]):
-    with redirect_stdout(io.StringIO()):
-        assert main(argv) in (0, 1), argv
-import numpy, bitalias
+import runpy
+try:
+    runpy.run_module("bitalias", run_name="__main__", alter_sys=True)
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+new = {name: mod for name, mod in list(sys.modules.items()) if name not in started}
+import importlib.util, json, os, sysconfig
+numpy = importlib.util.find_spec("numpy")
 def under(*dirs):
     return tuple(os.path.realpath(d) + os.sep for d in dirs)
 paths = sysconfig.get_paths()
-packages = under(os.path.dirname(numpy.__file__), os.path.dirname(bitalias.__file__))
+packages = under(os.path.dirname(sys.modules["bitalias"].__file__),
+                 *([os.path.dirname(numpy.origin)] if numpy else []))
 stdlib = under(paths["stdlib"], paths["platstdlib"])
 site = under(paths["purelib"], paths["platlib"])  # may sit inside the stdlib
-def allowed(path):
+def foreign(path):
     path = os.path.realpath(path)
-    return path.startswith(packages) or (path.startswith(stdlib)
-                                         and not path.startswith(site))
-foreign = sorted(
-    name for name, mod in list(sys.modules.items()) if name not in started
-    and getattr(mod, "__file__", None) and not allowed(mod.__file__))
-print(json.dumps(foreign))
-"""
-
-
-class TestRuntimeDependencies:
-    def test_commands_import_only_stdlib_numpy_and_bitalias(self, campaign_files):
-        import os
-        import subprocess
-        import sys
-
-        import bitalias
-        src = os.path.dirname(os.path.dirname(bitalias.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-        commands = [
-            ["plan", "width", "--width", "0.1", "--method", "clopper_pearson"],
-            ["plan", "frr", "--inner-low", "0.48", "--inner-high", "0.52"],
-            ["check", "--x", "340", "--n", "680"],
-            ["curve", "--method", "wilson", "--sweep", "alias"],
-            ["analyze", campaign_files["binary"]],
-            ["validate", "--kind", "coverage", "--p", "0.5", "--devices", "50",
-             "--trials", "1000", "--seed", "1"],
-        ]
-        proc = subprocess.run(
-            [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == []
-
-
-# Runs `python -m bitalias ARGS...` and reports on stderr, at exit, whether
-# numpy was loaded.
-_NUMPY_PROBE = """
-import atexit, runpy, sys
-atexit.register(lambda: print(f"numpy loaded: {'numpy' in sys.modules}", file=sys.stderr))
-runpy.run_module("bitalias", run_name="__main__", alter_sys=True)
-"""
-
-
-class TestNumpyFreeCommands:
-    @pytest.mark.parametrize("argv,code", [
-        (["plan", "width", "--width", "0.1", "--method", "clopper_pearson"], 0),
-        (["plan", "frr", "--inner-low", "0.48", "--inner-high", "0.52"], 0),
-        (["check", "--x", "300", "--n", "680"], 1),
-        (["curve", "--method", "wilson", "--sweep", "alias"], 0),
-        (["analyze", "--help"], 0),
-        (["analyze", "{binary}"], 1),
-        (["analyze", "{csv}"], 1),
-        (["analyze", "--counts", "{counts}"], 1),
-        (["early-stop", "{binary}"], 1),
-        (["early-stop", "{csv}"], 1),
-    ])
-    def test_command_never_loads_numpy(self, argv, code, campaign_files):
-        import os
-        import subprocess
-        import sys
-
-        import bitalias
-        src = os.path.dirname(os.path.dirname(bitalias.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-        argv = [arg.format(**campaign_files) for arg in argv]
-        proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == code, proc.stderr
-        assert proc.stderr.splitlines()[-1] == "numpy loaded: False"
-
-
-# Runs `bitalias ARGS...` (or only builds the parser when there are none) and
-# prints, on stderr, whether numpy could be imported, then the exit code, which
-# of the modules that start-up must not pay for were loaded, and the package's
-# submodules that were loaded.
-_STARTUP_PROBE = """
-import sys
-import bitalias.cli as cli
-code = cli.main(sys.argv[1:]) if sys.argv[1:] else cli.build_parser() and 0
-loaded = sorted({"dataclasses", "inspect", "statistics", "numpy", "typing", "pathlib"}
-                & set(sys.modules))
-package = sorted(name[9:] for name in sys.modules if name.startswith("bitalias."))
-import importlib.util
-print("numpy importable:", importlib.util.find_spec("numpy") is not None, file=sys.stderr)
-print(code, loaded, " ".join(package), file=sys.stderr)
+    return not (path.startswith(packages) or path.startswith(stdlib)
+                and not path.startswith(site))
+print(json.dumps({
+    "exit": code,
+    "package": " ".join(sorted(name[9:] for name in new if name.startswith("bitalias."))),
+    "forbidden": sorted({"dataclasses", "inspect", "statistics", "typing", "pathlib"} & set(new)),
+    "numpy": {"loaded": "numpy" in sys.modules, "importable": numpy is not None},
+    "foreign": sorted(name for name, mod in new.items()
+                      if getattr(mod, "__file__", None) and foreign(mod.__file__)),
+    "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "threads": len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else 1,
+}), file=sys.stderr)
 """
 _BASE = "cli confidence errors special"
+_LIMITS = "cli confidence errors qualification special"
+_FILES = "cli confidence errors formats qualification response special"
 _ANALYZE = "analysis cli confidence entropy errors formats qualification report response special"
+# Each command loads only the submodules it runs: qualification for limits,
+# entropy for an entropy floor, report only in analyze.  Each runs both where
+# numpy cannot be imported (python -S) and where it can, and never loads it.
+# id -> argv, exit code, submodules, a whole line of stdout (None: no stdout)
+_NUMPY_FREE = {
+    "no-command": ([], 2, _BASE, None),
+    "plan-width": (["plan", "width", "--width", "0.1"], 0, _BASE,
+                   "devices=680 method=clopper_pearson target_width=0.1 alpha=0.01"),
+    "plan-width-wilson": (["plan", "width", "--width", "0.1", "--method", "wilson"], 0, _BASE,
+                          "devices=658 method=wilson target_width=0.1 alpha=0.01"),
+    "plan-frr": (["plan", "frr", "--inner-low", "0.48", "--inner-high", "0.52"], 0, _LIMITS,
+                 "devices=6653 method=frr p_l=0.45 p_u=0.55 inner=(0.48, 0.52) alpha=0.01 "
+                 "beta=0.01"),
+    "check": (["check", "--x", "340", "--n", "680"], 0, _LIMITS,
+              "x=340 n=680 accepted=yes p_value_lower=0.00498567 p_value_upper=0.00498567 "
+              "alpha=0.01"),
+    "check-reject": (["check", "--x", "300", "--n", "680"], 1, _LIMITS,
+                     "x=300 n=680 accepted=no p_value_lower=0.691473 "
+                     "p_value_upper=8.14698e-09 alpha=0.01"),
+    "check-entropy": (["check", "--x", "340", "--n", "680", "--min-entropy", "0.9"], 1,
+                      "cli confidence entropy errors qualification special",
+                      "x=340 n=680 accepted=no p_value_lower=0.0331515 "
+                      "p_value_upper=0.0331515 alpha=0.01"),
+    "curve": (["curve"], 0, _BASE, "2,0.876574"),
+    "curve-alias": (["curve", "--method", "wilson", "--sweep", "alias"], 0, _BASE, "0,0.249105"),
+    "curve-alias-cp": (["curve", "--sweep", "alias", "--devices", "7", "--grid", "0.1,0.25,0.9",
+                        "--method", "clopper_pearson"], 0, _BASE, "0.25,0.762016"),
+    "curve-grid": (["curve", "--grid", "2,20,200,5000", "--p-hat", "0.3"], 0, _BASE,
+                   "5000,0.0333686"),
+    "analyze-help": (["analyze", "--help"], 0, _BASE, "positional arguments:"),
+    "analyze": (["analyze", "{readme}"], 1, _ANALYZE, "accepted=0 rejected=3"),
+    "analyze-json": (["analyze", "{readme}", "--format", "json"], 1, _ANALYZE,
+                     '    "rejected": 3,'),
+    "analyze-csv": (["analyze", "{readme}", "--format", "csv"], 1, _ANALYZE,
+                    "t,x,N,p_hat,ci_lo,ci_hi,p_val_lo,p_val_hi,accepted,min_entropy,"
+                    "shannon_entropy"),
+    "analyze-binary": (["analyze", "{binary}"], 1, _ANALYZE,
+                       "devices=64 positions=77 repeats=4 ties=776"),
+    "analyze-campaign-csv": (["analyze", "{csv}"], 1, _ANALYZE,
+                             "devices=64 positions=77 repeats=4 ties=776"),
+    "analyze-counts": (["analyze", "--counts", "{counts}"], 1, _ANALYZE,
+                       "devices=64 positions=77 repeats=- ties=-"),
+    "early-stop": (["early-stop", "{readme}"], 0, _FILES,
+                   "decision=continue flagged=0/3 positions=-"),
+    "early-stop-binary": (["early-stop", "{binary}"], 1, _FILES, "decision=abort flagged=35/77 "
+                          "positions=0,1,2,3,4,5,6,7,8,9,10,11,12,13,17,18,19,54,57,58,59,61,62,"
+                          "63,65,66,67,68,70,71,72,73,74,75,76"),
+    "early-stop-csv": (["early-stop", "{csv}"], 1, _FILES, "decision=abort flagged=35/77 "
+                       "positions=0,1,2,3,4,5,6,7,8,9,10,11,12,13,17,18,19,54,57,58,59,61,62,"
+                       "63,65,66,67,68,70,71,72,73,74,75,76"),
+}
+_VALIDATE = ["validate", "--p", "0.5", "--devices", "100", "--trials", "1000", "--seed", "1"]
+# argv, exit code, submodules, stdout line, site packages, OPENBLAS_NUM_THREADS given
+_CHILDREN = [pytest.param(*row, site, None, id=f"{name}-{'site' if site else 'S'}")
+             for name, row in _NUMPY_FREE.items() for site in (False, True)] + [
+    # validate loads numpy, whose OpenBLAS starts a busy-waiting worker per
+    # CPU: the CLI asks for one thread unless the user says otherwise
+    pytest.param([*_VALIDATE, "--kind", kind], 0,
+                 "cli confidence errors qualification simulate special validate", line, True,
+                 blas, id=f"validate-{kind}-site" + (f"-blas-{blas}" if blas else ""))
+    for kind, line, blas in (
+        ("coverage", "kind=coverage value=0.994 std_error=0.00244213 trials=1000", None),
+        ("frr", "kind=frr value=1 std_error=0 trials=1000", None),
+        ("frr", "kind=frr value=1 std_error=0 trials=1000", "3"))]
 
 
-def _run_startup_probe(argv, tmp_path, site=False):
-    """The probe's stdout and last stderr line, from a child run without site
-    packages unless site is set; numpy can be imported only with them."""
+@pytest.mark.parametrize("argv, code, modules, line, site, blas", _CHILDREN)
+def test_command_in_a_fresh_interpreter(campaign_files, tmp_path, argv, code, modules, line,
+                                        site, blas):
     import os
     import subprocess
     import sys
 
     import bitalias
-    readme_csv = tmp_path / "readme.csv"
-    readme_csv.write_text("2,3,2\n0,1,0\n0,1,1\n1,1,0\n1,0,0\n")
-    argv = [arg.format(readme_csv=readme_csv) for arg in argv]
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bitalias.__file__))}
-    flags = [] if site else ["-S"]
-    proc = subprocess.run([sys.executable, *flags, "-c", _STARTUP_PROBE, *argv],
-                          capture_output=True, text=True, env=env)
+    readme = tmp_path / "readme.csv"
+    readme.write_text("2,3,2\n0,1,0\n0,1,1\n1,1,0\n1,0,0\n")
+    argv = [arg.format(readme=readme, **campaign_files) for arg in argv]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bitalias.__file__)),
+           "OPENBLAS_NUM_THREADS": blas}
+    proc = subprocess.run([sys.executable, *([] if site else ["-S"]), "-c", _PROBE, *argv],
+                          capture_output=True, text=True,
+                          env={key: value for key, value in env.items() if value is not None})
     assert proc.returncode == 0, proc.stderr
-    *_, importable, line = proc.stderr.splitlines()
-    assert importable == f"numpy importable: {site}"
-    return proc.stdout, line
-
-
-# Runs `bitalias validate`, which loads numpy, and prints OPENBLAS_NUM_THREADS
-# and the process's thread count (1 where /proc is missing).
-_BLAS_PROBE = """
-import os, sys
-from bitalias.cli import main
-main(["validate", "--kind", "frr", "--p", "0.5", "--devices", "100", "--trials", "1000",
-      "--seed", "1"])
-threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else 1
-print(os.environ.get("OPENBLAS_NUM_THREADS"), threads, file=sys.stderr)
-"""
-
-
-class TestStartupImports:
-    # Each command loads only the submodules it runs: qualification for
-    # limits, entropy for an entropy floor, report only in analyze.  Each runs
-    # where numpy cannot be imported, and prints its usual output: `line` is
-    # one whole line of it.
-    @pytest.mark.parametrize("argv,code,modules,line", [
-        ([], 0, _BASE, None),
-        (["plan", "width", "--width", "0.1"], 0, _BASE,
-         "devices=680 method=clopper_pearson target_width=0.1 alpha=0.01"),
-        (["curve"], 0, _BASE, "2,0.876574"),
-        (["plan", "frr", "--inner-low", "0.48", "--inner-high", "0.52"], 0,
-         "cli confidence errors qualification special",
-         "devices=6653 method=frr p_l=0.45 p_u=0.55 inner=(0.48, 0.52) alpha=0.01 beta=0.01"),
-        (["check", "--x", "340", "--n", "680"], 0,
-         "cli confidence errors qualification special",
-         "x=340 n=680 accepted=yes p_value_lower=0.00498567 p_value_upper=0.00498567 "
-         "alpha=0.01"),
-        (["check", "--x", "340", "--n", "680", "--min-entropy", "0.9"], 1,
-         "cli confidence entropy errors qualification special",
-         "x=340 n=680 accepted=no p_value_lower=0.0331515 p_value_upper=0.0331515 "
-         "alpha=0.01"),
-        (["analyze", "{readme_csv}"], 1, _ANALYZE, "accepted=0 rejected=3"),
-        (["analyze", "{readme_csv}", "--format", "json"], 1, _ANALYZE, '    "rejected": 3,'),
-        (["analyze", "{readme_csv}", "--format", "csv"], 1, _ANALYZE,
-         "t,x,N,p_hat,ci_lo,ci_hi,p_val_lo,p_val_hi,accepted,min_entropy,shannon_entropy"),
-        (["early-stop", "{readme_csv}"], 0,
-         "cli confidence errors formats qualification response special",
-         "decision=continue flagged=0/3 positions=-"),
-        (["curve", "--sweep", "alias", "--devices", "7", "--grid", "0.1,0.25,0.9",
-          "--method", "clopper_pearson"], 0, _BASE, "0.25,0.762016"),
-        (["curve", "--grid", "2,20,200,5000", "--p-hat", "0.3"], 0, _BASE, "5000,0.0333686"),
-    ], ids=["build_parser", "plan-width", "curve", "plan-frr", "check", "check-entropy",
-            "analyze", "analyze-json", "analyze-csv", "early-stop", "curve-alias-cp",
-            "curve-grid"])
-    def test_commands_load_no_dataclasses_inspect_statistics_or_numpy(self, argv, code,
-                                                                       modules, line, tmp_path):
-        stdout, probed = _run_startup_probe(argv, tmp_path)
-        assert probed == f"{code} [] {modules}"
-        assert (stdout == "") if line is None else (line in stdout.splitlines())
-
-    @pytest.mark.parametrize("kind", ["coverage", "frr"])
-    def test_validate_loads_no_response_entropy_or_report(self, kind, tmp_path):
-        _, line = _run_startup_probe(["validate", "--kind", kind, "--p", "0.5", "--devices",
-                                      "100", "--trials", "1000", "--seed", "1"], tmp_path,
-                                     site=True)
-        assert line.split("] ")[-1] == \
-            "cli confidence errors qualification simulate special validate"
-
-    @pytest.mark.parametrize("given,expected", [(None, "1 1"), ("3", "3")])
-    def test_numpy_runs_on_one_blas_thread_unless_the_user_says(self, given, expected):
-        # numpy's OpenBLAS starts a busy-waiting worker per CPU when it loads;
-        # the CLI asks for one thread, so the process keeps a single thread
-        import os
-        import subprocess
-        import sys
-
-        import bitalias
-        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bitalias.__file__)),
-               "OPENBLAS_NUM_THREADS": given}
-        env = {key: value for key, value in env.items() if value is not None}
-        proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-1].startswith(expected)
+    report = json.loads(proc.stderr.splitlines()[-1])
+    threads, forbidden = report.pop("threads"), report.pop("forbidden")
+    numpy = "validate" in modules
+    assert report == {"exit": code, "package": modules, "foreign": [], "blas": blas or "1",
+                      "numpy": {"loaded": numpy, "importable": site}}
+    assert forbidden == [] or numpy  # numpy itself loads inspect
+    assert threads == 1 or blas is not None  # a user's own setting is not pinned
+    assert (proc.stdout == "") if line is None else (line in proc.stdout.splitlines())
 
 
 class TestValidateCommand:
@@ -563,11 +475,11 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize("kind", ["coverage", "far", "frr"])
     @pytest.mark.parametrize("flags, message", [
-        (["--devices", "-1"], "n must be >= 0, got -1"),
-        (["--devices", "0"], "n must be >= 1"),
+        (["--devices", "-1"], "n must lie in [1, 10000000], got -1"),
+        (["--devices", "0"], "n must lie in [1, 10000000], got 0"),
         (["--alpha", "0"], "alpha must lie in (0, 1), got 0.0"),
         (["--p", "1.5"], "p must lie in [0, 1], got 1.5"),
-        (["--trials", "999"], "trials must be at least 1000"),
+        (["--trials", "999"], "trials must be >= 1000, got 999"),
     ])
     def test_invalid_input_messages(self, capsys, kind, flags, message):
         args = {"--p": "0.5", "--devices": "50", "--alpha": "0.01", "--trials": "1000"}
@@ -582,6 +494,7 @@ class TestValidateCommand:
 
 # An integer of 401 digits is past any float: float() raises OverflowError.
 _HUGE = "1" + "0" * 400
+_ABOVE_CAP = "n must lie in [1, 10000000], got {}"
 
 
 class TestOverflowingIntegers:
@@ -589,20 +502,20 @@ class TestOverflowingIntegers:
     # a rejection: float() of the count, or exp() of the incomplete beta's
     # prefactor, whose lgamma terms cancel badly near 1e20.  The check at
     # 10^15 once exited 0 with accepted=yes, from a lower tail of 0.0016
-    # where the true tail is 0.0228.  The device cap now rejects each.
-    @pytest.mark.parametrize("argv, message", [
-        (["analyze", "--counts", "{1e20}"], "n must be <= 10000000, got 100000000000000000000"),
-        (["analyze", "--counts", "{huge}"], f"n must be <= 10000000, got {_HUGE}"),
-        (["check", "--x", "5", "--n", _HUGE], f"n must be <= 10000000, got {_HUGE}"),
+    # where the true tail is 0.0228.  The device cap now rejects each, and a
+    # long count is echoed as its first digits and its length.
+    @pytest.mark.parametrize("argv, shown", [
+        (["analyze", "--counts", "{1e20}"], "1000000000000000000… (21 digits)"),
+        (["analyze", "--counts", "{huge}"], "1000000000000000000… (401 digits)"),
+        (["check", "--x", "5", "--n", _HUGE], "1000000000000000000… (401 digits)"),
         (["curve", "--method", "clopper_pearson", "--grid", "100000000000000000000"],
-         "n must lie in [1, 10000000], got 1e+20"),
+         "1000000000000000000… (21 digits)"),
         (["validate", "--kind", "far", "--p", "0.5", "--devices", "100000000000000000000",
-          "--seed", "1", "--trials", "1000"], "n must be <= 10000000, got 100000000000000000000"),
-        (["check", "--x", "450000031464265", "--n", "1000000000000000"],
-         "n must be <= 10000000, got 1000000000000000"),
+          "--seed", "1", "--trials", "1000"], "1000000000000000000… (21 digits)"),
+        (["check", "--x", "450000031464265", "--n", "1000000000000000"], "1000000000000000"),
     ], ids=["counts-1e20", "counts-huge", "check-huge", "curve-1e20", "validate-1e20",
             "check-1e15"])
-    def test_exits_two_with_one_error_line(self, tmp_path, capsys, argv, message):
+    def test_exits_two_with_one_error_line(self, tmp_path, capsys, argv, shown):
         files = {"1e20": "100000000000000000000", "huge": _HUGE}
         for name, devices in files.items():
             (tmp_path / f"{name}.csv").write_text(f"{devices},1\n5\n")
@@ -610,20 +523,18 @@ class TestOverflowingIntegers:
                 for arg in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert (captured.out, captured.err) == ("", f"error: {_ABOVE_CAP.format(shown)}\n")
+        assert len(captured.err) < 80
 
 
-_CAP_CASES = pytest.mark.parametrize("argv, output, message", [
+_CAP_CASES = pytest.mark.parametrize("argv, output", [
     (["check", "--x", "5000000", "--n", "{n}"],
-     "x=5000000 n={n} accepted=yes p_value_lower=0 p_value_upper=0 alpha=0.01",
-     "n must be <= 10000000, got 10000001"),
+     "x=5000000 n={n} accepted=yes p_value_lower=0 p_value_upper=0 alpha=0.01"),
     (["analyze", "--counts", "{counts}", "--format", "csv"],
-     "0,5000000,{n},0.5,0.499593,0.500407,0,0,1,1,1", "n must be <= 10000000, got 10000001"),
-    (["curve", "--grid", "{n}"], "{n},0.000814548",
-     "n must lie in [1, 10000000], got 10000001.0"),
+     "0,5000000,{n},0.5,0.499593,0.500407,0,0,1,1,1"),
+    (["curve", "--grid", "{n}"], "{n},0.000814548"),
     (["validate", "--kind", "far", "--p", "0.5", "--devices", "{n}", "--seed", "1",
-      "--trials", "1000"], "kind=far value=1 std_error=0 trials=1000",
-     "n must be <= 10000000, got 10000001"),
+      "--trials", "1000"], "kind=far value=1 std_error=0 trials=1000"),
 ], ids=["check", "counts-header", "curve-grid", "validate-devices"])
 
 
@@ -639,11 +550,85 @@ class TestDeviceCap:
         return code, *capsys.readouterr()
 
     @_CAP_CASES
-    def test_cap_runs(self, tmp_path, capsys, argv, output, message):
+    def test_cap_runs(self, tmp_path, capsys, argv, output):
         code, out, err = self.run(argv, 10_000_000, tmp_path, capsys)
         assert (code, err) == (0, "")
         assert output.format(n=10_000_000) in out.splitlines()
 
     @_CAP_CASES
-    def test_one_device_more_exits_two(self, tmp_path, capsys, argv, output, message):
-        assert self.run(argv, 10_000_001, tmp_path, capsys) == (2, "", f"error: {message}\n")
+    def test_one_device_more_exits_two(self, tmp_path, capsys, argv, output):
+        assert self.run(argv, 10_000_001, tmp_path, capsys) == \
+            (2, "", f"error: {_ABOVE_CAP.format(10_000_001)}\n")
+
+
+def _counts_file(n, folder):
+    path = folder / "counts.csv"
+    path.write_text(f"{n},1\n0\n")
+    return str(path)
+
+
+def _unreachable(width):
+    return f"width {width} unreachable below 10000000 devices"
+
+
+def _rule_cases():
+    """(entry point, value, expected message) for every entry point that
+    applies the device-count rule, the trial floor or the device cap of a
+    plan.  An entry point is an argv for the CLI, whose message is its
+    `error:` line, or a call of the library, whose message is its exception's."""
+    from bitalias import (acceptance_region, binomial_cdf, ci_width, confidence_interval,
+                          plan_devices_exact, plan_devices_normal)
+    from bitalias.validate import QualificationParams, monte_carlo_validate
+    devices = {  # name -> (entry of n and a folder, least n allowed)
+        "check-n": (lambda n, d: ["check", "--x", "0", "--n", str(n)], 1),
+        "counts-header": (lambda n, d: ["analyze", "--counts", _counts_file(n, d)], 1),
+        "validate-devices": (lambda n, d: ["validate", "--kind", "coverage", "--p", "0.5",
+                                           "--devices", str(n), "--seed", "1"], 1),
+        "curve-grid": (lambda n, d: ["curve", "--grid", str(n)], 1),
+        "curve-devices": (lambda n, d: ["curve", "--sweep", "alias", "--devices", str(n)], 1),
+        "binomial_cdf": (lambda n, d: lambda: binomial_cdf(0, n, 0.5), 0),
+        "ci_width": (lambda n, d: lambda: ci_width("wilson", 0.5, n, 0.01), 1),
+        "confidence_interval": (lambda n, d: lambda: confidence_interval("wilson", 0, n, 0.01),
+                                1),
+        "acceptance_region": (lambda n, d: lambda: acceptance_region(n, (0.45, 0.55), 0.01), 1),
+    }
+    for name, (entry, least) in devices.items():
+        for n in (-1, 0, 10_000_001, *[math.nan] * (name == "ci_width")):
+            expected = None if least <= n <= 10_000_000 else \
+                f"n must lie in [{least}, 10000000], got {n}"
+            if name == "counts-header" and n < 1:  # the file format's own rule, with its line
+                expected = "line 1: dimensions must all be >= 1"
+            yield pytest.param(entry, n, expected, id=f"{name}-{n}")
+    params = QualificationParams(devices=680, limits=(0.45, 0.55), alpha=0.01, p=0.5)
+    for trials in (999, 0):
+        for kind in ("coverage", "far", "frr"):
+            yield pytest.param(lambda t, d, kind=kind: [
+                "validate", "--kind", kind, "--p", "0.5", "--devices", "50", "--seed", "1",
+                "--trials", str(t)], trials, f"trials must be >= 1000, got {trials}",
+                id=f"validate-{kind}-trials-{trials}")
+        yield pytest.param(lambda t, d: lambda: monte_carlo_validate("far", params, t, 1),
+                           trials, f"trials must be >= 1000, got {trials}",
+                           id=f"monte_carlo_validate-trials-{trials}")
+    for width in (0.0005, 1e-100):
+        for method in ("normal", "wilson"):
+            yield pytest.param(lambda w, d, m=method: ["plan", "width", "--width", str(w),
+                                                       "--method", m],
+                               width, _unreachable(width), id=f"plan-width-{method}-{width}")
+        yield pytest.param(lambda w, d: lambda: plan_devices_normal(w, 0.01), width,
+                           _unreachable(width), id=f"plan_devices_normal-{width}")
+        yield pytest.param(lambda w, d: lambda: plan_devices_exact("wilson", w, 0.01), width,
+                           _unreachable(width), id=f"plan_devices_exact-{width}")
+
+
+@pytest.mark.parametrize("entry, value, expected", _rule_cases())
+def test_one_message_per_rule(tmp_path, capsys, entry, value, expected):
+    # each rule is stated once, in a special checker or confidence._first
+    target = entry(value, tmp_path)
+    if isinstance(target, list):
+        assert (main(target), *capsys.readouterr()) == (2, "", f"error: {expected}\n")
+    elif expected is None:  # a binomial of no trials
+        target()
+    else:
+        with pytest.raises(BitAliasError) as err:
+            target()
+        assert str(err.value) == expected
