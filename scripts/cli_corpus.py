@@ -40,6 +40,17 @@ PAPER, BINARY, TIED, COUNTS, README, BAD, COUNTS_1E20, COUNTS_HUGE = (
      "counts-1e20.csv", "counts-huge.csv"))
 # an integer of 401 digits, past any float
 HUGE = "1" + "0" * 400
+# files whose one bad token or number is thousands of characters long, each
+# echoed in a short error line: id -> file name, text
+LONG = "1" * 5000
+LONG_TOKEN_FILES = {
+    "analyze-counts-header-5000-digits": ("header-5000-digits.csv", f"{LONG},2\n1,1\n"),
+    "analyze-counts-count-5000-digits": ("count-5000-digits.csv", f"5,2\n{LONG},3\n"),
+    "analyze-counts-count-3000-digits": ("count-3000-digits.csv", f"5,2\n{LONG[:3000]},3\n"),
+    "analyze-counts-t-4000-digits": ("t-4000-digits.csv", f"1,{LONG[:4000]}\n1\n"),
+    "analyze-field-3000-chars": ("field-3000-chars.csv", f"1,2,1\n{LONG[:3000]},0\n"),
+    "analyze-n-4000-digits": ("n-4000-digits.csv", f"{LONG[:4000]},1,1\n0\n"),
+}
 # the target widths of the width planner's pinned answers in tests/test_search.py
 WIDTHS = ("0.9", "0.3", "0.05", "0.01", "0.001", "0.00086", "0.0005")
 
@@ -63,6 +74,8 @@ def write_fixtures(folder: Path) -> None:
     # device counts that overflow a float, or the incomplete beta's prefactor
     (folder / "counts-1e20.csv").write_bytes(b"100000000000000000000,1\n5\n")
     (folder / "counts-huge.csv").write_bytes(f"{HUGE},1\n5\n".encode())
+    for name, text in LONG_TOKEN_FILES.values():
+        (folder / name).write_bytes(text.encode())
 
 
 def invocations() -> list[tuple[str, list[str]]]:
@@ -141,6 +154,8 @@ def invocations() -> list[tuple[str, list[str]]]:
                                        "--devices", "100000000000000000000", "--seed", "1",
                                        "--trials", "1000"]),
     ]
+    runs += [(ident, ["analyze", *["--counts"] * ("counts" in ident), f"../fixtures/{name}"])
+             for ident, (name, _) in LONG_TOKEN_FILES.items()]
     runs += [(f"plan-scale-{query.name}", query.argv(1)) for query in PLAN_QUERIES]
     for method in METHODS:
         runs.append((f"plan-width-0.1-{method}", ["plan", "width", "--width", "0.1",

@@ -27,6 +27,9 @@ and ``int(symbols[::-1], 2)`` packs them, one number for all the lines when
 8 divides T; otherwise each line is decoded and checked field by field,
 which builds the error message.  Only a source that cannot seek is read
 whole.  ``load_counts`` gives a tuple of ints.
+
+A message echoes an offending token or number through ``special._excerpt``,
+so a field thousands of characters long gives a line of a few dozen.
 """
 
 import io
@@ -82,13 +85,11 @@ def _with_blocks(source, use, whole: bool = False):
 
 def write_measurements(m: MeasurementTensor, dest, fmt: str = "csv") -> None:
     """Write a measurement tensor as ``csv``, a span of lines at a time, or ``binary``."""
-    if fmt == "csv":
+    if special._as_choice(fmt, "measurement format", ("csv", "binary")) == "csv":
         blobs = _csv_text(m)
-    elif fmt == "binary":
+    else:
         blobs = (MAGIC + bytes([VERSION]) + m.devices.to_bytes(4, "little")
                  + m.positions.to_bytes(4, "little") + m.repeats.to_bytes(4, "little"), m.rows)
-    else:
-        raise FormatError(f"unknown measurement format {fmt!r}, expected 'csv' or 'binary'")
     _write(dest, blobs)
 
 
@@ -133,8 +134,8 @@ def _csv_blocks(f, whole: bool):
         raise FormatError("line 1: dimensions must all be >= 1")
     lines = devices * repeats
     if data < lines:
-        raise FormatError(
-            f"line {data + 2}: truncated payload, expected {lines} data lines, found {data}")
+        raise FormatError(f"line {data + 2}: truncated payload, expected "
+                          f"{special._excerpt(lines)} data lines, found {data}")
     if data > lines:
         raise FormatError(
             f"line {lines + 2}: dimension mismatch, expected exactly {lines} data lines")
@@ -170,7 +171,8 @@ def _csv_symbols(line: bytes, lineno: int, positions: int) -> str:
     fields = _fields(line.rstrip(b"\n").decode(errors="replace"), positions, lineno)
     if not {"0", "1"}.issuperset(fields):
         col, token = next((c, t) for c, t in enumerate(fields) if t not in ("0", "1"))
-        raise FormatError(f"line {lineno}: non-binary symbol {token!r} in field {col + 1}")
+        raise FormatError(
+            f"line {lineno}: non-binary symbol {special._excerpt(token)} in field {col + 1}")
     return "".join(fields)
 
 
@@ -245,9 +247,11 @@ def load_counts(source) -> PositionCounts:
     for col, token in enumerate(_fields(line, positions, row), 1):
         value = _int(token)
         if value is None:
-            raise FormatError(f"line {row}: non-integer count {token!r} in field {col}")
+            raise FormatError(
+                f"line {row}: non-integer count {special._excerpt(token)} in field {col}")
         if not 0 <= value <= devices:
-            raise FormatError(f"line {row}: count {value} in field {col} outside 0..{devices}")
+            raise FormatError(f"line {row}: count {special._excerpt(value)} in field {col} "
+                              f"outside 0..{special._excerpt(devices)}")
         ones.append(value)
     return PositionCounts(devices=devices, ones=ones)
 
@@ -263,7 +267,8 @@ def _fields(text: str, count: int, lineno: int) -> list[str]:
     """A data line's ``count`` comma-separated fields, stripped."""
     fields = [token.strip() for token in text.split(",")]
     if len(fields) != count:
-        raise FormatError(f"line {lineno}: expected {count} values, found {len(fields)}")
+        raise FormatError(
+            f"line {lineno}: expected {special._excerpt(count)} values, found {len(fields)}")
     return fields
 
 
@@ -273,7 +278,8 @@ def _parse_int_fields(line: str, count: int, lineno: int, shape: str) -> tuple[i
         raise FormatError(f"line {lineno}: malformed header, expected '{shape}'")
     for token in fields:
         if _int(token) is None:
-            raise FormatError(f"line {lineno}: malformed header, non-integer {token!r}")
+            raise FormatError(
+                f"line {lineno}: malformed header, non-integer {special._excerpt(token)}")
     return tuple(map(_int, fields))
 
 

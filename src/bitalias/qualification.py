@@ -18,7 +18,7 @@ import math
 from .confidence import PlanResult, _first, _normal_half, _z_for
 from .errors import DomainError
 from .special import (Record, _as_count, _as_probability, _check_alpha, _check_counts,
-                      binomial_cdf, binomial_range_mass, binomial_sf)
+                      _excerpt, binomial_cdf, binomial_range_mass, binomial_sf)
 
 _FRR_CERTIFY_WINDOW = 50  # scan below the search result; the FRR curve wiggles
 
@@ -159,7 +159,7 @@ def acceptance_probability(n, p, region: AcceptanceRegion) -> float:
     n = _as_count(n, "n")
     p = _as_probability(p, "p")
     if region.devices != n:
-        raise DomainError(f"region was built for n={region.devices}, not n={n}")
+        raise DomainError(f"region was built for n={region.devices}, not n={_excerpt(n)}")
     if region.is_empty:
         return 0.0
     return binomial_range_mass(region.x_l, region.x_u, n, p)

@@ -28,12 +28,15 @@ All functions are pure and safe to call concurrently.  Implementation notes:
   ``math.fsum``, exactly rounded, so results at n ~ 7000 keep their 1e-4
   digits.  The FRR planner sums the two native tails instead.
 
-The argument checks every module shares live here too, one message per rule,
-each echoing the value through ``_excerpt``: ``_as_probability``, ``_as_count``
-and ``_as_devices`` for one number, ``_as_choice`` for a method, kind or format
-name, ``_check_counts`` for a count and its device count, ``_check_alpha`` for
-a significance level; so does ``Record``, every record type's base, and
-``_spans``, which sizes every streamed loop from the one ``_BLOCK_BYTES``.
+The argument checks every module shares live here too, one message per rule:
+``_as_probability``, ``_as_count`` and ``_as_devices`` for one number,
+``_as_choice`` for a method, kind or format name, ``_check_counts`` for a
+count and its device count, ``_check_alpha`` for a significance level; so
+does ``Record``, every record type's base, and ``_spans``, which sizes every
+streamed loop from the one ``_BLOCK_BYTES``.  Their messages echo a value
+through ``_excerpt``, as do the file formats' and ``acceptance_probability``'s:
+it shortens a long value, an integer of any length too, to a few dozen
+characters.
 
 Log-scale probabilities are plain floats in natural log; ``-inf`` is the
 distinguished encoding of log(0).
@@ -65,10 +68,16 @@ DEVICE_CAP = 10_000_000
 
 def _excerpt(value) -> str:
     """``repr(value)`` as every message echoes it: past 20 characters, its
-    first 19, an ellipsis and, for an integer, its digit count."""
+    first 19, an ellipsis and, for an integer, its digit count.  A long
+    integer's digits are found by division, since ``repr`` refuses one of more
+    than 4300 digits."""
+    if isinstance(value, int) and not -10**19 < value < 10**20:
+        size, sign = abs(value), "-" * (value < 0)
+        digits = int(math.log10(size)) + 1  # or one off, where log10 rounds
+        digits += (size >= 10**digits) - (size < 10 ** (digits - 1))
+        return f"{sign}{size // 10 ** (digits - 19 + len(sign))}… ({digits} digits)"
     text = repr(value)
-    digits = f" ({len(text.lstrip('-'))} digits)" if isinstance(value, int) else ""
-    return text if len(text) <= 20 else f"{text[:19]}…{digits}"
+    return text if len(text) <= 20 else f"{text[:19]}…"
 
 
 def _as_real(value, name: str) -> float:

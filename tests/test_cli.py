@@ -1,12 +1,14 @@
 import hashlib
+import io
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from bitalias.cli import main
-from bitalias.errors import BitAliasError
+from bitalias.errors import BitAliasError, CapacityError, DomainError, FormatError
 from bitalias.formats import write_counts, write_measurements
 from bitalias.response import (MeasurementTensor, PositionCounts, count_ones,
                                derive_noise_free_response)
@@ -78,11 +80,6 @@ class TestAnalyzeCommand:
         assert err.count("explicit limits or an entropy floor, not both") == 2
         assert err.count("at most one of --min-entropy and --shannon-entropy") == 2
 
-    def test_zero_entropy_floor_exits_two(self, balanced_file, capsys):
-        assert main(["analyze", str(balanced_file), "--min-entropy", "0"]) == 2
-        assert capsys.readouterr().err == \
-            "error: per-position entropy must lie in (0, 1], got 0.0\n"
-
     @pytest.mark.parametrize("fraction", ["2", "0.5", "0"])
     def test_flag_fraction_without_early_stop_exits_two(self, balanced_file, capsys, fraction):
         # the fraction only sets the early-stop forecast, so alone it is an error,
@@ -126,26 +123,6 @@ class TestPlanCommand:
         assert main(["plan", "width", "--width", "0.01", "--method", "normal",
                      "--alpha", "1e-20"]) == 0
         assert "devices=871618" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("method", ["normal", "wilson", "clopper_pearson"])
-    def test_alpha_whose_half_underflows_exits_two(self, capsys, method):
-        assert main(["plan", "width", "--width", "0.1", "--method", method,
-                     "--alpha", "5e-324"]) == 2
-        assert capsys.readouterr().err == (
-            "error: alpha must be at least 1e-323, where alpha/2 is still positive, "
-            "got 5e-324\n")
-
-    @pytest.mark.parametrize("method, width", [
-        ("normal", "1e-160"), ("wilson", "1e-160"), ("clopper_pearson", "1e-160"),
-        ("normal", "1e-100"),
-    ], ids=["normal", "wilson", "clopper_pearson", "normal-above-cap"])
-    def test_width_whose_count_overflows_exits_two(self, capsys, method, width):
-        # (z / width)^2 overflows a float below a width of about 1.2e-154; at
-        # 1e-100 it is a float, about 6.6e200, but far above the device cap
-        assert main(["plan", "width", "--width", width, "--method", method]) == 2
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == (
-            "", f"error: width {width} unreachable below 10000000 devices\n")
 
     def test_frr_planning_smoke(self, capsys):
         rc = main(["plan", "frr", "--inner-low", "0.3", "--inner-high", "0.7",
@@ -246,17 +223,14 @@ class TestSimulateCommand:
         m = load_measurements(out)
         assert m.positions == 3
 
-    def test_unknown_alias_token_exits_two(self, tmp_path, capsys):
+    def test_unknown_alias_token_exits_two(self, tmp_path):
         from bitalias import cli, report, simulate
         assert cli.ALIAS_PROFILE_NAMES == tuple(simulate.ALIAS_PROFILES)
         assert cli.REPORT_FORMATS == report.REPORT_FORMATS
-        for alias, message in (
-                ("zebra", "alias profile must be one of ('balanced', 'linear'), got 'zebra'"),
-                ("nan", "alias probabilities must lie in [0, 1]")):
+        for alias in ("zebra", "nan"):  # test_one_message_per_rule pins the messages
             rc = main(["simulate", "--devices", "2", "--positions", "2", "--seed", "1",
                        "--alias", alias, "--out", str(tmp_path / "x.csv")])
             assert rc == 2
-            assert capsys.readouterr().err == f"error: {message}\n"
             assert not (tmp_path / "x.csv").exists()
 
 
@@ -473,92 +447,26 @@ class TestValidateCommand:
         assert main(["validate", *argv, "--seed", "1"]) == 0
         assert capsys.readouterr().out == line + "\n"
 
-    @pytest.mark.parametrize("kind", ["coverage", "far", "frr"])
-    @pytest.mark.parametrize("flags, message", [
-        (["--devices", "-1"], "n must lie in [1, 10000000], got -1"),
-        (["--devices", "0"], "n must lie in [1, 10000000], got 0"),
-        (["--alpha", "0"], "alpha must lie in (0, 1), got 0.0"),
-        (["--p", "1.5"], "p must lie in [0, 1], got 1.5"),
-        (["--trials", "999"], "trials must be >= 1000, got 999"),
-    ])
-    def test_invalid_input_messages(self, capsys, kind, flags, message):
-        args = {"--p": "0.5", "--devices": "50", "--alpha": "0.01", "--trials": "1000"}
-        args.update(zip(flags[::2], flags[1::2]))
-        rc = main(["validate", "--kind", kind, "--seed", "1",
-                   *(token for pair in args.items() for token in pair)])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
-
-
-# An integer of 401 digits is past any float: float() raises OverflowError.
-_HUGE = "1" + "0" * 400
-_ABOVE_CAP = "n must lie in [1, 10000000], got {}"
-
-
-class TestOverflowingIntegers:
-    # Each once ended in an OverflowError traceback with exit 1, the code of
-    # a rejection: float() of the count, or exp() of the incomplete beta's
-    # prefactor, whose lgamma terms cancel badly near 1e20.  The check at
-    # 10^15 once exited 0 with accepted=yes, from a lower tail of 0.0016
-    # where the true tail is 0.0228.  The device cap now rejects each, and a
-    # long count is echoed as its first digits and its length.
-    @pytest.mark.parametrize("argv, shown", [
-        (["analyze", "--counts", "{1e20}"], "1000000000000000000… (21 digits)"),
-        (["analyze", "--counts", "{huge}"], "1000000000000000000… (401 digits)"),
-        (["check", "--x", "5", "--n", _HUGE], "1000000000000000000… (401 digits)"),
-        (["curve", "--method", "clopper_pearson", "--grid", "100000000000000000000"],
-         "1000000000000000000… (21 digits)"),
-        (["validate", "--kind", "far", "--p", "0.5", "--devices", "100000000000000000000",
-          "--seed", "1", "--trials", "1000"], "1000000000000000000… (21 digits)"),
-        (["check", "--x", "450000031464265", "--n", "1000000000000000"], "1000000000000000"),
-    ], ids=["counts-1e20", "counts-huge", "check-huge", "curve-1e20", "validate-1e20",
-            "check-1e15"])
-    def test_exits_two_with_one_error_line(self, tmp_path, capsys, argv, shown):
-        files = {"1e20": "100000000000000000000", "huge": _HUGE}
-        for name, devices in files.items():
-            (tmp_path / f"{name}.csv").write_text(f"{devices},1\n5\n")
-        argv = [arg.format(**{name: str(tmp_path / f"{name}.csv") for name in files})
-                for arg in argv]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", f"error: {_ABOVE_CAP.format(shown)}\n")
-        assert len(captured.err) < 80
-
-
-_CAP_CASES = pytest.mark.parametrize("argv, output", [
-    (["check", "--x", "5000000", "--n", "{n}"],
-     "x=5000000 n={n} accepted=yes p_value_lower=0 p_value_upper=0 alpha=0.01"),
-    (["analyze", "--counts", "{counts}", "--format", "csv"],
-     "0,5000000,{n},0.5,0.499593,0.500407,0,0,1,1,1"),
-    (["curve", "--grid", "{n}"], "{n},0.000814548"),
-    (["validate", "--kind", "far", "--p", "0.5", "--devices", "{n}", "--seed", "1",
-      "--trials", "1000"], "kind=far value=1 std_error=0 trials=1000"),
-], ids=["check", "counts-header", "curve-grid", "validate-devices"])
-
 
 class TestDeviceCap:
     # Every device count is at most special.DEVICE_CAP = 10^7, where the
     # binomial tails' stated accuracy ends: `output` is a whole line that the
-    # cap itself prints, and one device more is a usage error naming n.
-    @staticmethod
-    def run(argv, n, tmp_path, capsys):
-        counts = tmp_path / "counts.csv"
-        counts.write_text(f"{n},1\n5000000\n")
-        code = main([arg.format(n=n, counts=counts) for arg in argv])
-        return code, *capsys.readouterr()
-
-    @_CAP_CASES
+    # cap itself prints; test_one_message_per_rule sends one device more.
+    @pytest.mark.parametrize("argv, output", [
+        (["check", "--x", "5000000", "--n", "{n}"],
+         "x=5000000 n={n} accepted=yes p_value_lower=0 p_value_upper=0 alpha=0.01"),
+        (["analyze", "--counts", "{counts}", "--format", "csv"],
+         "0,5000000,{n},0.5,0.499593,0.500407,0,0,1,1,1"),
+        (["curve", "--grid", "{n}"], "{n},0.000814548"),
+        (["validate", "--kind", "far", "--p", "0.5", "--devices", "{n}", "--seed", "1",
+          "--trials", "1000"], "kind=far value=1 std_error=0 trials=1000"),
+    ], ids=["check", "counts-header", "curve-grid", "validate-devices"])
     def test_cap_runs(self, tmp_path, capsys, argv, output):
-        code, out, err = self.run(argv, 10_000_000, tmp_path, capsys)
-        assert (code, err) == (0, "")
-        assert output.format(n=10_000_000) in out.splitlines()
-
-    @_CAP_CASES
-    def test_one_device_more_exits_two(self, tmp_path, capsys, argv, output):
-        assert self.run(argv, 10_000_001, tmp_path, capsys) == \
-            (2, "", f"error: {_ABOVE_CAP.format(10_000_001)}\n")
+        counts = tmp_path / "counts.csv"
+        counts.write_text("10000000,1\n5000000\n")
+        assert main([arg.format(n=10_000_000, counts=counts) for arg in argv]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and output.format(n=10_000_000) in out.splitlines()
 
 
 def _counts_file(n, folder):
@@ -567,68 +475,177 @@ def _counts_file(n, folder):
     return str(path)
 
 
-def _unreachable(width):
-    return f"width {width} unreachable below 10000000 devices"
+# rule -> the error it raises and its one message, as the special checker or
+# confidence._first that applies it words it
+_RULES = {
+    "devices": (DomainError, "n must lie in [{}, 10000000], got {}"),
+    "trials": (DomainError, "trials must be >= 1000, got {}"),
+    "unreachable": (CapacityError, "width {} unreachable below 10000000 devices"),
+    "alpha": (DomainError, "alpha must lie in (0, 1), got {}"),
+    "underflow": (DomainError,
+                  "alpha must be at least 1e-323, where alpha/2 is still positive, got {}"),
+    "probability": (DomainError, "{} must lie in {}, got {}"),
+    "choice": (DomainError, "{} must be one of {}, got {!r}"),
+}
+
+
+def _says(rule, *args):
+    """The error type and message of ``rule`` for ``args``."""
+    error, message = _RULES[rule]
+    return error, message.format(*args)
+
+
+# Device counts outside [1, 10^7]: (n, id, n as a message echoes it).  Each
+# of 10^20 and 401 digits once ended in an OverflowError traceback with exit
+# 1, the code of a rejection, and `check --n 10^15` once printed accepted=yes
+# from a tail 14 times too small.  int() converts at most 4300 digits, so
+# only a library call is given 5001, and only ci_width takes a real n.
+_BAD_N = [(-1, "-1", "-1"), (0, "0", "0"), (10_000_001, "10000001", "10000001"),
+          (10**15, "1e15", "1000000000000000"),
+          (10**20, "1e20", "1000000000000000000… (21 digits)"),
+          (10**400, "401-digits", "1000000000000000000… (401 digits)"),
+          (10**5000, "5001-digits", "1000000000000000000… (5001 digits)"),
+          (math.nan, "nan", "nan")]
+_WIDTHS = (0.00081454, 0.0008, 0.0005, 1e-05, 1e-100, 1e-160, 5e-324)
+_KINDS = ("coverage", "far", "frr")
+_METHODS = ("normal", "wilson", "clopper_pearson")
+
+
+def _validate(kind, flag, value):
+    args = {"--p": 0.5, "--devices": 50, "--alpha": 0.01, "--trials": 1000, flag: value}
+    return ["validate", "--kind", kind, "--seed", "1", *(str(a) for kv in args.items() for a in kv)]
 
 
 def _rule_cases():
-    """(entry point, value, expected message) for every entry point that
-    applies the device-count rule, the trial floor or the device cap of a
-    plan.  An entry point is an argv for the CLI, whose message is its
-    `error:` line, or a call of the library, whose message is its exception's."""
-    from bitalias import (acceptance_region, binomial_cdf, ci_width, confidence_interval,
-                          plan_devices_exact, plan_devices_normal)
-    from bitalias.validate import QualificationParams, monte_carlo_validate
-    devices = {  # name -> (entry of n and a folder, least n allowed)
-        "check-n": (lambda n, d: ["check", "--x", "0", "--n", str(n)], 1),
-        "counts-header": (lambda n, d: ["analyze", "--counts", _counts_file(n, d)], 1),
-        "validate-devices": (lambda n, d: ["validate", "--kind", "coverage", "--p", "0.5",
-                                           "--devices", str(n), "--seed", "1"], 1),
-        "curve-grid": (lambda n, d: ["curve", "--grid", str(n)], 1),
-        "curve-devices": (lambda n, d: ["curve", "--sweep", "alias", "--devices", str(n)], 1),
-        "binomial_cdf": (lambda n, d: lambda: binomial_cdf(0, n, 0.5), 0),
-        "ci_width": (lambda n, d: lambda: ci_width("wilson", 0.5, n, 0.01), 1),
-        "confidence_interval": (lambda n, d: lambda: confidence_interval("wilson", 0, n, 0.01),
-                                1),
-        "acceptance_region": (lambda n, d: lambda: acceptance_region(n, (0.45, 0.55), 0.01), 1),
+    """(entry point, the error type and message it gives) for every entry
+    point of each argument rule.  An entry point is an argv for the CLI, whose
+    message is its `error:` line, or a call of the library, whose message is
+    its exception's.  An argv item that is a function of the test's folder
+    gives a path there, writing the file first if it is an input."""
+    from bitalias import (AliasLimits, AnalysisConfig, EntropySpec, Interval, PopulationSpec,
+                          acceptance_probability, acceptance_region, analyze_counts,
+                          binomial_cdf, ci_clopper_pearson, ci_normal, ci_wilson, ci_width,
+                          confidence_interval, monte_carlo_validate, plan_devices_exact,
+                          plan_devices_normal, render_report)
+    from bitalias.validate import CoverageParams, QualificationParams
+    cli = {  # name -> argv of n
+        "check-n": lambda n: ["check", "--x", "0", "--n", str(n)],
+        "counts-header": lambda n: ["analyze", "--counts", partial(_counts_file, n)],
+        "curve-grid": lambda n: ["curve", "--grid", str(n)],
+        "curve-devices": lambda n: ["curve", "--sweep", "alias", "--devices", str(n)],
+        **{f"validate-{kind}-devices": partial(_validate, kind, "--devices") for kind in _KINDS},
     }
-    for name, (entry, least) in devices.items():
-        for n in (-1, 0, 10_000_001, *[math.nan] * (name == "ci_width")):
-            expected = None if least <= n <= 10_000_000 else \
-                f"n must lie in [{least}, 10000000], got {n}"
-            if name == "counts-header" and n < 1:  # the file format's own rule, with its line
-                expected = "line 1: dimensions must all be >= 1"
-            yield pytest.param(entry, n, expected, id=f"{name}-{n}")
+    library = {  # name -> (call of n, least n allowed)
+        "binomial_cdf": (lambda n: binomial_cdf(0, n, 0.5), 0),
+        "ci_width": (lambda n: ci_width("wilson", 0.5, n, 0.01), 1),
+        "confidence_interval": (lambda n: confidence_interval("wilson", 0, n, 0.01), 1),
+        "acceptance_region": (lambda n: acceptance_region(n, (0.45, 0.55), 0.01), 1),
+    }
+    for n, label, shown in _BAD_N:
+        for name, argv in cli.items():
+            if label not in ("5001-digits", "nan"):
+                expected = _says("devices", 1, shown)
+                if name == "counts-header" and n < 1:  # the file format's own rule
+                    expected = FormatError, "line 1: dimensions must all be >= 1"
+                yield pytest.param(argv(n), expected, id=f"{name}-{label}")
+        for name, (call, least) in library.items():
+            if label != "nan" or name == "ci_width":
+                expected = None if least <= n <= 10_000_000 else _says("devices", least, shown)
+                yield pytest.param(partial(call, n), expected, id=f"{name}-{label}")
+    huge = "1000000000000000000… (5001 digits)"
+    yield pytest.param(partial(binomial_cdf, 10**5000, 10, 0.5),
+                       (DomainError, f"k must not exceed n, got k={huge}, n=10"), id="binomial_cdf-k")
+    yield pytest.param(partial(acceptance_probability, 10**5000, 0.5,
+                               acceptance_region(680, (0.45, 0.55), 0.01)),
+                       (DomainError, f"region was built for n=680, not n={huge}"),
+                       id="acceptance_probability-n")
     params = QualificationParams(devices=680, limits=(0.45, 0.55), alpha=0.01, p=0.5)
     for trials in (999, 0):
-        for kind in ("coverage", "far", "frr"):
-            yield pytest.param(lambda t, d, kind=kind: [
-                "validate", "--kind", kind, "--p", "0.5", "--devices", "50", "--seed", "1",
-                "--trials", str(t)], trials, f"trials must be >= 1000, got {trials}",
-                id=f"validate-{kind}-trials-{trials}")
-        yield pytest.param(lambda t, d: lambda: monte_carlo_validate("far", params, t, 1),
-                           trials, f"trials must be >= 1000, got {trials}",
-                           id=f"monte_carlo_validate-trials-{trials}")
-    for width in (0.0005, 1e-100):
-        for method in ("normal", "wilson"):
-            yield pytest.param(lambda w, d, m=method: ["plan", "width", "--width", str(w),
-                                                       "--method", m],
-                               width, _unreachable(width), id=f"plan-width-{method}-{width}")
-        yield pytest.param(lambda w, d: lambda: plan_devices_normal(w, 0.01), width,
-                           _unreachable(width), id=f"plan_devices_normal-{width}")
-        yield pytest.param(lambda w, d: lambda: plan_devices_exact("wilson", w, 0.01), width,
-                           _unreachable(width), id=f"plan_devices_exact-{width}")
+        for kind in _KINDS:
+            yield pytest.param(_validate(kind, "--trials", trials), _says("trials", trials),
+                               id=f"validate-{kind}-trials-{trials}")
+        yield pytest.param(partial(monte_carlo_validate, "far", params, trials, 1),
+                           _says("trials", trials), id=f"monte_carlo_validate-trials-{trials}")
+    for kind in _KINDS:
+        yield pytest.param(_validate(kind, "--alpha", 0), _says("alpha", 0.0),
+                           id=f"validate-{kind}-alpha-0")
+        yield pytest.param(_validate(kind, "--p", 1.5), _says("probability", "p", "[0, 1]", 1.5),
+                           id=f"validate-{kind}-p-1.5")
+    # 0.5 * 5e-324 rounds to 0.0: the Clopper-Pearson lower bound was once 0.0
+    underflow = _says("underflow", 5e-324)
+    for method in _METHODS:
+        yield pytest.param(["plan", "width", "--width", "0.1", "--method", method, "--alpha",
+                            "5e-324"], underflow, id=f"plan-width-{method}-alpha")
+    for call in (partial(ci_wilson, 5, 10), partial(ci_normal, 5, 10),
+                 partial(ci_clopper_pearson, 5, 10), partial(plan_devices_normal, 0.1)):
+        yield pytest.param(partial(call, 5e-324), underflow, id=f"{call.func.__name__}-alpha")
+    # (z / width)^2 passes the cap between the first two widths and overflows a
+    # float below about 1.2e-154
+    planners = {"plan_devices_normal": plan_devices_normal,
+                **{f"plan_devices_exact-{m}": partial(plan_devices_exact, m) for m in _METHODS[1:]}}
+    for width in _WIDTHS:
+        for method in _METHODS:
+            yield pytest.param(["plan", "width", "--width", str(width), "--method", method],
+                               _says("unreachable", width), id=f"plan-width-{method}-{width}")
+        for name, plan in planners.items():
+            yield pytest.param(partial(plan, width, 0.01), _says("unreachable", width),
+                               id=f"{name}-{width}")
+    entropy = "per-position entropy", "(0, 1]"
+    yield pytest.param(["analyze", "--counts", partial(_counts_file, 10), "--min-entropy", "0"],
+                       _says("probability", *entropy, 0.0), id="analyze-min-entropy-0")
+    for kind, value in (("min", 1.5), ("min", 0.0), ("shannon", 0.0)):
+        yield pytest.param(partial(EntropySpec, kind, value),
+                           _says("probability", *entropy, value), id=f"EntropySpec-{kind}-{value}")
+    simulate = ["simulate", "--devices", "2", "--positions", "2", "--seed", "1", "--out",
+                lambda folder: str(folder / "x.csv"), "--alias"]
+    yield pytest.param([*simulate, "zebra"],
+                       _says("choice", "alias profile", ("balanced", "linear"), "zebra"),
+                       id="simulate-alias-zebra")
+    yield pytest.param([*simulate, "nan"], (DomainError, "alias probabilities must lie in [0, 1]"),
+                       id="simulate-alias-nan")
+    limits, reports = AliasLimits(0.45, 0.55), ("text", "json", "csv")
+    names = {  # name -> (call of a name, what the message calls it, the choices)
+        "Interval": (lambda b: Interval(0.4, 0.6, 0.01, b), "method", _METHODS),
+        "confidence_interval": (lambda b: confidence_interval(b, 5, 10, 0.01), "method",
+                                _METHODS),
+        "ci_width": (lambda b: ci_width(b, 0.5, 10, 0.01), "method", _METHODS),
+        "plan_devices_exact": (lambda b: plan_devices_exact(b, 0.1, 0.01), "method",
+                               _METHODS[1:]),
+        "AnalysisConfig-ci_method": (lambda b: AnalysisConfig(limits=limits, ci_method=b),
+                                     "ci_method", _METHODS),
+        "AnalysisConfig-output_format": (
+            lambda b: AnalysisConfig(limits=limits, output_format=b), "output_format", reports),
+        "render_report": (lambda b: render_report(analyze_counts(
+            PositionCounts(10, (5,)), AnalysisConfig(limits=limits)), b), "report format",
+            reports),
+        "EntropySpec": (lambda b: EntropySpec(b, 0.9), "entropy kind", ("min", "shannon")),
+        "monte_carlo_validate-kind": (lambda b: monte_carlo_validate(
+            b, CoverageParams("wilson", 0.5, 30, 0.05), 1000, 1), "kind", _KINDS),
+        "monte_carlo_validate-method": (lambda b: monte_carlo_validate(
+            "coverage", CoverageParams(b, 0.5, 30, 0.05), 1000, 1), "method", _METHODS),
+        "PopulationSpec-alias": (lambda b: PopulationSpec(2, 3, 1, seed=0, alias=b),
+                                 "alias profile", ("balanced", "linear")),
+        "write_measurements": (lambda b: write_measurements(
+            MeasurementTensor(bits=np.zeros((1, 1, 1))), io.BytesIO(), b), "measurement format",
+            ("csv", "binary")),
+    }
+    for name, (call, what, choices) in names.items():
+        yield pytest.param(partial(call, "bogus"), _says("choice", what, choices, "bogus"),
+                           id=f"{name}-bogus")
 
 
-@pytest.mark.parametrize("entry, value, expected", _rule_cases())
-def test_one_message_per_rule(tmp_path, capsys, entry, value, expected):
-    # each rule is stated once, in a special checker or confidence._first
-    target = entry(value, tmp_path)
-    if isinstance(target, list):
-        assert (main(target), *capsys.readouterr()) == (2, "", f"error: {expected}\n")
+@pytest.mark.parametrize("entry, expected", _rule_cases())
+def test_one_message_per_rule(tmp_path, capsys, entry, expected):
+    # each rule is stated once, in a special checker or confidence._first,
+    # and echoes a long value in a short line
+    if isinstance(entry, list):
+        line = f"error: {expected[1]}"
+        code = main([arg(tmp_path) if callable(arg) else arg for arg in entry])
+        assert (code, *capsys.readouterr()) == (2, "", line + "\n")
+        assert len(line) < 80 or "alpha/2" in line  # the underflow rule's words take 74
     elif expected is None:  # a binomial of no trials
-        target()
+        entry()
     else:
         with pytest.raises(BitAliasError) as err:
-            target()
-        assert str(err.value) == expected
+            entry()
+        assert (type(err.value), str(err.value)) == expected

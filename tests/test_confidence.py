@@ -229,18 +229,6 @@ class TestTinyAlpha:
         assert _z_for(1e-323) == pytest.approx(38.467, abs=5e-4)
         assert ci_wilson(5, 10, 1e-323).lower > 0.0
 
-    @pytest.mark.parametrize("call", [
-        lambda a: ci_wilson(5, 10, a),
-        lambda a: ci_normal(5, 10, a),
-        lambda a: ci_clopper_pearson(5, 10, a),
-        lambda a: plan_devices_normal(0.1, a),
-    ])
-    def test_alpha_whose_half_underflows_is_rejected(self, call):
-        # 0.5 * 5e-324 rounds to 0.0; before the check, the Clopper-Pearson
-        # lower bound came back as exactly 0.0 and the others failed on q
-        with pytest.raises(DomainError, match="^alpha must be at least 1e-323"):
-            call(5e-324)
-
 
 class TestPlanDevicesExact:
     def test_reported_counts(self):
@@ -258,22 +246,10 @@ class TestPlanDevicesExact:
             assert worst_case_width(method, n, 0.01) <= 0.1
             assert worst_case_width(method, n - 2, 0.01) > 0.1
 
-    def test_unreachable_target_raises(self):
-        with pytest.raises(CapacityError):
-            plan_devices_exact("wilson", 1e-5, 0.01)
-        # (z / width)^2 overflows a float here; the start is clamped to the cap
-        for method in ("wilson", "clopper_pearson"):
-            for width in (1e-160, 5e-324):
-                with pytest.raises(CapacityError,
-                                   match=f"^width {width} unreachable below 10000000"):
-                    plan_devices_exact(method, width, 0.01)
-
     def test_normal_plan_obeys_the_device_cap(self):
-        # (z / w)^2 at alpha 0.01 passes 10^7 between these two widths
+        # (z / w)^2 at alpha 0.01 passes 10^7 between this width and
+        # 0.00081454, which test_one_message_per_rule sends
         assert plan_devices_normal(0.00081455, 0.01).devices == 9999970
-        for width in (0.00081454, 1e-100, 1e-160, 5e-324):
-            with pytest.raises(CapacityError, match=f"^width {width} unreachable below 10000000"):
-                plan_devices_normal(width, 0.01)
 
     def test_searches_up_to_the_device_cap(self):
         # The answer lies between 2**23 and the 10**7 cap, where doubling
@@ -283,8 +259,7 @@ class TestPlanDevicesExact:
         assert worst_case_width("wilson", n, 0.01) <= 0.00086
         assert worst_case_width("wilson", n - 2, 0.01) > 0.00086
         # (z / width)^2 is about 1.04e7, just above the cap
-        with pytest.raises(CapacityError,
-                           match="^width 0.0008 unreachable below 10000000 devices$"):
+        with pytest.raises(CapacityError):
             plan_devices_exact("wilson", 0.0008, 0.01)
 
     def test_rejects_normal_method(self):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from bitalias.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 
@@ -28,7 +30,7 @@ def test_width_curves_csv_bytes(tmp_path):
             for path in tmp_path.iterdir()} == WIDTH_CURVE_FILES
 
 
-def test_cli_corpus_lines(tmp_path):
+def test_cli_corpus_lines(tmp_path, capsys):
     ids = ["check-accept", "plan-width-capacity", "curve-out", "help-plan-frr"]
     proc = subprocess.run([sys.executable, str(SCRIPTS / "cli_corpus.py"), str(tmp_path), *ids],
                           capture_output=True, text=True)
@@ -41,7 +43,8 @@ def test_cli_corpus_lines(tmp_path):
     check, capacity, curve, help_ = lines
     assert check["argv"] == ["check", "--x", "340", "--n", "680"] and check["exit"] == 0
     assert capacity["exit"] == 2
-    assert capacity["stderr_last"] == "error: width 0.0005 unreachable below 10000000 devices"
+    assert main(capacity["argv"]) == 2
+    assert capacity["stderr_last"] == capsys.readouterr().err.splitlines()[-1]
     assert curve["stdout_sha256"] == hashlib.sha256(b"").hexdigest()
     assert curve["files"] == {"curve.csv": hashlib.sha256(
         (tmp_path / "curve-out" / "curve.csv").read_bytes()).hexdigest()}

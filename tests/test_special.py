@@ -427,40 +427,3 @@ def _bad_argument_calls():
 def test_rejects_malformed_arguments(call):
     with pytest.raises(DomainError):
         call()
-
-
-def _bogus_name_calls():
-    """Every entry point that takes a method, kind or format name, given "bogus"."""
-    from bitalias.analysis import AnalysisConfig, analyze_counts
-    from bitalias.confidence import (Interval, ci_width, confidence_interval,
-                                     plan_devices_exact)
-    from bitalias.entropy import EntropySpec
-    from bitalias.qualification import AliasLimits
-    from bitalias.report import render_report
-    from bitalias.response import PositionCounts
-    from bitalias.simulate import PopulationSpec
-    from bitalias.validate import CoverageParams, monte_carlo_validate
-    limits = AliasLimits(0.45, 0.55)
-    calls = {
-        "Interval": lambda b: Interval(0.4, 0.6, 0.01, b),
-        "confidence_interval": lambda b: confidence_interval(b, 5, 10, 0.01),
-        "ci_width": lambda b: ci_width(b, 0.5, 10, 0.01),
-        "plan_devices_exact": lambda b: plan_devices_exact(b, 0.1, 0.01),
-        "AnalysisConfig-ci_method": lambda b: AnalysisConfig(limits=limits, ci_method=b),
-        "AnalysisConfig-output_format": lambda b: AnalysisConfig(limits=limits, output_format=b),
-        "render_report": lambda b: render_report(
-            analyze_counts(PositionCounts(10, (5,)), AnalysisConfig(limits=limits)), b),
-        "EntropySpec": lambda b: EntropySpec(b, 0.9),
-        "monte_carlo_validate-kind": lambda b: monte_carlo_validate(
-            b, CoverageParams("wilson", 0.5, 30, 0.05), 1000, 1),
-        "monte_carlo_validate-method": lambda b: monte_carlo_validate(
-            "coverage", CoverageParams(b, 0.5, 30, 0.05), 1000, 1),
-        "PopulationSpec-alias": lambda b: PopulationSpec(2, 3, 1, seed=0, alias=b),
-    }
-    return [pytest.param(call, id=name) for name, call in calls.items()]
-
-
-@pytest.mark.parametrize("call", _bogus_name_calls())
-def test_rejects_unknown_names_with_one_message(call):
-    with pytest.raises(DomainError, match="must be one of .*got 'bogus'"):
-        call("bogus")
