@@ -181,6 +181,7 @@ def invocations() -> list[tuple[str, list[str]]]:
                                         "--method", "normal"]),
         ("plan-width-convergence", ["plan", "width", "--width", "0.5", "--alpha", "1e-300"]),
         ("plan-width-zero", ["plan", "width", "--width", "0"]),
+        ("plan-width-alpha-underflow", ["plan", "width", "--width", "0.1", "--alpha", "5e-324"]),
         ("plan-frr-beta", ["plan", "frr", "--inner-low", "0.48", "--inner-high", "0.52",
                            "--beta", "0.001"]),
         ("plan-frr-entropy", ["plan", "frr", "--min-entropy", "0.95",
@@ -223,6 +224,9 @@ def invocations() -> list[tuple[str, list[str]]]:
                                       "--seed", "4", "--alias", "zebra", "--out", "sim.csv"]),
         ("simulate-nan", ["simulate", "--devices", "8", "--positions", "2", "--seed", "4",
                           "--alias", "nan", "--out", "sim.csv"]),
+        ("simulate-alias-list-above-one", ["simulate", "--devices", "8", "--positions", "2",
+                                           "--seed", "4", "--alias", "0.5,1.5", "--out",
+                                           "sim.csv"]),
         # 139 KB of CSV lines, written and drawn over several 64 KiB blocks
         ("simulate-csv-blocks", ["simulate", "--devices", "300", "--positions", "77",
                                  "--repeats", "3", "--alias", "linear", "--noise", "0.1",

@@ -66,8 +66,9 @@ class PopulationSpec(Record):
             if vec.shape != (self.positions,):
                 raise DomainError(
                     f"alias vector must have length {self.positions}, got shape {vec.shape}")
-        if not ((vec >= 0.0) & (vec <= 1.0)).all():  # NaN fails both
-            raise DomainError("alias probabilities must lie in [0, 1]")
+        outside = ~((vec >= 0.0) & (vec <= 1.0))  # NaN fails both
+        if outside.any():
+            _as_probability(float(vec[outside][0]), "alias")  # raises, naming the value
         return vec
 
 

@@ -144,8 +144,7 @@ def _check_alpha(alpha) -> float:
     test and interval uses, is still a positive float."""
     alpha = _as_probability(alpha, "alpha", bounds="(0, 1)")
     if 0.5 * alpha == 0.0:
-        raise DomainError(f"alpha must be at least 1e-323, where alpha/2 is still "
-                          f"positive, got {_excerpt(alpha)}")
+        raise DomainError(f"alpha must be >= 1e-323, where alpha/2 > 0, got {_excerpt(alpha)}")
     return alpha
 
 

@@ -20,10 +20,6 @@ class TestRngStream:
         b = rng_stream(99, 4).random(16)
         assert (a != b).any()
 
-    def test_rejects_negative_seed(self):
-        with pytest.raises(DomainError):
-            rng_stream(-1)
-
 
 class TestSimulatePopulation:
     def test_noiseless_certain_alias_is_all_ones(self):
@@ -66,8 +62,6 @@ class TestSimulatePopulation:
         vec = spec.alias_vector()
         assert vec[0] == pytest.approx(0.05)
         assert vec[-1] == pytest.approx(0.95)
-        with pytest.raises(DomainError):
-            PopulationSpec(devices=3, positions=5, repeats=1, seed=0, alias="nope")
 
     def test_noise_flips_measurements(self):
         spec = PopulationSpec(devices=20, positions=64, repeats=9, seed=13,
@@ -75,14 +69,6 @@ class TestSimulatePopulation:
         m = simulate_population(spec)
         flipped = 1.0 - m.bits.mean()
         assert 0.15 < flipped < 0.25
-
-    def test_rejects_bad_spec(self):
-        with pytest.raises(DomainError):
-            PopulationSpec(devices=0, positions=5, repeats=1, seed=1)
-        with pytest.raises(DomainError):
-            PopulationSpec(devices=2, positions=5, repeats=1, seed=1, flip_noise=1.5)
-        with pytest.raises(DomainError):
-            PopulationSpec(devices=2, positions=5, repeats=1, seed=1, alias=[0.5])
 
     @pytest.mark.parametrize("field", ["devices", "positions", "repeats"])
     @pytest.mark.parametrize("value", [2.5, "3", None, 0])

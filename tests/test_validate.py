@@ -9,7 +9,6 @@ import pytest
 
 from bitalias import special, validate
 from bitalias.confidence import METHODS, confidence_interval
-from bitalias.errors import DomainError
 from bitalias.qualification import AliasLimits, acceptance_region
 from bitalias.simulate import rng_stream
 from bitalias.validate import (CoverageParams, QualificationParams, _coverage_run,
@@ -65,18 +64,6 @@ class TestMonteCarloValidate:
             trials=5000, seed=2)
         assert est.std_error == pytest.approx(
             (est.value * (1 - est.value) / est.trials) ** 0.5, abs=1e-15)
-
-    def test_rejects_small_trial_counts(self):
-        with pytest.raises(DomainError):
-            monte_carlo_validate(
-                "coverage", CoverageParams("wilson", p=0.5, devices=30, alpha=0.05),
-                trials=999, seed=1)
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(DomainError):
-            monte_carlo_validate(
-                "volume", CoverageParams("wilson", p=0.5, devices=30, alpha=0.05),
-                trials=5000, seed=1)
 
 
 def _per_draw_coverage(method, p, n, alpha, trials, seed, task=0):
