@@ -123,6 +123,38 @@ FILE_CASES = [
     (load_measurements, b"1,3,1\n0,1 1\n", "line 2: expected 3 values, found 2"),
     # the writer's length and commas, but not its symbols
     (load_measurements, b"1,2,1\n2,1\n", "line 2: non-binary symbol '2' in field 1"),
+    # a binary header is checked up to its last byte, and a header alone has
+    # no payload
+    (load_measurements, b"PUFB", "byte 4: truncated header, need 17 bytes"),
+    (load_measurements, _binary_header(1, 1, 1)[:16], "byte 16: truncated header, need 17 bytes"),
+    (load_measurements, _binary_header(1, 3, 1),
+     "byte 17: truncated payload, expected 1 bit-packed bytes, found 0"),
+    (load_measurements, _binary_header(1, 1, 0), "byte 5: dimensions must all be >= 1"),
+    # rows are device-major in both formats: device 0's repeats, then device
+    # 1's; an even repeat count makes every position a tie
+    (load_measurements, b"2,2,2\n0,0\n1,1\n0,1\n1,0\n", [[[0, 1], [0, 1]], [[0, 1], [1, 0]]]),
+    (load_measurements, _binary_header(2, 2, 2) + bytes([0b00, 0b11, 0b01, 0b10]),
+     [[[0, 1], [0, 1]], [[1, 0], [0, 1]]]),
+    # a whole byte of positions, least significant bit first, has no padding
+    (load_measurements, _binary_header(1, 8, 1) + bytes([0b10100101]),
+     [[[1], [0], [1], [0], [0], [1], [0], [1]]]),
+    # an odd repeat count votes without ties
+    (load_measurements, b"1,2,3\n0,1\n1,1\n0,1\n", [[[0, 1, 0], [1, 1, 1]]]),
+    (load_measurements, b"1,2,1\n0,1", [[[0], [1]]]),
+    (load_measurements, b"01,2,1\n0,1\n", [[[0], [1]]]),
+    (load_measurements, b"1,2,1,\n0,1\n", "line 1: malformed header, expected 'N,T,M'"),
+    (load_measurements, b"1,2,1\n0,1,\n", "line 2: expected 2 values, found 3"),
+    (load_measurements, b"1,2,1\n-0,1\n", "line 2: non-binary symbol '-0' in field 1"),
+    # a NUL is not white space, so its line is not blank
+    (load_measurements, b"1,2,1\n0,1\n\x00\n",
+     "line 3: dimension mismatch, expected exactly 1 data lines"),
+    # a counts file is never read as binary, and a count may be 0 or N
+    (load_counts, b"PUFB", "line 1: malformed header, expected 'N,T'"),
+    (load_counts, b"5,2,1\n1,1\n", "line 1: malformed header, expected 'N,T'"),
+    (load_counts, b"5,0\n\n", "line 1: dimensions must all be >= 1"),
+    (load_counts, b"5,2\n3,5,\n", "line 2: expected 2 values, found 3"),
+    (load_counts, b"5,3\n0,5,2\n", (5, [0, 5, 2])),
+    (load_counts, b"5,2\n3,5", (5, [3, 5])),
 ]
 
 
@@ -323,22 +355,6 @@ def roundtrip(m: MeasurementTensor, fmt: str) -> MeasurementTensor:
     write_measurements(m, buf, fmt=fmt)
     buf.seek(0)
     return load_measurements(buf)
-
-
-class TestCsvFormat:
-    def test_minimal_file(self):
-        m = load_measurements(io.BytesIO(b"1,2,1\n0,1\n"))
-        assert (m.devices, m.positions, m.repeats) == (1, 2, 1)
-        assert list(m.bits[0, :, 0]) == [0, 1]
-
-    def test_row_order_is_device_major(self):
-        # device 0 repeats first, then device 1
-        blob = b"2,2,2\n0,0\n1,1\n0,1\n1,0\n"
-        m = load_measurements(io.BytesIO(blob))
-        assert list(m.bits[0, :, 0]) == [0, 0]
-        assert list(m.bits[0, :, 1]) == [1, 1]
-        assert list(m.bits[1, :, 0]) == [0, 1]
-        assert list(m.bits[1, :, 1]) == [1, 0]
 
 
 class TestBinaryFormat:
