@@ -131,6 +131,10 @@ def invocations() -> list[tuple[str, list[str]]]:
         ("check-reject", ["check", "--x", "300", "--n", "680"]),
         ("check-x-above-n", ["check", "--x", "700", "--n", "680"]),
         ("check-min-entropy", ["check", "--x", "340", "--n", "680", "--min-entropy", "0.99"]),
+        # floors whose alias band rounds to (0, 1)
+        ("check-min-entropy-1e-17", ["check", "--x", "5", "--n", "10", "--min-entropy", "1e-17"]),
+        ("check-shannon-entropy-1e-15", ["check", "--x", "5", "--n", "10",
+                                         "--shannon-entropy", "1e-15"]),
         ("check-limits-reversed", ["check", "--x", "3", "--n", "6",
                                    "--p-low", "0.6", "--p-high", "0.5"]),
         # each ended in an OverflowError traceback before it became a usage error

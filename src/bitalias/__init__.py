@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "analysis": ("AnalysisConfig", "AnalysisResult", "AnalysisSummary", "EarlyStopConfig",
-                 "PositionReport", "analyze", "analyze_counts"),
+                 "PositionReport", "analyze", "analyze_counts", "render_report"),
     "confidence": ("METHODS", "Interval", "PlanResult", "ci_clopper_pearson", "ci_normal",
                    "ci_width", "ci_wilson", "confidence_interval", "plan_devices_exact",
                    "plan_devices_normal", "worst_case_width"),
@@ -34,7 +34,6 @@ _EXPORTS = {
                       "acceptance_probability", "acceptance_region", "early_stop_decision",
                       "early_stop_p_values", "p_value_lower", "p_value_upper",
                       "plan_devices_frr", "test_position"),
-    "report": ("render_report",),
     "response": ("MeasurementTensor", "NoiseFreeResponse", "PositionCounts", "bit_alias",
                  "count_ones", "derive_noise_free_response"),
     "simulate": ("ALIAS_PROFILES", "PopulationSpec", "rng_stream", "simulate_population"),

@@ -19,9 +19,10 @@ from .errors import BitAliasError
 # Each command imports only the modules it runs: a child compiles every line it imports.
 
 DEFAULT_LIMITS = (0.45, 0.55)
-# simulate.ALIAS_PROFILES and report.REPORT_FORMATS, named here for the parser
+# simulate.ALIAS_PROFILES, analysis.REPORT_FORMATS and validate.KINDS, named for the parser
 ALIAS_PROFILE_NAMES = ("balanced", "linear")
 REPORT_FORMATS = ("text", "json", "csv")
+VALIDATE_KINDS = ("coverage", "far", "frr")
 
 
 def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
@@ -250,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("validate", help="Monte-Carlo check of a statistical guarantee")
-    p.add_argument("--kind", choices=("coverage", "far", "frr"), required=True)
+    p.add_argument("--kind", choices=VALIDATE_KINDS, required=True)
     p.add_argument("--method", choices=METHODS, default="clopper_pearson",
                    help="estimator for coverage runs")
     p.add_argument("--p", type=float, required=True, help="true alias to simulate")

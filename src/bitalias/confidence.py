@@ -177,7 +177,8 @@ def ci_width(method: str, p_hat: float, n: float, alpha: float) -> float:
 
     This is the quantity the width curves plot; the Clopper-Pearson branch
     extends the count-based definition continuously through real-valued
-    counts, and the normal branch reports the width before clamping.
+    counts and holds for alpha in [1e-12, 0.999], as ``ci_clopper_pearson``
+    states; the normal branch reports the width before clamping.
     """
     _as_choice(method, "method", METHODS)
     p_hat = _as_probability(p_hat, "p_hat")
@@ -229,7 +230,9 @@ def plan_devices_exact(method: str, target_width, alpha) -> PlanResult:
     width(N - 2), with N - 2 probed, or N = 2.  Wilson starts at the normal
     count (z/w)^2; Clopper-Pearson, whose width at n/2 is about z/sqrt(n) + 1/n,
     at ((z + sqrt(z^2 + 4w)) / 2w)^2, at most 6 devices above the answer at
-    alpha >= 0.01.  Targets unreachable below the device cap raise CapacityError.
+    alpha >= 0.01; its plans hold for alpha in [1e-12, 0.999], as
+    ``ci_clopper_pearson`` states.  Targets unreachable below the device cap
+    raise CapacityError.
     """
     _as_choice(method, "method", ("wilson", "clopper_pearson"))
     target_width = _as_probability(target_width, "target_width", bounds="(0, 1)")

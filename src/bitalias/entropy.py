@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import PerfectEntropyError
+from .errors import DomainError, PerfectEntropyError
 from .qualification import AliasLimits
-from .special import Record, _as_choice, _as_probability
+from .special import Record, _as_choice, _as_probability, _excerpt
 
 _KINDS = ("min", "shannon")
 
@@ -29,18 +29,25 @@ class EntropySpec(Record):
                                                           bounds="(0, 1]"))
 
 
+def _band(h, what: str, upper) -> AliasLimits:
+    """The band (1 - p_u, p_u) for a floor of h bits of ``what``, where p_u =
+    upper(h); a full bit, or a p_u that rounds to 1, has none."""
+    h = _as_probability(h, what, bounds="(0, 1]")
+    if h == 1.0:
+        raise PerfectEntropyError(f"a full bit of {what} per position needs alias exactly 0.5; "
+                                  "no finite test can verify it")
+    p_u = upper(h)
+    if p_u >= 1.0:
+        raise DomainError(f"{what} floor {_excerpt(h)} rounds to the band (0, 1)")
+    return AliasLimits(p_l=1.0 - p_u, p_u=p_u)
+
+
 def limits_from_min_entropy(h_inf) -> AliasLimits:
     """Alias limits equivalent to a min-entropy floor: p_u = 2**-h, p_l = 1 - p_u.
 
-    A full bit (h = 1) maps to the degenerate pair (0.5, 0.5) and is rejected
-    as unreachable.
+    A full bit is unreachable, and below about 8e-17 bits 2**-h rounds to 1.
     """
-    p_u = 2.0 ** -_as_probability(h_inf, "min-entropy", bounds="(0, 1]")
-    if p_u <= 0.5:
-        raise PerfectEntropyError(
-            "a full bit of min-entropy per position needs alias exactly 0.5; "
-            "no finite test can verify it")
-    return AliasLimits(p_l=1.0 - p_u, p_u=p_u)
+    return _band(h_inf, "min-entropy", lambda h: 2.0 ** -h)
 
 
 def min_entropy_from_limits(p) -> float:
@@ -61,31 +68,34 @@ def shannon_entropy(p) -> float:
 
 
 def limits_from_shannon_entropy(h) -> AliasLimits:
-    """Alias limits equivalent to a Shannon-entropy floor.
+    """Alias limits equivalent to a Shannon-entropy floor: p_u = 1 - q, rounded
+    to the nearest double, for the q in (0, 0.5] whose entropy is h bits.
 
-    Solves shannon_entropy(p) = h for the upper limit p in (0.5, 1) by
-    bisection; there is no closed form.
+    A full bit is unreachable, and below about 3e-15 bits p_u rounds to 1.
     """
-    h = _as_probability(h, "Shannon entropy", bounds="(0, 1]")
-    if h == 1.0:
-        raise PerfectEntropyError(
-            "a full bit of Shannon entropy per position needs alias exactly 0.5; "
-            "no finite test can verify it")
-    lo, hi = 0.5, 1.0  # shannon_entropy decreases from 1 to 0 on this range
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if shannon_entropy(mid) > h:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    p_u = 0.5 * (lo + hi)
-    return AliasLimits(p_l=1.0 - p_u, p_u=p_u)
+    return _band(h, "Shannon entropy", _shannon_upper)
+
+
+def _shannon_upper(h: float) -> float:
+    """p_u as ``limits_from_shannon_entropy`` states it.  There is no closed
+    form: Newton's method in 60-digit decimals (where 1 - q keeps q's first
+    25 digits) starts at or below q, as Topsoe's bound on the entropy,
+    H(q) <= (4q(1 - q))**(1/ln 4), puts it, and rises to q, as H is concave."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x, nats = Decimal(h) ** Decimal(4).ln(), Decimal(h) * Decimal(2).ln()
+        q = x / (2 + 2 * (1 - x).sqrt())  # the smaller root of 4q(1 - q) = x
+        for _ in range(50):  # 14 steps at most, but rounding stalls some floors below 1e-35
+            step = (-(q * q.ln() + (1 - q) * (1 - q).ln()) - nats) / ((1 - q) / q).ln()
+            q -= step
+            if abs(step) <= q * Decimal("1e-25"):
+                break
+        return float(1 - q)
 
 
 def limits_from_spec(spec: EntropySpec) -> AliasLimits:
     """Resolve an entropy requirement to alias limits."""
-    if spec.kind == "min":
-        return limits_from_min_entropy(spec.value)
-    return limits_from_shannon_entropy(spec.value)
+    convert = limits_from_min_entropy if spec.kind == "min" else limits_from_shannon_entropy
+    return convert(spec.value)

@@ -18,7 +18,7 @@ import math
 from .confidence import PlanResult, _first, _normal_half, _z_for
 from .errors import DomainError
 from .special import (Record, _as_count, _as_probability, _check_alpha, _check_counts,
-                      _excerpt, binomial_cdf, binomial_range_mass, binomial_sf)
+                      _excerpt, _per_distinct, binomial_cdf, binomial_range_mass, binomial_sf)
 
 _FRR_CERTIFY_WINDOW = 50  # scan below the search result; the FRR curve wiggles
 
@@ -167,15 +167,16 @@ def acceptance_probability(n, p, region: AcceptanceRegion) -> float:
 
 def plan_devices_frr(limits: AliasLimits, inner: tuple[float, float],
                      alpha, beta) -> PlanResult:
-    """Smallest device count keeping the false rejection rate at or below beta
-    for every alias inside the inner band.
+    """A device count at which the false rejection rate is at most beta for
+    every alias inside the inner band.
 
     By tail monotonicity it suffices to check the band's endpoints.  The FRR
     curve is not monotone in n, so the answer is the smallest count meeting
-    beta among the binary-search result and the 50 counts below it; it is not
-    always the smallest overall (limits (0.497, 0.503) with inner band
-    (0.4985, 0.5015) give 2671077, though the smallest count meeting beta is
-    2670169).
+    beta among the binary-search result and the 50 counts below it, and only
+    it is sure to meet beta: limits (0.497, 0.503) with inner band (0.4985,
+    0.5015) give 2671077, though 2670169 meets beta and 2671078 has FRR
+    0.010004; limits (0.45, 0.55) with (0.48, 0.52) give 6653, where 6654 has
+    0.010233.  ROADMAP item 1 plans a guarantee that holds around the answer.
     """
     limits = _as_limits(limits)
     p_k, p_v = inner
@@ -225,8 +226,6 @@ def early_stop_decision(counts: PositionCounts, limits: AliasLimits, alpha,
 
     The default threshold 0 aborts on any flagged position.
     """
-    from .response import _per_distinct
-
     limits = _as_limits(limits)
     alpha = _check_alpha(alpha)
     max_flag_fraction = _as_probability(max_flag_fraction, "max_flag_fraction")

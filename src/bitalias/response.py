@@ -119,20 +119,19 @@ class PositionCounts(Record):
         _as_count(self.devices, "devices", 1)
         np = sys.modules.get("numpy")  # an array exists only if numpy is loaded
         array = np is not None and isinstance(self.ones, np.ndarray)
-        if array and self.ones.ndim != 1:
-            raise DomainError("ones must be a non-empty 1-d array")
-        try:
-            ones = tuple(self.ones.tolist() if array else self.ones)
+        try:  # no sequence, or an array of another shape, holds no counts
+            ones = tuple(self.ones.tolist() if self.ones.ndim == 1 else ()) if array \
+                else tuple(self.ones)
         except TypeError:
-            raise DomainError("ones must be a non-empty 1-d array") from None
+            ones = ()
+        if not ones:
+            raise DomainError("ones must be a non-empty 1-d array")
         try:
             ints = tuple(map(int, ones))
         except (TypeError, ValueError, OverflowError):
             ints = None
         if ints != ones:
             raise DomainError("counts must be integers")
-        if not ints:
-            raise DomainError("ones must be a non-empty 1-d array")
         if min(ints) < 0 or max(ints) > self.devices:
             raise DomainError("counts must lie in 0..devices")
         if array:
@@ -284,14 +283,3 @@ def bit_alias(c: PositionCounts) -> np.ndarray:
 
     return np.asarray(c.ones) / float(c.devices)
 
-
-def _per_distinct(counts, fn):
-    """Iterator over ``fn(x) for x in counts``, calling fn once per distinct
-    count, with a Python int.
-
-    Every per-position statistic depends on the count alone, so positions
-    sharing a count share one evaluation.  fn sees the distinct counts in
-    ascending order.
-    """
-    results = {x: fn(int(x)) for x in sorted(set(counts))}
-    return map(results.__getitem__, counts)

@@ -32,11 +32,12 @@ The argument checks every module shares live here too, one message per rule:
 ``_as_probability``, ``_as_count`` and ``_as_devices`` for one number,
 ``_as_choice`` for a method, kind or format name, ``_check_counts`` for a
 count and its device count, ``_check_alpha`` for a significance level; so
-does ``Record``, every record type's base, and ``_spans``, which sizes every
-streamed loop from the one ``_BLOCK_BYTES``.  Their messages echo a value
-through ``_excerpt``, as do the file formats' and ``acceptance_probability``'s:
-it shortens a long value, an integer of any length too, to a few dozen
-characters.
+does ``Record``, every record type's base, ``_spans``, which sizes every
+streamed loop from the one ``_BLOCK_BYTES``, and ``_per_distinct``, which
+evaluates a per-position statistic once per distinct count.  Their messages
+echo a value through ``_excerpt``, as do the file formats' and
+``acceptance_probability``'s: it shortens a long value, an integer of any
+length too, to a few dozen characters.
 
 Log-scale probabilities are plain floats in natural log; ``-inf`` is the
 distinguished encoding of log(0).
@@ -207,6 +208,18 @@ def _spans(count: int, size: int):
     `_BLOCK_BYTES` (read at call time) of ``size``-byte items, at least one."""
     step = max(1, _BLOCK_BYTES // size)
     return ((i, min(i + step, count)) for i in range(0, count, step))
+
+
+def _per_distinct(counts, fn):
+    """Iterator over ``fn(x) for x in counts``, calling fn once per distinct
+    count, with a Python int.
+
+    Every per-position statistic depends on the count alone, so positions
+    sharing a count share one evaluation.  fn sees the distinct counts in
+    ascending order.
+    """
+    results = {x: fn(int(x)) for x in sorted(set(counts))}
+    return map(results.__getitem__, counts)
 
 
 def std_normal_cdf(z: float) -> float:

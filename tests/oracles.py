@@ -1,14 +1,15 @@
 """Independent reference computations the tests check the library against.
 
 Nothing here shares code paths with the package: binomial tails are summed in
-exact rational arithmetic, the normal CDF comes from math.erf, incomplete
-beta values from adaptive quadrature, and interval bounds from generic root
-finding.
+exact rational arithmetic, the normal CDF comes from math.erf, incomplete beta
+values from adaptive quadrature, interval bounds from generic root finding,
+and the Shannon entropy's inverse from bisection in decimal arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -19,22 +20,34 @@ def exact_binomial_pmf(k: int, n: int, p: float) -> Fraction:
     return math.comb(n, k) * pf**k * (1 - pf) ** (n - k)
 
 
-def exact_binomial_cdf(k: int, n: int, p: float) -> float:
-    pf = Fraction(p)
-    qf = 1 - pf
-    return float(sum(math.comb(n, i) * pf**i * qf ** (n - i) for i in range(k + 1)))
-
-
-def exact_binomial_sf(k: int, n: int, p: float) -> float:
-    pf = Fraction(p)
-    qf = 1 - pf
-    return float(sum(math.comb(n, i) * pf**i * qf ** (n - i) for i in range(k, n + 1)))
-
-
 def exact_binomial_range(lo: int, hi: int, n: int, p: float) -> float:
     pf = Fraction(p)
     qf = 1 - pf
     return float(sum(math.comb(n, i) * pf**i * qf ** (n - i) for i in range(lo, hi + 1)))
+
+
+def exact_binomial_cdf(k: int, n: int, p: float) -> float:
+    return exact_binomial_range(0, k, n, p)
+
+
+def exact_binomial_sf(k: int, n: int, p: float) -> float:
+    return exact_binomial_range(k, n, n, p)
+
+
+def decimal_shannon_root(h: float) -> Decimal:
+    """The q in (0, 0.5] whose binary entropy is h bits, by bisection in
+    40-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        nats = Decimal(h) * Decimal(2).ln()
+        lo, hi = Decimal(0), Decimal("0.5")
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if -(mid * mid.ln() + (1 - mid) * (1 - mid).ln()) < nats:
+                lo = mid
+            else:
+                hi = mid
+        return hi
 
 
 def erf_normal_cdf(z: float) -> float:

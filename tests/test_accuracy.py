@@ -7,6 +7,10 @@ end at n = 10, 680 and 66546.  Each stated bound is the worst error of a scan
 of every count (of every count below 3000 and above n - 3000, and every 13th
 between, at n = 66546).  These grids sample that scan and include its worst
 points, so a later change may tighten a bound here but never loosen one.
+`limits_from_shannon_entropy` rounds the exact band to the nearest double,
+checked here against a decimal solve.  Below alpha = 1e-12, where no
+Clopper-Pearson bound is stated, the rows marked xfail pin scipy's answers
+that the package misses.
 """
 
 import math
@@ -15,7 +19,10 @@ import numpy as np
 import pytest
 from scipy.stats import beta, binom
 
-from bitalias.confidence import ci_clopper_pearson
+from oracles import decimal_shannon_root
+
+from bitalias.confidence import ci_clopper_pearson, ci_width, plan_devices_exact
+from bitalias.entropy import limits_from_shannon_entropy
 from bitalias.special import binomial_cdf, binomial_sf
 
 # n: (stated bound, stride of the k grid, the scan's worst k for the cdf; the
@@ -63,3 +70,26 @@ def test_clopper_pearson_meets_the_stated_bounds(n):
         want_upper = beta.isf(alpha / 2, x[:-1] + 1, n - x[:-1])
         assert np.abs(lower[1:] / want_lower - 1).max() <= lower_bound, alpha
         assert np.abs(upper[:-1] / want_upper - 1).max() <= upper_bound, alpha
+
+
+# references from scipy's beta.ppf and beta.isf: the smallest even counts whose
+# width at x = n/2 meets 0.1, and the width at p_hat = 0.5, n = 680
+_TINY_ALPHA = pytest.mark.xfail(strict=True, reason="ROADMAP items 2 and 15")
+
+
+@pytest.mark.parametrize("alpha, devices", [(1e-15, 6432), (1e-17, 7334)])
+@_TINY_ALPHA
+def test_clopper_pearson_plan_below_the_stated_alpha(alpha, devices):
+    assert plan_devices_exact("clopper_pearson", 0.1, alpha).devices == devices
+
+
+@_TINY_ALPHA
+def test_clopper_pearson_width_below_the_stated_alpha():
+    assert ci_width("clopper_pearson", 0.5, 680, 1e-17) == pytest.approx(0.321361, rel=1e-6)
+
+
+def test_shannon_limits_round_the_exact_band():
+    # from the smallest floor with a band of doubles to the largest below a bit
+    floors = [*np.geomspace(3.1e-15, 0.99, 16), *(1 - np.geomspace(1e-2, 2**-53, 8))]
+    for h in map(float, floors):
+        assert limits_from_shannon_entropy(h).p_u == float(1 - decimal_shannon_root(h)), h

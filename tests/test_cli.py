@@ -37,6 +37,14 @@ def balanced_file(tmp_path):
     return path
 
 
+def test_parser_choices_copy_their_modules():
+    # the parser names each command's choices without importing its module
+    from bitalias import analysis, cli, simulate, validate
+    assert cli.ALIAS_PROFILE_NAMES == tuple(simulate.ALIAS_PROFILES)
+    assert cli.REPORT_FORMATS == analysis.REPORT_FORMATS
+    assert cli.VALIDATE_KINDS == validate.KINDS
+
+
 class TestAnalyzeCommand:
     def test_rejections_exit_one(self, balanced_file, capsys):
         rc = main(["analyze", str(balanced_file)])
@@ -224,9 +232,6 @@ class TestSimulateCommand:
         assert m.positions == 3
 
     def test_unknown_alias_token_exits_two(self, tmp_path):
-        from bitalias import cli, report, simulate
-        assert cli.ALIAS_PROFILE_NAMES == tuple(simulate.ALIAS_PROFILES)
-        assert cli.REPORT_FORMATS == report.REPORT_FORMATS
         for alias in ("zebra", "nan"):  # test_one_message_per_rule pins the messages
             rc = main(["simulate", "--devices", "2", "--positions", "2", "--seed", "1",
                        "--alias", alias, "--out", str(tmp_path / "x.csv")])
@@ -325,9 +330,9 @@ print(json.dumps({
 _BASE = "cli confidence errors special"
 _LIMITS = "cli confidence errors qualification special"
 _FILES = "cli confidence errors formats qualification response special"
-_ANALYZE = "analysis cli confidence entropy errors formats qualification report response special"
+_ANALYZE = "analysis cli confidence entropy errors formats qualification response special"
 # Each command loads only the submodules it runs: qualification for limits,
-# entropy for an entropy floor, report only in analyze.  Each runs both where
+# entropy for an entropy floor, analysis only in analyze.  Each runs both where
 # numpy cannot be imported (python -S) and where it can, and never loads it.
 # id -> argv, exit code, submodules, a whole line of stdout (None: no stdout)
 _NUMPY_FREE = {
@@ -485,6 +490,7 @@ _RULES = {
     "underflow": (DomainError, "alpha must be >= 1e-323, where alpha/2 > 0, got {}"),
     "probability": (DomainError, "{} must lie in {}, got {}"),
     "choice": (DomainError, "{} must be one of {}, got {!r}"),
+    "floor": (DomainError, "{} floor {} rounds to the band (0, 1)"),
 }
 
 
@@ -524,7 +530,8 @@ def _rule_cases():
     from bitalias import (AliasLimits, AnalysisConfig, EntropySpec, Interval, PopulationSpec,
                           acceptance_probability, acceptance_region, analyze_counts,
                           binomial_cdf, ci_clopper_pearson, ci_normal, ci_wilson, ci_width,
-                          confidence_interval, monte_carlo_validate, plan_devices_exact,
+                          confidence_interval, limits_from_min_entropy,
+                          limits_from_shannon_entropy, monte_carlo_validate, plan_devices_exact,
                           plan_devices_frr, plan_devices_normal, render_report)
     from bitalias.validate import CoverageParams, QualificationParams
     cli = {  # name -> argv of n
@@ -596,6 +603,15 @@ def _rule_cases():
     for kind, value in (("min", 1.5), ("min", 0.0), ("shannon", 0.0)):
         yield pytest.param(partial(EntropySpec, kind, value),
                            _says("probability", *entropy, value), id=f"EntropySpec-{kind}-{value}")
+    # floors whose band (1 - p_u, p_u) rounds to (0, 1): 2**-h rounds to 1
+    # below about 8e-17 bits, and the Shannon band below about 3e-15
+    for kind, what, value, convert in (("min", "min-entropy", 1e-17, limits_from_min_entropy),
+                                       ("shannon", "Shannon entropy", 1e-15,
+                                        limits_from_shannon_entropy)):
+        yield pytest.param(["check", "--x", "5", "--n", "10", f"--{kind}-entropy", str(value)],
+                           _says("floor", what, value), id=f"check-{kind}-entropy-{value}")
+        yield pytest.param(partial(convert, value), _says("floor", what, value),
+                           id=f"{convert.__name__}-{value}")
     simulate = ["simulate", "--devices", "2", "--positions", "2", "--seed", "1", "--out",
                 lambda folder: str(folder / "x.csv"), "--alias"]
     yield pytest.param([*simulate, "zebra"],

@@ -37,12 +37,6 @@ class TestLazyExports:
             getattr(bitalias, "no_such_name")
         assert not hasattr(bitalias, "CSV_HEADER")
 
-    def test_renderers_still_reachable_from_analysis(self):
-        from bitalias import analysis, report
-        assert analysis.render_report is report.render_report is bitalias.render_report
-        assert analysis.CSV_HEADER is report.CSV_HEADER
-        assert analysis.REPORT_FORMATS == ("text", "json", "csv")
-
 
 def test_simulate_help_names_every_profile(capsys):
     # The parser names the profiles without importing simulate.

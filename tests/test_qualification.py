@@ -128,19 +128,6 @@ class TestPlanDevicesFrr:
         # little below the 6674 a coarser search settles on
         assert 6624 <= plan.devices <= 6674
 
-    def test_certified_boundary(self):
-        plan = plan_devices_frr(LIMITS, (0.48, 0.52), 0.01, 0.01)
-
-        def frr_ok(n):
-            region = acceptance_region(n, LIMITS, 0.01)
-            if region.is_empty:
-                return False
-            return all(1.0 - acceptance_probability(n, p, region) <= 0.01
-                       for p in (0.48, 0.52))
-
-        assert frr_ok(plan.devices)
-        assert not frr_ok(plan.devices - 1)
-
     @pytest.mark.parametrize("beta, devices", [(1e-12, 25550), (1e-20, 38758)])
     def test_small_beta_answer_is_smallest(self, beta, devices):
         # the smallest counts meeting beta, from a scipy scan up from n = 1;
