@@ -231,6 +231,8 @@ def invocations() -> list[tuple[str, list[str]]]:
         ("simulate-alias-list-above-one", ["simulate", "--devices", "8", "--positions", "2",
                                            "--seed", "4", "--alias", "0.5,1.5", "--out",
                                            "sim.csv"]),
+        ("simulate-alias-list-text", ["simulate", "--devices", "8", "--positions", "2",
+                                      "--seed", "4", "--alias", "0.5,abc", "--out", "sim.csv"]),
         # 139 KB of CSV lines, written and drawn over several 64 KiB blocks
         ("simulate-csv-blocks", ["simulate", "--devices", "300", "--positions", "77",
                                  "--repeats", "3", "--alias", "linear", "--noise", "0.1",

@@ -23,7 +23,7 @@ from .qualification import (AcceptanceRegion, AliasLimits, EarlyStopAdvice,
                             TestVerdict, acceptance_region, early_stop_decision,
                             test_position)
 from .response import MeasurementTensor, PositionCounts, count_ones, derive_noise_free_response
-from .special import Record, _as_choice, _as_probability, _check_alpha, _per_distinct
+from .special import Record, _as_choice, _as_count, _as_probability, _check_alpha, _per_distinct
 
 
 class EarlyStopConfig(Record):
@@ -33,16 +33,17 @@ class EarlyStopConfig(Record):
     max_flag_fraction: float = 0.0
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
-        _as_probability(self.max_flag_fraction, "max_flag_fraction")
+        self.__dict__.update(alpha=_check_alpha(self.alpha), max_flag_fraction=_as_probability(
+            self.max_flag_fraction, "max_flag_fraction"))
 
 
 class AnalysisConfig(Record):
     """What to test and how to report it.
 
-    Exactly one of ``limits`` and ``entropy_spec`` must be given; an entropy
-    requirement is converted to alias limits when the config is built, so a
-    floor that no finite test can verify is rejected there.
+    Give ``limits`` or ``entropy_spec``.  An entropy floor is converted to its
+    alias band once, when the config is built, and kept in ``limits``, so a
+    floor that no finite test can verify is rejected there.  Both may be
+    given if they agree, as in a config rebuilt from its own fields.
     """
 
     alpha: float = 0.01
@@ -53,17 +54,15 @@ class AnalysisConfig(Record):
     output_format: str = "text"
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
-        if (self.limits is None) == (self.entropy_spec is None):
-            raise DomainError("provide exactly one of limits and entropy_spec")
-        _as_choice(self.ci_method, "ci_method", METHODS)
-        _as_choice(self.output_format, "output_format", REPORT_FORMATS)
-        self.resolved_limits()
-
-    def resolved_limits(self) -> AliasLimits:
-        if self.limits is not None:
-            return self.limits
-        return limits_from_spec(self.entropy_spec)
+        alpha, limits, spec = _check_alpha(self.alpha), self.limits, self.entropy_spec
+        if limits is None and spec is None:
+            raise DomainError("provide limits or entropy_spec")
+        self.__dict__.update(
+            alpha=alpha, ci_method=_as_choice(self.ci_method, "ci_method", METHODS),
+            output_format=_as_choice(self.output_format, "output_format", REPORT_FORMATS),
+            limits=limits if spec is None else limits_from_spec(spec))
+        if limits not in (None, band := self.limits):
+            raise DomainError(f"limits differ from the floor's band ({band.p_l}, {band.p_u})")
 
 
 class PositionReport(Record):
@@ -115,8 +114,9 @@ def analyze_counts(counts: PositionCounts, cfg: AnalysisConfig, *,
                    repeats: int | None = None,
                    tie_count: int | None = None) -> AnalysisResult:
     """Analysis from the sufficient statistic (counts of 1s, device count)."""
-    limits = cfg.resolved_limits()
-    n = counts.devices
+    repeats = None if repeats is None else _as_count(repeats, "repeats", 1)
+    tie_count = None if tie_count is None else _as_count(tie_count, "tie_count")
+    limits, n = cfg.limits, counts.devices
     region = acceptance_region(n, limits, cfg.alpha)
 
     def report(x: int) -> PositionReport:

@@ -137,7 +137,7 @@ def _cmd_simulate(args) -> int:
     try:  # text that is no number and no list is a profile name for PopulationSpec to check
         alias = float(args.alias)
     except ValueError:
-        alias = [float(tok) for tok in args.alias.split(",")] if "," in args.alias else args.alias
+        alias = args.alias.split(",") if "," in args.alias else args.alias
     spec = PopulationSpec(devices=args.devices, positions=args.positions,
                           repeats=args.repeats, seed=args.seed,
                           alias=alias, flip_noise=args.noise)
@@ -279,7 +279,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (BitAliasError, OSError, ValueError) as exc:
-        # ValueError also covers malformed numeric tokens in --grid / --alias
+        # ValueError also covers malformed numeric tokens in --grid
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .errors import CapacityError, DomainError
-from .special import (DEVICE_CAP, Record, _as_choice, _as_devices, _as_probability,
+from .special import (DEVICE_CAP, Record, _as_choice, _as_devices, _as_probability, _as_real,
                       _check_alpha, _check_counts, beta_quantile, std_normal_quantile)
 
 METHODS = ("normal", "wilson", "clopper_pearson")
@@ -83,10 +83,11 @@ class Interval(Record):
     method: str
 
     def __post_init__(self):
-        _as_choice(self.method, "method", METHODS)
-        _check_alpha(self.alpha)
-        if not 0.0 <= self.lower <= self.upper <= 1.0:
-            raise DomainError(f"bounds out of order: [{self.lower}, {self.upper}]")
+        method, alpha = _as_choice(self.method, "method", METHODS), _check_alpha(self.alpha)
+        lower, upper = _as_real(self.lower, "lower"), _as_real(self.upper, "upper")
+        if not 0.0 <= lower <= upper <= 1.0:
+            raise DomainError(f"bounds out of order: [{lower}, {upper}]")
+        self.__dict__.update(lower=lower, upper=upper, alpha=alpha, method=method)
 
     @property
     def width(self) -> float:

@@ -24,9 +24,9 @@ class EntropySpec(Record):
     value: float
 
     def __post_init__(self):
-        _as_choice(self.kind, "entropy kind", _KINDS)
-        object.__setattr__(self, "value", _as_probability(self.value, "per-position entropy",
-                                                          bounds="(0, 1]"))
+        self.__dict__.update(kind=_as_choice(self.kind, "entropy kind", _KINDS),
+                             value=_as_probability(self.value, "per-position entropy",
+                                                   bounds="(0, 1]"))
 
 
 def _band(h, what: str, upper) -> AliasLimits:

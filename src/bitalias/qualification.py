@@ -34,8 +34,7 @@ class AliasLimits(Record):
         p_u = _as_probability(self.p_u, "p_u", bounds="(0, 1)")
         if not p_l < p_u:
             raise DomainError(f"limits must satisfy p_l < p_u, got ({p_l}, {p_u})")
-        object.__setattr__(self, "p_l", p_l)
-        object.__setattr__(self, "p_u", p_u)
+        self.__dict__.update(p_l=p_l, p_u=p_u)
 
 
 def _as_limits(limits) -> AliasLimits:

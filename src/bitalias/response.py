@@ -96,7 +96,7 @@ class NoiseFreeResponse(MeasurementTensor):
         if _packed is None:
             bits = _checked_bits(bits, 2, "response")[:, :, None]
         super().__init__(bits, _packed=_packed)
-        self.__dict__["tie_count"] = _as_count(tie_count, "tie_count")
+        self.__dict__.update(tie_count=_as_count(tie_count, "tie_count"))
 
     @property
     def bits(self) -> np.ndarray:
@@ -116,7 +116,7 @@ class PositionCounts(Record):
     ones: Sequence[int]
 
     def __post_init__(self):
-        _as_count(self.devices, "devices", 1)
+        devices = _as_count(self.devices, "devices", 1)
         np = sys.modules.get("numpy")  # an array exists only if numpy is loaded
         array = np is not None and isinstance(self.ones, np.ndarray)
         try:  # no sequence, or an array of another shape, holds no counts
@@ -132,12 +132,12 @@ class PositionCounts(Record):
             ints = None
         if ints != ones:
             raise DomainError("counts must be integers")
-        if min(ints) < 0 or max(ints) > self.devices:
+        if min(ints) < 0 or max(ints) > devices:
             raise DomainError("counts must lie in 0..devices")
         if array:
             ints = np.array(ints, dtype=np.int64)
             ints.setflags(write=False)
-        object.__setattr__(self, "ones", ints)
+        self.__dict__.update(devices=devices, ones=ints)
 
     @property
     def positions(self) -> int:

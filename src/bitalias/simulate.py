@@ -14,7 +14,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .special import Record, _as_choice, _as_count, _as_probability, _spans
+from .special import Record, _as_choice, _as_count, _as_probability, _as_real, _spans
 
 ALIAS_PROFILES = {
     "balanced": lambda t: np.full(t, 0.5),
@@ -36,7 +36,8 @@ class PopulationSpec(Record):
     """Parameters of a synthetic device population.
 
     ``alias`` is the true probability of a 1 per position: a scalar applied
-    everywhere, a length-T sequence, or a named profile from ALIAS_PROFILES.
+    everywhere, a length-T sequence (kept as a tuple of floats), or a named
+    profile from ALIAS_PROFILES.
     The seed is mandatory; two specs with equal fields simulate identically.
     """
 
@@ -48,10 +49,15 @@ class PopulationSpec(Record):
     flip_noise: float = 0.0
 
     def __post_init__(self):
-        for name in ("devices", "positions", "repeats"):
-            _as_count(getattr(self, name), name, 1)
-        _as_count(self.seed, "seed")
-        object.__setattr__(self, "flip_noise", _as_probability(self.flip_noise, "flip_noise"))
+        self.__dict__.update({name: _as_count(getattr(self, name), name, least) for name, least
+                              in (("devices", 1), ("positions", 1), ("repeats", 1), ("seed", 0))},
+                             flip_noise=_as_probability(self.flip_noise, "flip_noise"))
+        if not isinstance(alias := self.alias, str):  # a profile name, which alias_vector checks
+            if (shape := np.shape(alias)) not in ((), (self.positions,)):
+                raise DomainError(
+                    f"alias vector must have length {self.positions}, got shape {shape}")
+            self.__dict__.update(alias=_as_real(alias, "alias") if shape == () else
+                                 tuple(_as_real(a, "alias") for a in alias))
         self.alias_vector()  # validate eagerly
 
     def alias_vector(self) -> np.ndarray:
@@ -59,13 +65,8 @@ class PopulationSpec(Record):
         if isinstance(self.alias, str):
             profile = _as_choice(self.alias, "alias profile", tuple(ALIAS_PROFILES))
             vec = ALIAS_PROFILES[profile](self.positions)
-        elif isinstance(self.alias, (int, float)):
-            vec = np.full(self.positions, float(self.alias))
-        else:
-            vec = np.asarray(self.alias, dtype=float)
-            if vec.shape != (self.positions,):
-                raise DomainError(
-                    f"alias vector must have length {self.positions}, got shape {vec.shape}")
+        else:  # a real number or a tuple of T
+            vec = np.full(self.positions, self.alias)
         outside = ~((vec >= 0.0) & (vec <= 1.0))  # NaN fails both
         if outside.any():
             _as_probability(float(vec[outside][0]), "alias")  # raises, naming the value

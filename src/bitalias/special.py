@@ -152,8 +152,8 @@ def _check_alpha(alpha) -> float:
 class Record:
     """An immutable record, lighter to define than a frozen dataclass.  Its
     fields are its base's, then the names it annotates; a class attribute is a
-    field's default.  ``__post_init__`` checks the fields and may store a
-    normalized one with ``object.__setattr__``."""
+    field's default.  ``__post_init__`` checks the fields and keeps what each
+    check returns, stored with ``self.__dict__.update``, the one idiom for it."""
 
     _fields: dict[str, None] = {}  # the field names, in order
     _defaults: dict = {}

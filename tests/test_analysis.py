@@ -8,10 +8,11 @@ import pytest
 
 from bitalias import analysis
 from bitalias import qualification as qual
-from bitalias.analysis import (CSV_HEADER, AnalysisConfig, EarlyStopConfig,
+from bitalias.analysis import (CSV_HEADER, REPORT_FORMATS, AnalysisConfig, EarlyStopConfig,
                                PositionReport, analyze, analyze_counts, render_report)
 from bitalias.confidence import confidence_interval
-from bitalias.entropy import EntropySpec, min_entropy_from_limits, shannon_entropy
+from bitalias.entropy import (EntropySpec, limits_from_spec, min_entropy_from_limits,
+                              shannon_entropy)
 from bitalias.errors import PerfectEntropyError
 from bitalias.qualification import AliasLimits
 from bitalias.response import MeasurementTensor, PositionCounts
@@ -20,6 +21,11 @@ from bitalias.simulate import PopulationSpec, simulate_population
 LIMITS = AliasLimits(0.45, 0.55)
 # repeated counts, including 0 and N = 680
 REPEATED_ONES = np.array([0, 680, 340, 340, 0, 100, 680, 100, 339, 340, 0, 1, 679, 340, 341, 679])
+LIMIT_SOURCES = {
+    "limits": {"limits": LIMITS},
+    "min-entropy": {"entropy_spec": EntropySpec("min", 0.9)},
+    "shannon-entropy": {"entropy_spec": EntropySpec("shannon", 0.99)},
+}
 
 
 def balanced_result(positions=8, seed=3, **cfg_kw):
@@ -30,9 +36,27 @@ def balanced_result(positions=8, seed=3, **cfg_kw):
 
 class TestAnalysisConfig:
     def test_entropy_spec_resolves(self):
-        cfg = AnalysisConfig(alpha=0.01, entropy_spec=EntropySpec("min", 0.9))
-        limits = cfg.resolved_limits()
-        assert limits.p_u == pytest.approx(2.0 ** -0.9, abs=1e-12)
+        spec = EntropySpec("min", 0.9)
+        cfg = AnalysisConfig(alpha=0.01, entropy_spec=spec)
+        assert cfg.limits == limits_from_spec(spec)
+        assert cfg.limits.p_u == pytest.approx(2.0 ** -0.9, abs=1e-12)
+
+    def test_a_floor_is_converted_once_per_analysis(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(analysis, "limits_from_spec",
+                            lambda spec: calls.append(spec) or limits_from_spec(spec))
+        spec = EntropySpec("shannon", 0.99)
+        analyze_counts(PositionCounts(680, REPEATED_ONES), AnalysisConfig(entropy_spec=spec))
+        assert calls == [spec]
+
+    @pytest.mark.parametrize("source", ["min-entropy", "shannon-entropy"])
+    def test_rebuilt_from_its_fields_with_the_band(self, source):
+        # the band is kept in limits, and a config given both accepts it
+        spec = LIMIT_SOURCES[source]["entropy_spec"]
+        cfg = AnalysisConfig(alpha=0.05, entropy_spec=spec, early_stop=EarlyStopConfig())
+        rebuilt = AnalysisConfig(**{name: getattr(cfg, name) for name in cfg.__match_args__})
+        assert rebuilt == cfg and hash(rebuilt) == hash(cfg)
+        assert rebuilt.limits == limits_from_spec(spec)
 
     @pytest.mark.parametrize("kind", ["min", "shannon"])
     def test_full_bit_rejected_when_built(self, kind):
@@ -124,6 +148,22 @@ class TestAnalyze:
         assert result.summary.tie_count is None
         assert result.reports[0].verdict.accepted
         assert not result.reports[1].verdict.accepted
+
+    @pytest.mark.parametrize("alpha", [np.float32(0.03125), "0.03125"], ids=["float32", "text"])
+    def test_numpy_scalars_render_like_plain_numbers(self, alpha):
+        def results(devices, repeats, ties, alpha, fraction):
+            spec = PopulationSpec(devices=devices, positions=16, repeats=repeats, seed=3,
+                                  alias="linear", flip_noise=0.1)
+            cfg = AnalysisConfig(alpha=alpha, limits=LIMITS, early_stop=EarlyStopConfig(
+                alpha=alpha, max_flag_fraction=fraction))
+            counts = PositionCounts(devices=devices, ones=REPEATED_ONES % 68)
+            return (analyze(simulate_population(spec), cfg),
+                    analyze_counts(counts, cfg, repeats=repeats, tie_count=ties))
+
+        odd = results(np.int64(68), np.int64(4), np.int64(2), alpha, np.float32(0.25))
+        plain = results(68, 4, 2, 0.03125, 0.25)
+        for fmt in REPORT_FORMATS:
+            assert [render_report(r, fmt) for r in odd] == [render_report(r, fmt) for r in plain]
 
     def test_worst_case_entropy_uses_far_endpoint(self):
         counts = PositionCounts(devices=680, ones=np.array([400]))
@@ -302,13 +342,6 @@ def reference_json(result) -> bytes:
         } for t, r in enumerate(result.reports)],
     }
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii")
-
-
-LIMIT_SOURCES = {
-    "limits": {"limits": LIMITS},
-    "min-entropy": {"entropy_spec": EntropySpec("min", 0.9)},
-    "shannon-entropy": {"entropy_spec": EntropySpec("shannon", 0.99)},
-}
 
 
 @pytest.fixture(scope="module")

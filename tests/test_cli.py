@@ -489,6 +489,7 @@ _RULES = {
     "alpha": (DomainError, "alpha must lie in (0, 1), got {}"),
     "underflow": (DomainError, "alpha must be >= 1e-323, where alpha/2 > 0, got {}"),
     "probability": (DomainError, "{} must lie in {}, got {}"),
+    "real": (DomainError, "{} must be a real number, got {!r}"),
     "choice": (DomainError, "{} must be one of {}, got {!r}"),
     "floor": (DomainError, "{} floor {} rounds to the band (0, 1)"),
 }
@@ -620,6 +621,8 @@ def _rule_cases():
     for alias, value in (("nan", math.nan), ("0.5,1.5", 1.5)):
         yield pytest.param([*simulate, alias], _says("probability", "alias", "[0, 1]", value),
                            id=f"simulate-alias-{alias}")
+    yield pytest.param([*simulate, "0.5,abc"], _says("real", "alias", "abc"),
+                       id="simulate-alias-0.5,abc")
     limits, reports = AliasLimits(0.45, 0.55), ("text", "json", "csv")
     names = {  # name -> (call of a name, what the message calls it, the choices)
         "Interval": (lambda b: Interval(0.4, 0.6, 0.01, b), "method", _METHODS),

@@ -61,15 +61,19 @@ CASES = [
     (response.PositionCounts, dict(devices=4, ones=(1, 3, 0)), None),
     (simulate.PopulationSpec, dict(devices=4, positions=3, repeats=2, seed=7, alias="linear",
                                    flip_noise=0.1), None),
+    (simulate.PopulationSpec, dict(devices=4, positions=3, repeats=2, seed=7,
+                                   alias=(0.1, 0.5, 0.9), flip_noise=0.1), None),
     (validate.CoverageParams, dict(method="wilson", p=0.5, devices=50, alpha=0.05), None),
     (validate.QualificationParams, dict(devices=680, limits=LIMITS, alpha=0.01, p=0.5), None),
     (validate.MonteCarloEstimate, dict(kind="far", value=0.001, std_error=0.0001,
                                        trials=1000), None),
 ]
-IDS = [cls.__name__ for cls, _, _ in CASES]
+IDS = [cls.__name__ + ("-tuple-alias" if isinstance(kwargs.get("alias"), tuple) else "")
+       for cls, kwargs, _ in CASES]
 UNHASHABLE = (response.MeasurementTensor, response.NoiseFreeResponse)  # ndarray fields
 # the cases whose first argument is required; every config field has a default
-REQUIRED = [c for c in CASES if c[0] not in (analysis.EarlyStopConfig, analysis.AnalysisConfig)]
+REQUIRED = [pytest.param(c, id=i) for c, i in zip(CASES, IDS)
+            if c[0] not in (analysis.EarlyStopConfig, analysis.AnalysisConfig)]
 
 
 def _fields(case):
@@ -86,7 +90,7 @@ def test_every_public_record_type_is_covered():
     import bitalias
     records = {name for name in bitalias.__all__ if isinstance(getattr(bitalias, name), type)
                and hasattr(getattr(bitalias, name), "__match_args__")}
-    assert records == set(IDS)
+    assert records == {cls.__name__ for cls, _, _ in CASES}
 
 
 class TestEquality:
@@ -164,7 +168,7 @@ class TestDefaults:
 
 
 class TestConstruction:
-    @pytest.mark.parametrize("case", REQUIRED, ids=[c[0].__name__ for c in REQUIRED])
+    @pytest.mark.parametrize("case", REQUIRED)
     def test_missing_argument(self, case):
         cls, kwargs, _ = case
         # bits defaults to None, which the parsers' packed path needs, and
@@ -204,6 +208,53 @@ class TestConstruction:
                 assert (positions, repeats, tie_count) == (3, 1, 1)
             case _:
                 pytest.fail("no positional match")
+
+
+# id -> (class, fields given as numpy scalars or numeric strings, the same
+# fields as plain Python numbers): a record keeps what its checks return
+ODD_NUMBERS = {
+    "Interval-numpy": (confidence.Interval, dict(lower=np.float32(0.25), upper=np.float64(0.75),
+                                                 alpha=np.float32(0.0625), method="wilson"),
+                       dict(lower=0.25, upper=0.75, alpha=0.0625, method="wilson")),
+    "Interval-text": (confidence.Interval, dict(lower="0.25", upper="0.75", alpha="0.05",
+                                                method="wilson"),
+                      dict(lower=0.25, upper=0.75, alpha=0.05, method="wilson")),
+    "EarlyStopConfig-numpy": (analysis.EarlyStopConfig, dict(alpha=np.float32(0.0625),
+                                                             max_flag_fraction=np.float32(0.25)),
+                              dict(alpha=0.0625, max_flag_fraction=0.25)),
+    "EarlyStopConfig-text": (analysis.EarlyStopConfig, dict(alpha="0.05", max_flag_fraction="0.1"),
+                             dict(alpha=0.05, max_flag_fraction=0.1)),
+    "AnalysisConfig-numpy": (analysis.AnalysisConfig, dict(alpha=np.float32(0.0625), limits=LIMITS),
+                             dict(alpha=0.0625, limits=LIMITS)),
+    "AnalysisConfig-text": (analysis.AnalysisConfig, dict(alpha="0.05", limits=LIMITS),
+                            dict(alpha=0.05, limits=LIMITS)),
+    "PositionCounts-numpy": (response.PositionCounts, dict(devices=np.int64(4),
+                                                           ones=(np.int64(1), 3, 0)),
+                             dict(devices=4, ones=(1, 3, 0))),
+    "PopulationSpec-numpy": (simulate.PopulationSpec,
+                             dict(devices=np.int64(4), positions=np.int64(3), repeats=np.int64(2),
+                                  seed=np.uint8(7), alias=np.float32(0.5), flip_noise="0.1"),
+                             dict(devices=4, positions=3, repeats=2, seed=7, alias=0.5,
+                                  flip_noise=0.1)),
+}
+
+
+@pytest.mark.parametrize("cls, odd, plain", ODD_NUMBERS.values(), ids=ODD_NUMBERS)
+def test_checked_numbers_are_kept_as_python_numbers(cls, odd, plain):
+    record, expected = cls(**odd), cls(**plain)
+    assert record == expected and hash(record) == hash(expected)
+    assert ([type(getattr(record, name)) for name in cls.__match_args__]
+            == [type(getattr(expected, name)) for name in cls.__match_args__])
+
+
+@pytest.mark.parametrize("alias", [[0.1, 0.5, 0.9], np.array([0.1, 0.5, 0.9])],
+                         ids=["list", "array"])
+def test_an_alias_vector_is_kept_as_a_tuple(alias):
+    spec = simulate.PopulationSpec(devices=4, positions=3, repeats=2, seed=7, alias=alias)
+    as_tuple = simulate.PopulationSpec(devices=4, positions=3, repeats=2, seed=7,
+                                       alias=(0.1, 0.5, 0.9))
+    assert spec == as_tuple and hash(spec) == hash(as_tuple)
+    assert type(spec.alias) is tuple and {type(a) for a in spec.alias} == {float}
 
 
 class TestRepr:

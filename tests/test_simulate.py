@@ -1,10 +1,12 @@
 import hashlib
+import io
 
 import numpy as np
 import pytest
 
 from bitalias import special
 from bitalias.errors import DomainError
+from bitalias.formats import write_measurements
 from bitalias.response import bit_alias, count_ones, derive_noise_free_response
 from bitalias.simulate import PopulationSpec, rng_stream, simulate_population
 
@@ -69,6 +71,16 @@ class TestSimulatePopulation:
         m = simulate_population(spec)
         flipped = 1.0 - m.bits.mean()
         assert 0.15 < flipped < 0.25
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_numpy_fields_write_like_plain_ones(self, fmt):
+        files = []
+        for spec in (PopulationSpec(np.int64(4), np.int64(3), np.int64(2), np.int64(7),
+                                    alias=np.float32(0.5)), PopulationSpec(4, 3, 2, 7)):
+            buf = io.BytesIO()
+            write_measurements(simulate_population(spec), buf, fmt=fmt)
+            files.append(buf.getvalue())
+        assert files[0] == files[1]
 
     @pytest.mark.parametrize("field", ["devices", "positions", "repeats"])
     @pytest.mark.parametrize("value", [2.5, "3", None, 0])

@@ -317,9 +317,10 @@ class TestSpans:
 def _bad_argument_calls():
     """Calls that must raise DomainError: malformed counts, limits, entropies,
     noise rates, alias values, trial counts, width device counts, interval
-    bounds, region ends, limit sources, seed paths and the special functions'
-    arguments across every public entry point that takes them."""
-    from bitalias.analysis import AnalysisConfig
+    bounds, region ends, limit sources, repeat and tie counts, seed paths and
+    the special functions' arguments across every public entry point that
+    takes them."""
+    from bitalias.analysis import AnalysisConfig, analyze_counts
     from bitalias.confidence import (Interval, ci_clopper_pearson, ci_normal, ci_width,
                                      ci_wilson, worst_case_width)
     from bitalias.entropy import (EntropySpec, limits_from_min_entropy,
@@ -327,6 +328,7 @@ def _bad_argument_calls():
     from bitalias.qualification import (AcceptanceRegion, AliasLimits, acceptance_region,
                                         early_stop_p_values, p_value_lower, p_value_upper,
                                         test_position)
+    from bitalias.response import PositionCounts
     from bitalias.simulate import PopulationSpec, rng_stream
     from bitalias.validate import CoverageParams, monte_carlo_validate
     limits = (0.45, 0.55)
@@ -380,6 +382,10 @@ def _bad_argument_calls():
                                                    "entropy_spec": EntropySpec("min", 0.9)})):
         yield pytest.param(lambda sources=sources: AnalysisConfig(alpha=0.01, **sources),
                            id=f"AnalysisConfig-limits-{label}")
+    for label, given in (("repeats", dict(repeats=-3)), ("tie_count", dict(tie_count="x"))):
+        yield pytest.param(lambda given=given: analyze_counts(
+            PositionCounts(10, (5,)), AnalysisConfig(limits=AliasLimits(*limits)), **given),
+            id=f"analyze_counts-{label}")
     for label, (x_l, x_u) in (("half-set", (3, None)), ("reversed", (7, 3))):
         yield pytest.param(lambda x_l=x_l, x_u=x_u: AcceptanceRegion(
             devices=10, limits=AliasLimits(*limits), alpha=0.01, x_l=x_l, x_u=x_u),
