@@ -12,12 +12,14 @@ another exit code than expected or a traceback, or a gap reaches the limit.
 The simulate and files checks write their files into a new directory
 children.tmp under the current directory and remove it at the end.
 
-``ab TREE_A TREE_B ARGV...`` runs ``bitalias ARGV`` on the ``src`` of each
-tree once unmeasured, so that both run from cached bytecode, then in 10
-pairs, alternating which side goes first.  For wall time, CPU time and peak
-RSS it prints A's median and quartiles, B's median, the change in % and in
-how many of the pairs B was lower.  Then it says whether all 20 children gave
-the same exit code and output, and exits 1 when they did not.
+``ab TREE_A TREE_B ARGV...`` pins itself, and so its children, to the lowest
+CPU it may run on, where ``os.sched_setaffinity`` exists, and says which.  It
+runs ``bitalias ARGV`` on the ``src`` of each tree once unmeasured, so that
+both run from cached bytecode, then in 10 pairs, alternating which side goes
+first.  For wall time, CPU time and peak RSS it prints A's median and
+quartiles, B's median, the change in % and in how many of the pairs B was
+lower.  Then it says whether all 20 children gave the same exit code and
+output, and exits 1 when they did not.
 
 Children may write bytecode caches into the trees.  Peak RSS comes from
 ``os.wait4`` on each child.  A child runs in this parent's memory until it
@@ -142,6 +144,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def ab(trees: dict[str, str], argv: list[str]) -> int:
+    # CPUs of one machine may differ in speed, and unpinned children land on
+    # either: pin this parent, and so every child, to its lowest allowed CPU.
+    pinned = "not pinned"
+    if hasattr(os, "sched_setaffinity"):
+        cpu = min(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cpu})
+        pinned = f"pinned to CPU {cpu}"
     # One child per tree first writes its bytecode cache: a tree that held a
     # cache the other lacked would start faster, 9 pairs in 10 on dense-binary.
     for side in "AB":
@@ -151,7 +160,7 @@ def ab(trees: dict[str, str], argv: list[str]) -> int:
         for side in ("AB" if pair % 2 == 0 else "BA"):
             runs[side].append(measure(argv, trees[side]))
     print(f"A: {trees['A']}\nB: {trees['B']}\n"
-          f"{PAIRS} alternated pairs of: bitalias {' '.join(argv)}")
+          f"{PAIRS} alternated pairs, {pinned}, of: bitalias {' '.join(argv)}")
     for column, metric, unit, digits in ((1, "wall_s", "s", 3), (2, "cpu_s", "s", 3),
                                          (3, "peak_rss_mb", "MB", 1)):
         a, b = ([run[column] for run in runs[side]] for side in "AB")

@@ -2,11 +2,13 @@
 
 ``analyze`` runs measurements through noise removal, counting, interval
 estimation, and the qualification test, producing a report for every position
-plus a campaign summary.  Verdicts always come from the exact test, while the
-reported interval uses the configured estimator (Wilson by default).  Every
-statistic depends on a position's count alone, so it is evaluated once per
-distinct count: ``reports[t]`` is position t's report, and equal counts share
-one object.
+plus a campaign summary.  Verdicts come from the exact test, which accepts a
+count exactly when its Clopper-Pearson interval lies strictly inside the
+limits, not from the reported interval (Wilson by default): a Wilson interval
+can lie inside (0.48, 0.52) beside "no", as at n = 20000 with x = 9782 or
+10218.  Every statistic depends on a position's count alone, so it is
+evaluated once per distinct count: ``reports[t]`` is position t's report, and
+equal counts share one object.
 
 ``render_report`` writes a result as a byte-stable text table, JSON or CSV.
 Each format renders a shared report's text around the position index once;
@@ -19,9 +21,8 @@ from __future__ import annotations
 from .confidence import METHODS, Interval, confidence_interval
 from .entropy import EntropySpec, limits_from_spec, min_entropy_from_limits, shannon_entropy
 from .errors import DomainError
-from .qualification import (AcceptanceRegion, AliasLimits, EarlyStopAdvice,
-                            TestVerdict, acceptance_region, early_stop_decision,
-                            test_position)
+from .qualification import (AcceptanceRegion, AliasLimits, EarlyStopAdvice, TestVerdict,
+                            _as_limits, acceptance_region, early_stop_decision, test_position)
 from .response import MeasurementTensor, PositionCounts, count_ones, derive_noise_free_response
 from .special import Record, _as_choice, _as_count, _as_probability, _check_alpha, _per_distinct
 
@@ -40,10 +41,10 @@ class EarlyStopConfig(Record):
 class AnalysisConfig(Record):
     """What to test and how to report it.
 
-    Give ``limits`` or ``entropy_spec``.  An entropy floor is converted to its
-    alias band once, when the config is built, and kept in ``limits``, so a
-    floor that no finite test can verify is rejected there.  Both may be
-    given if they agree, as in a config rebuilt from its own fields.
+    Give ``limits`` (an `AliasLimits` or a pair) or ``entropy_spec``.  Either is
+    checked once, when the config is built, and kept as an `AliasLimits` in
+    ``limits``, so a floor that no finite test can verify is rejected there.
+    Both may be given if they agree, as in a config rebuilt from its own fields.
     """
 
     alpha: float = 0.01
@@ -54,7 +55,8 @@ class AnalysisConfig(Record):
     output_format: str = "text"
 
     def __post_init__(self):
-        alpha, limits, spec = _check_alpha(self.alpha), self.limits, self.entropy_spec
+        alpha, spec = _check_alpha(self.alpha), self.entropy_spec
+        limits = None if self.limits is None else _as_limits(self.limits)
         if limits is None and spec is None:
             raise DomainError("provide limits or entropy_spec")
         self.__dict__.update(

@@ -10,10 +10,11 @@ vote (`_vote`) works on packed rows as Python integers: each repeat's rows of
 a block of devices are joined into one int, so every `&`, `|` and `^` acts on
 the whole block at once.  `_vote_blocks` votes a campaign one block of devices
 at a time, from rows in memory or as a file is read: `derive_noise_free_response`
-joins the voted rows, and `_count_voted` folds them into counts.  A one-repeat
-vote keeps every row, so `count_ones` is `_count_voted` of a response.  numpy
-is imported only where an array is built or read: `MeasurementTensor`,
-`count_ones` and `bit_alias`.
+joins the voted rows, and `_count_voted` adds them into one counter of device
+slots, folded once at the end; one adder, `_add`, does all these sums.  A
+one-repeat vote keeps every row, so `count_ones` is `_count_voted` of a
+response.  numpy is imported only where an array is built or read:
+`MeasurementTensor`, `count_ones` and `bit_alias`.
 """
 
 from __future__ import annotations
@@ -150,6 +151,16 @@ class PositionCounts(Record):
         return (self.devices, *map(int, self.ones)) == (other.devices, *map(int, other.ones))
 
 
+def _add(planes: list[int], carry: int, i: int = 0) -> None:
+    """Add ``carry`` at weight 2**i into bit-planes (plane i holds bit i of
+    every slot) in place, with a ripple carry; only a nonzero carry appends."""
+    while carry and i < len(planes):
+        planes[i], carry = planes[i] ^ carry, planes[i] & carry
+        i += 1
+    if carry:
+        planes.append(carry)
+
+
 def _vote(block, repeats: int, row_bytes: int, first: int) -> tuple[int, int]:
     """Majority vote of the devices whose rows ``block`` holds.
 
@@ -162,21 +173,15 @@ def _vote(block, repeats: int, row_bytes: int, first: int) -> tuple[int, int]:
     rows, packed the same way and read as one little-endian int (the block's
     device i from bit 8 * row_bytes * i), and the number of tied cells.
 
-    Each repeat's rows are joined into one int, and the ints are added into
-    bit-planes of every cell's total (plane i holds bit i), one ripple-carry
-    add per repeat; the totals are compared with ``repeats // 2`` from the top
-    plane down.
+    Each repeat's rows, joined into one int, go through `_add` into bit-planes
+    of every cell's total, compared with ``repeats // 2`` from the top plane.
     """
     rows = memoryview(block).cast("B")
     rows = rows.cast("B", (len(rows) // row_bytes, row_bytes))
     devices = len(rows) // repeats
-    planes = []
+    planes = [0] * repeats.bit_length()  # every plane a total can reach
     for r in range(repeats):
-        carry = int.from_bytes(rows[r::repeats].tobytes(), "little")
-        for i, plane in enumerate(planes):
-            planes[i], carry = plane ^ carry, plane & carry
-        if len(planes) < (r + 1).bit_length():
-            planes.append(carry)
+        _add(planes, int.from_bytes(rows[r::repeats].tobytes(), "little"))
     # gt: total > repeats // 2; eq: total == repeats // 2 so far, from the top
     half = repeats // 2
     gt, eq = 0, (1 << 8 * row_bytes * devices) - 1
@@ -185,7 +190,7 @@ def _vote(block, repeats: int, row_bytes: int, first: int) -> tuple[int, int]:
             eq &= planes[i]
         else:
             gt |= eq & planes[i]
-            eq &= ~planes[i]
+            eq ^= eq & planes[i]
     if repeats % 2:
         return gt, 0
     # tie -> 1 exactly when device index + position index is even: the even
@@ -228,42 +233,30 @@ def derive_noise_free_response(m: MeasurementTensor) -> NoiseFreeResponse:
                              _packed=(voted, m.positions, 1))
 
 
-def _add_planes(a: list[int], b: list[int]) -> list[int]:
-    """Bit-sliced sum of two lists of bit-planes (plane i holds bit i of
-    every slot), with a ripple carry."""
-    if len(a) < len(b):
-        a, b = b, a
-    out, carry = [], 0
-    for i, x in enumerate(a):
-        y = b[i] if i < len(b) else 0
-        s = x ^ y
-        out.append(s ^ carry)
-        carry = x & y | carry & s
-    return out + [carry] if carry else out
-
-
 def _count_voted(blocks, devices: int, positions: int,
                  repeats: int) -> tuple[PositionCounts, int, int]:
     """``(counts, repeats, tie_count)`` of a campaign's blocks of packed rows,
     as `_vote_blocks` takes them, with no numpy; the counts are a tuple of ints.
 
-    Each block's voted rows are folded into count planes: the upper half of
-    its device slots is added to the lower half, bit-sliced, until one slot
-    is left.  The planes are summed across blocks and read once at the end.
+    Each block's voted rows are added by `_add` into one counter of device
+    slots.  After the last block, its upper half of slots is added into the
+    lower half until one slot is left.  B blocks take ceil(log2(B + 1)) planes
+    of one block's voted rows: at most 24 of under 64 KiB at 10^7 devices.
     """
     row_bytes = (positions + 7) // 8
-    total, tie_count = [], 0
-    for slots, voted, ties in _vote_blocks(blocks, positions, repeats):
-        planes = [voted]
-        while slots > 1:
-            slots = (slots + 1) // 2
-            cut = 8 * row_bytes * slots
-            low = (1 << cut) - 1
-            planes = _add_planes([p & low for p in planes], [p >> cut for p in planes])
-        total = _add_planes(total, planes)
-        tie_count += ties
+    planes, slots, tie_count = [], 0, 0
+    for n, voted, ties in _vote_blocks(blocks, positions, repeats):
+        _add(planes, voted)
+        slots, tie_count = max(slots, n), tie_count + ties
+    while slots > 1:
+        slots = (slots + 1) // 2
+        cut = 8 * row_bytes * slots
+        low, upper = (1 << cut) - 1, [p >> cut for p in planes]
+        planes = [p & low for p in planes]
+        for i, p in enumerate(upper):
+            _add(planes, p, i)
     # bit t of every plane, top plane first, is position t's count in binary
-    columns = zip(*(format(p, f"0{positions}b") for p in reversed(total)))
+    columns = zip(*(format(p, f"0{positions}b") for p in reversed(planes or [0])))
     ones = tuple(int("".join(c), 2) for c in columns)[::-1]
     return PositionCounts(devices=devices, ones=ones), repeats, tie_count
 

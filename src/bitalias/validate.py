@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .confidence import METHODS, _first, _normal_half, _z_for, confidence_interval
-from .qualification import AliasLimits, acceptance_region
+from .qualification import AliasLimits, _as_limits, acceptance_region
 from .simulate import rng_stream
 from .special import (Record, _as_choice, _as_count, _as_devices, _as_probability,
                       _check_alpha, _spans)
@@ -34,6 +34,11 @@ class CoverageParams(Record):
     devices: int
     alpha: float
 
+    def __post_init__(self):
+        self.__dict__.update(method=_as_choice(self.method, "method", METHODS),
+                             p=_as_probability(self.p, "p"), devices=_as_devices(self.devices),
+                             alpha=_check_alpha(self.alpha))
+
 
 class QualificationParams(Record):
     """Acceptance behavior of the two-sided test at a fixed true alias."""
@@ -42,6 +47,10 @@ class QualificationParams(Record):
     limits: AliasLimits
     alpha: float
     p: float
+
+    def __post_init__(self):
+        self.__dict__.update(p=_as_probability(self.p, "p"), devices=_as_devices(self.devices),
+                             limits=_as_limits(self.limits), alpha=_check_alpha(self.alpha))
 
 
 class MonteCarloEstimate(Record):
@@ -64,8 +73,7 @@ def monte_carlo_validate(kind: str, params, trials: int, seed: int,
     if kind == "coverage":
         p, n, counted = _coverage_run(params)
     else:
-        p = _as_probability(params.p, "p")
-        region = acceptance_region(params.devices, params.limits, params.alpha)
+        p, region = params.p, acceptance_region(params.devices, params.limits, params.alpha)
         n, counted = region.devices, None if region.is_empty else (region.x_l, region.x_u)
     inside = 0
     if counted is not None:
@@ -83,10 +91,7 @@ def _coverage_run(params: CoverageParams):
     """(p, n, (first, last) or None): the counts whose interval contains p.
     Both bounds rise with the count, so they form one run; lower(0) = 0 <= p
     and upper(n) = 1 >= p, so only its other two ends take a call to settle."""
-    _as_choice(params.method, "method", METHODS)
-    p = _as_probability(params.p, "p")
-    n = _as_devices(params.devices)
-    alpha = _check_alpha(params.alpha)
+    p, n, alpha = params.p, params.devices, params.alpha
     half = _normal_half(p, n, _z_for(alpha))
 
     def interval(x: int):

@@ -228,6 +228,15 @@ ODD_NUMBERS = {
                              dict(alpha=0.0625, limits=LIMITS)),
     "AnalysisConfig-text": (analysis.AnalysisConfig, dict(alpha="0.05", limits=LIMITS),
                             dict(alpha=0.05, limits=LIMITS)),
+    "AnalysisConfig-pair": (analysis.AnalysisConfig, dict(limits=(0.45, 0.55)),
+                            dict(limits=LIMITS)),
+    "CoverageParams-numpy": (validate.CoverageParams, dict(method="wilson", p=np.float32(0.5),
+                                                           devices=np.int64(50), alpha="0.05"),
+                             dict(method="wilson", p=0.5, devices=50, alpha=0.05)),
+    "QualificationParams-numpy": (validate.QualificationParams,
+                                  dict(devices=np.int64(680), limits=(0.45, 0.55),
+                                       alpha="0.01", p=np.float32(0.5)),
+                                  dict(devices=680, limits=LIMITS, alpha=0.01, p=0.5)),
     "PositionCounts-numpy": (response.PositionCounts, dict(devices=np.int64(4),
                                                            ones=(np.int64(1), 3, 0)),
                              dict(devices=4, ones=(1, 3, 0))),

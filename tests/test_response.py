@@ -287,12 +287,17 @@ class TestCountOnes:
         assert c.ones.dtype == np.int64 and not c.ones.flags.writeable
         assert (c.ones + c.ones).tolist() == [6] * 9
 
-    def test_bruteforce_recount_at_full_size(self):
+    @pytest.mark.parametrize("block_bytes", [special._BLOCK_BYTES, 32, 96],
+                             ids=["one-block", "1-device-blocks", "3-device-blocks"])
+    def test_bruteforce_recount_at_full_size(self, monkeypatch, block_bytes):
+        # 600 devices of 32-byte rows in one block, or in 600 or 200 blocks;
+        # the share of 1s rises from 0 to 1 across positions, so counts up to
+        # 600 take 10 planes, and the fold meets odd slot counts
+        monkeypatch.setattr(special, "_BLOCK_BYTES", block_bytes)
         rng = np.random.default_rng(99)
-        bits = rng.integers(0, 2, size=(100, 256), dtype=np.uint8)
+        bits = (rng.random((600, 256)) < np.linspace(0, 1, 256)).astype(np.uint8)
         c = count_ones(NoiseFreeResponse(bits=bits, tie_count=0))
-        recount = [sum(int(bits[i][j]) for i in range(100)) for j in range(256)]
-        assert list(c.ones) == recount
+        assert c.ones.tolist() == bits.sum(axis=0, dtype=np.int64).tolist()
 
 
 class TestBitAlias:

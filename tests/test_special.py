@@ -330,7 +330,7 @@ def _bad_argument_calls():
                                         test_position)
     from bitalias.response import PositionCounts
     from bitalias.simulate import PopulationSpec, rng_stream
-    from bitalias.validate import CoverageParams, monte_carlo_validate
+    from bitalias.validate import CoverageParams, QualificationParams, monte_carlo_validate
     limits = (0.45, 0.55)
     # name -> (call taking x and n, whether n = 0 is a valid count)
     by_counts = {
@@ -379,7 +379,8 @@ def _bad_argument_calls():
     yield pytest.param(lambda: PopulationSpec(5, 5, 1, seed=1, alias=[0.5]),
                        id="PopulationSpec-alias-length")
     for label, sources in (("none", {}), ("both", {"limits": AliasLimits(*limits),
-                                                   "entropy_spec": EntropySpec("min", 0.9)})):
+                                                   "entropy_spec": EntropySpec("min", 0.9)}),
+                           ("reversed", {"limits": (0.55, 0.45)})):
         yield pytest.param(lambda sources=sources: AnalysisConfig(alpha=0.01, **sources),
                            id=f"AnalysisConfig-limits-{label}")
     for label, given in (("repeats", dict(repeats=-3)), ("tie_count", dict(tie_count="x"))):
@@ -399,6 +400,17 @@ def _bad_argument_calls():
         yield pytest.param(lambda q=q, a=a: beta_quantile(q, a, 1), id=f"beta_quantile-{q}-{a}")
     yield pytest.param(lambda: binomial_range_mass(0, 11, 10, 0.5), id="binomial_range_mass-hi>n")
     coverage = CoverageParams("wilson", p=0.5, devices=30, alpha=0.05)
+    # each field of the validation parameters is checked when they are built
+    fields = dict(p=0.5, devices=30, alpha=0.05)
+    for label, bad in (("p-2", dict(p=2)), ("devices-0", dict(devices=0)),
+                       ("devices-fraction", dict(devices=30.5)), ("alpha-0", dict(alpha=0))):
+        yield pytest.param(lambda bad=bad: CoverageParams("wilson", **{**fields, **bad}),
+                           id=f"CoverageParams-{label}")
+        yield pytest.param(lambda bad=bad: QualificationParams(limits=limits,
+                                                               **{**fields, **bad}),
+                           id=f"QualificationParams-{label}")
+    yield pytest.param(lambda: QualificationParams(limits=(0.55, 0.45), **fields),
+                       id="QualificationParams-limits-reversed")
     for label, bad in (("text", "5000"), ("fraction", 5000.5), ("none", None), ("few", 999)):
         yield pytest.param(lambda bad=bad: monte_carlo_validate("coverage", coverage, bad, 1),
                            id=f"monte_carlo_validate-trials-{label}")
