@@ -17,9 +17,12 @@ CPU it may run on, where ``os.sched_setaffinity`` exists, and says which.  It
 runs ``bitalias ARGV`` on the ``src`` of each tree once unmeasured, so that
 both run from cached bytecode, then in 10 pairs, alternating which side goes
 first.  For wall time, CPU time and peak RSS it prints A's median and
-quartiles, B's median, the change in % and in how many of the pairs B was
-lower.  Then it says whether all 20 children gave the same exit code and
-output, and exits 1 when they did not.
+quartiles, B's median, the change in %, in how many of the pairs B was
+lower and whether the metric moved: "gain" when B was lower in at least 9 of
+the 10 pairs and A's median exceeds B's by more than A's interquartile range,
+"loss" for the mirror case, "unresolved" otherwise.  Then it says whether all
+20 children gave the same exit code and output, and exits 1 when they did
+not.
 
 Children may write bytecode caches into the trees.  Peak RSS comes from
 ``os.wait4`` on each child.  A child runs in this parent's memory until it
@@ -143,6 +146,20 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return at(0.25), at(0.5), at(0.75)
 
 
+def verdict(a: list[float], b: list[float]) -> str:
+    """"gain" when B is lower than A in all but a tenth of the pairs (9 of 10)
+    and A's median exceeds B's by more than A's interquartile range, "loss"
+    for the mirror case, "unresolved" otherwise."""
+    low, median, high = quartiles(a)
+    gap = median - quartiles(b)[1]
+    need = len(a) - len(a) // 10
+    if sum(y < x for x, y in zip(a, b)) >= need and gap > high - low:
+        return "gain"
+    if sum(y > x for x, y in zip(a, b)) >= need and -gap > high - low:
+        return "loss"
+    return "unresolved"
+
+
 def ab(trees: dict[str, str], argv: list[str]) -> int:
     # CPUs of one machine may differ in speed, and unpinned children land on
     # either: pin this parent, and so every child, to its lowest allowed CPU.
@@ -169,7 +186,8 @@ def ab(trees: dict[str, str], argv: list[str]) -> int:
         lower = sum(y < x for x, y in zip(a, b))
         print(f"{metric}: A {median:.{digits}f} {unit} (quartiles {low:.{digits}f} to "
               f"{high:.{digits}f}), B {b_median:.{digits}f} {unit}, "
-              f"{100 * (b_median - median) / median:+.1f} %, B lower in {lower} of {PAIRS}")
+              f"{100 * (b_median - median) / median:+.1f} %, B lower in {lower} of {PAIRS}, "
+              f"{verdict(a, b)}")
     outcomes = {side: {(run[0], run[5]): run[4] for run in runs[side]} for side in "AB"}
     if len(outcomes["A"] | outcomes["B"]) == 1:
         print(f"outputs: same, exit {runs['A'][0][0]}")

@@ -100,7 +100,7 @@ def invocations() -> list[tuple[str, list[str]]]:
         ("analyze-out-csv", ["analyze", TIED, "--format", "csv", "--out", "report.csv"]),
         ("analyze-alpha-1e-6", ["analyze", PAPER, "--alpha", "1e-6",
                                 "--ci-method", "clopper_pearson"]),
-        # Clopper-Pearson's upper bound collapses to 1.0 below alpha ~ 2.2e-16
+        # Clopper-Pearson refuses alpha below 1e-12, where its upper bound would read 1.0
         ("analyze-alpha-1e-17", ["analyze", PAPER, "--alpha", "1e-17",
                                  "--ci-method", "clopper_pearson"]),
         ("analyze-min-entropy", ["analyze", PAPER, "--min-entropy", "0.9"]),
@@ -174,8 +174,8 @@ def invocations() -> list[tuple[str, list[str]]]:
                      for width in WIDTHS]
     runs += [
         ("plan-width-alpha-1e-6", ["plan", "width", "--width", "0.05", "--alpha", "1e-6"]),
-        # Clopper-Pearson at tiny alpha: 6424 devices where 6432 is the answer,
-        # and a capacity error where 7334 is
+        # Clopper-Pearson refuses alpha below 1e-12, where it would plan 6424
+        # devices for 6432, and raise a capacity error for 7334
         ("plan-width-cp-alpha-1e-15", ["plan", "width", "--width", "0.1", "--method",
                                        "clopper_pearson", "--alpha", "1e-15"]),
         ("plan-width-cp-alpha-1e-17", ["plan", "width", "--width", "0.1", "--method",
@@ -183,6 +183,7 @@ def invocations() -> list[tuple[str, list[str]]]:
         ("plan-width-capacity", ["plan", "width", "--width", "0.0005", "--method", "wilson"]),
         ("plan-width-normal-capacity", ["plan", "width", "--width", "1e-100",
                                         "--method", "normal"]),
+        # the Clopper-Pearson floor on alpha, ahead of a beta quantile that stalls
         ("plan-width-convergence", ["plan", "width", "--width", "0.5", "--alpha", "1e-300"]),
         ("plan-width-zero", ["plan", "width", "--width", "0"]),
         ("plan-width-alpha-underflow", ["plan", "width", "--width", "0.1", "--alpha", "5e-324"]),
@@ -211,7 +212,7 @@ def invocations() -> list[tuple[str, list[str]]]:
         ("curve-alias-cp", ["curve", "--sweep", "alias", "--devices", "7",
                             "--grid", "0.1,0.25,0.9", "--method", "clopper_pearson"]),
         ("curve-grid", ["curve", "--grid", "2,20,200,5000", "--p-hat", "0.3"]),
-        # prints a width of 0.660681 where the true width is 0.321
+        # refused, where it would print 0.660681 for 0.321361
         ("curve-cp-alpha-1e-17", ["curve", "--method", "clopper_pearson", "--sweep", "devices",
                                   "--grid", "680", "--alpha", "1e-17"]),
         ("curve-normal-alias", ["curve", "--sweep", "alias", "--method", "normal"]),

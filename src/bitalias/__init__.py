@@ -32,8 +32,7 @@ _EXPORTS = {
                 "write_counts", "write_measurements"),
     "qualification": ("AcceptanceRegion", "AliasLimits", "EarlyStopAdvice", "TestVerdict",
                       "acceptance_probability", "acceptance_region", "early_stop_decision",
-                      "early_stop_p_values", "p_value_lower", "p_value_upper",
-                      "plan_devices_frr", "test_position"),
+                      "early_stop_p_values", "plan_devices_frr", "test_position"),
     "response": ("MeasurementTensor", "NoiseFreeResponse", "PositionCounts", "bit_alias",
                  "count_ones", "derive_noise_free_response"),
     "simulate": ("ALIAS_PROFILES", "PopulationSpec", "rng_stream", "simulate_population"),

@@ -16,7 +16,8 @@ import math
 
 from .errors import CapacityError, DomainError
 from .special import (DEVICE_CAP, Record, _as_choice, _as_devices, _as_probability, _as_real,
-                      _check_alpha, _check_counts, beta_quantile, std_normal_quantile)
+                      _check_alpha, _check_counts, _excerpt, beta_quantile,
+                      std_normal_quantile)
 
 METHODS = ("normal", "wilson", "clopper_pearson")
 
@@ -64,7 +65,11 @@ def _wilson(p: float, n, z: float) -> tuple[float, float]:
 
 
 def _clopper_pearson(x, n, alpha: float) -> tuple[float, float]:
-    """Beta-quantile bounds for x 1s out of n; x and n may be real-valued."""
+    """Beta-quantile bounds for x 1s out of n; x and n may be real-valued.
+    Every Clopper-Pearson entry comes here, so each refuses alpha below 1e-12,
+    where no accuracy is stated."""
+    if alpha < 1e-12:
+        raise DomainError(f"alpha must be >= 1e-12 for clopper_pearson, got {_excerpt(alpha)}")
     lower = 0.0 if x <= 0 else beta_quantile(0.5 * alpha, x, n - x + 1)
     upper = 1.0 if x >= n else beta_quantile(1.0 - 0.5 * alpha, x + 1, n - x)
     return lower, upper
@@ -156,8 +161,8 @@ def ci_clopper_pearson(x, n, alpha) -> Interval:
     1.8e-10 relative for alpha from 1e-6 to 0.999, and within 7.3e-9 at
     alpha = 1e-9; at alpha = 1e-12 the lower bound is within 3.0e-8.  The
     upper bound solves I = 1 - alpha/2, so it degrades as alpha shrinks
-    (6.6e-6 at alpha = 1e-12) and is 1.0 once alpha falls below about
-    2.2e-16.
+    (6.6e-6 at alpha = 1e-12), and would read 1.0 below about 2.2e-16: every
+    Clopper-Pearson entry refuses alpha below 1e-12.
     """
     x, n = _check_counts(x, n)
     alpha = _check_alpha(alpha)
@@ -178,8 +183,8 @@ def ci_width(method: str, p_hat: float, n: float, alpha: float) -> float:
 
     This is the quantity the width curves plot; the Clopper-Pearson branch
     extends the count-based definition continuously through real-valued
-    counts and holds for alpha in [1e-12, 0.999], as ``ci_clopper_pearson``
-    states; the normal branch reports the width before clamping.
+    counts and refuses alpha below 1e-12, as ``ci_clopper_pearson`` does;
+    the normal branch reports the width before clamping.
     """
     _as_choice(method, "method", METHODS)
     p_hat = _as_probability(p_hat, "p_hat")
@@ -231,9 +236,8 @@ def plan_devices_exact(method: str, target_width, alpha) -> PlanResult:
     width(N - 2), with N - 2 probed, or N = 2.  Wilson starts at the normal
     count (z/w)^2; Clopper-Pearson, whose width at n/2 is about z/sqrt(n) + 1/n,
     at ((z + sqrt(z^2 + 4w)) / 2w)^2, at most 6 devices above the answer at
-    alpha >= 0.01; its plans hold for alpha in [1e-12, 0.999], as
-    ``ci_clopper_pearson`` states.  Targets unreachable below the device cap
-    raise CapacityError.
+    alpha >= 0.01; it refuses alpha below 1e-12, as ``ci_clopper_pearson``
+    does.  Targets unreachable below the device cap raise CapacityError.
     """
     _as_choice(method, "method", ("wilson", "clopper_pearson"))
     target_width = _as_probability(target_width, "target_width", bounds="(0, 1)")

@@ -89,30 +89,13 @@ class EarlyStopAdvice(Record):
     decision: str  # "continue" | "abort"
 
 
-def p_value_upper(x, n, p_u) -> float:
-    """P[X <= x] under Binomial(n, p_u): evidence against alias >= p_u."""
-    x, n = _check_counts(x, n, min_n=0)
-    p_u = _as_probability(p_u, "p_u", bounds="(0, 1)")
-    return binomial_cdf(x, n, p_u)
-
-
-def p_value_lower(x, n, p_l) -> float:
-    """P[X >= x] under Binomial(n, p_l): evidence against alias <= p_l.
-
-    Computed in the survival form, never as 1 - cdf.
-    """
-    x, n = _check_counts(x, n, min_n=0)
-    p_l = _as_probability(p_l, "p_l", bounds="(0, 1)")
-    return binomial_sf(x, n, p_l)
-
-
 def acceptance_region(n, limits: AliasLimits, alpha) -> AcceptanceRegion:
     """Largest count range whose members reject both one-sided nulls.
 
-    x_u is the largest x with p_value_upper(x) < alpha/2 and x_l the smallest
-    x with p_value_lower(x) < alpha/2.  Each is one end of a count run, found
-    by ``_first`` from its normal-approximation count n*p -+ z*sqrt(n*p*(1-p)),
-    so a region costs a handful of tail calls.
+    x_u is the largest x with P[X <= x] < alpha/2 under p_u and x_l the
+    smallest x with P[X >= x] < alpha/2 under p_l.  Each is one end of a count
+    run, found by ``_first`` from its normal-approximation count
+    n*p -+ z*sqrt(n*p*(1-p)), so a region costs a handful of tail calls.
     """
     _, n = _check_counts(0, n)
     limits = _as_limits(limits)
@@ -137,14 +120,16 @@ def acceptance_region(n, limits: AliasLimits, alpha) -> AcceptanceRegion:
 def test_position(x, n, limits: AliasLimits, alpha) -> TestVerdict:
     """Two-sided qualification verdict for one position's count of 1s.
 
-    Accepted exactly when both p-values fall strictly below alpha/2, which is
-    equivalent to membership in the acceptance region for the same n.
+    ``p_value_upper`` is P[X <= x] under p_u, evidence against alias >= p_u,
+    and ``p_value_lower`` is P[X >= x] under p_l, evidence against alias <= p_l,
+    each a native tail.  Accepted exactly when both fall strictly below alpha/2,
+    which is equivalent to membership in the acceptance region for the same n.
     """
     x, n = _check_counts(x, n)
     limits = _as_limits(limits)
     alpha = _check_alpha(alpha)
-    pu = p_value_upper(x, n, limits.p_u)
-    pl = p_value_lower(x, n, limits.p_l)
+    pu = binomial_cdf(x, n, limits.p_u)
+    pl = binomial_sf(x, n, limits.p_l)
     half = 0.5 * alpha
     return TestVerdict(ones=x, p_value_upper=pu, p_value_lower=pl, alpha=alpha,
                        accepted=pu < half and pl < half)

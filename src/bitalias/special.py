@@ -22,7 +22,11 @@ All functions are pure and safe to call concurrently.  Implementation notes:
   the ``lgamma`` prefactor: against scipy, over every count within three
   standard deviations of the median at p = 0.5, it reaches 1e-12 at n = 1e3,
   3.3e-10 at 1e5, 2.7e-9 at 1e6 and 3.0e-8 at 1e7, ``DEVICE_CAP``, the most
-  devices that any count, interval, plan or curve accepts.
+  devices that any count, interval, plan or curve accepts.  Off the centre,
+  for p in (0.01, 0.99) and tails from 1e-300 to 1e-3, it stays within 2e-13
+  for n below 1e2, 3e-12 below 1e3, 5e-11 below 1e4, 6e-10 below 1e5, 7e-9
+  below 1e6 and 9e-8 up to 1e7, against 3000 seeded tails summed from a
+  34-digit pmf (worst 1.2e-13, 1.8e-12, 2.1e-11, 2.4e-10, 3.8e-9, 3.9e-8).
 * ``binomial_range_mass`` (the partial sum behind ``acceptance_probability``,
   its only caller) forms every term in log space and adds them with
   ``math.fsum``, exactly rounded, so results at n ~ 7000 keep their 1e-4

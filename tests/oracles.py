@@ -1,9 +1,10 @@
 """Independent reference computations the tests check the library against.
 
 Nothing here shares code paths with the package: binomial tails are summed in
-exact rational arithmetic, the normal CDF comes from math.erf, incomplete beta
+exact rational arithmetic, or past the mode from a decimal pmf and the ratios
+of the terms after it, the normal CDF comes from math.erf, incomplete beta
 values from adaptive quadrature, interval bounds from generic root finding,
-and the Shannon entropy's inverse from bisection in decimal arithmetic.
+and the Shannon entropy and its inverse in decimal arithmetic.
 """
 
 from __future__ import annotations
@@ -34,6 +35,43 @@ def exact_binomial_sf(k: int, n: int, p: float) -> float:
     return exact_binomial_range(k, n, n, p)
 
 
+_LN_2PI = Decimal("1.837877066409345483560659472811235279722794947275566825634")
+
+
+def _decimal_log_factorial(n: int) -> Decimal:
+    """ln n!, exact below 1000 and from Stirling's series (within 1e-24) above."""
+    if n < 1000:
+        return Decimal(math.factorial(n)).ln()
+    d = Decimal(n)
+    return ((d + Decimal("0.5")) * d.ln() - d + _LN_2PI / 2
+            + 1 / (12 * d) - 1 / (360 * d**3) + 1 / (1260 * d**5))
+
+
+def far_binomial_tail(k: int, n: int, p: float, lower: bool) -> float:
+    """P[X <= k] if ``lower``, else P[X >= k], for X ~ Binomial(n, p) and a k
+    past the mode on that side, so that the terms fall away from k.  The pmf
+    at k is taken in 34-digit decimals, and the ratios of the terms after it
+    are summed in floats until the next is below 2^-60 of the sum.  It agreed
+    with exact sums within 1.1e-15 relative at 200 random points with n up to
+    1500, and with 40-digit sums within 1.7e-14 at five points up to 10^7."""
+    with localcontext() as ctx:
+        ctx.prec = 34
+        p_d = Decimal(p)
+        q_d = 1 - p_d
+        if lower:  # P[X <= k] = P[n - X >= n - k], where n - X ~ Binomial(n, 1 - p)
+            k, p_d, q_d = n - k, q_d, p_d
+        ln_pmf = (_decimal_log_factorial(n) - _decimal_log_factorial(k)
+                  - _decimal_log_factorial(n - k) + k * p_d.ln() + (n - k) * q_d.ln())
+        odds = float(p_d / q_d)
+        total = term = 1.0
+        for i in range(k, n):
+            term *= (n - i) / (i + 1) * odds
+            total += term
+            if term < total * 2.0**-60:
+                break
+        return float(ln_pmf.exp() * Decimal(total))
+
+
 def decimal_shannon_root(h: float) -> Decimal:
     """The q in (0, 0.5] whose binary entropy is h bits, by bisection in
     40-digit decimal arithmetic."""
@@ -48,6 +86,16 @@ def decimal_shannon_root(h: float) -> Decimal:
             else:
                 hi = mid
         return hi
+
+
+def decimal_shannon_entropy(p: float) -> Decimal:
+    """The binary entropy of p in bits, in 60-digit decimal arithmetic.  Below
+    1e-15, where 1 - p keeps too few of p's digits, ln(1 - p) is its series."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        d = Decimal(p)
+        ln_q = -(d + d * d / 2 + d * d * d / 3) if d < Decimal("1e-15") else (1 - d).ln()
+        return -(d * d.ln() + (1 - d) * ln_q) / Decimal(2).ln()
 
 
 def erf_normal_cdf(z: float) -> float:

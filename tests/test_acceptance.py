@@ -149,8 +149,7 @@ def test_criterion_7_monte_carlo_guarantees():
 
 
 def test_criterion_8_oracle_equivalence():
-    from bitalias.qualification import p_value_lower, p_value_upper
-    from bitalias.special import binomial_cdf
+    from bitalias.special import binomial_cdf, binomial_sf
 
     worst = 0.0
     for n in range(1, 31):
@@ -161,8 +160,7 @@ def test_criterion_8_oracle_equivalence():
                 exact_sf = exact_binomial_sf(x, n, p)
                 worst = max(worst,
                             abs(binomial_cdf(x, n, p) - exact_cdf),
-                            abs(p_value_upper(x, n, p) - exact_cdf),
-                            abs(p_value_lower(x, n, p) - exact_sf))
+                            abs(binomial_sf(x, n, p) - exact_sf))
     assert worst < 1e-12
 
     for n in (1, 2, 17, 100):

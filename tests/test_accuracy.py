@@ -1,28 +1,31 @@
-"""The accuracy the docstrings state, checked against scipy.
+"""The accuracy the docstrings state, checked against scipy and decimals.
 
 The `special` module docstring bounds the relative error of the binomial
-tails at p = 0.5, within three standard deviations of the median, and
-`ci_clopper_pearson`'s docstring bounds the relative error of each interval
+tails at p = 0.5, within three standard deviations of the median, and per
+decade of n off the centre, where scipy's tiniest tails are themselves off
+and the reference is `oracles.far_binomial_tail`; `ci_clopper_pearson`'s docstring bounds the relative error of each interval
 end at n = 10, 680 and 66546.  Each stated bound is the worst error of a scan
 of every count (of every count below 3000 and above n - 3000, and every 13th
 between, at n = 66546).  These grids sample that scan and include its worst
 points, so a later change may tighten a bound here but never loosen one.
 `limits_from_shannon_entropy` rounds the exact band to the nearest double,
-checked here against a decimal solve.  Below alpha = 1e-12, where no
-Clopper-Pearson bound is stated, the rows marked xfail pin scipy's answers
-that the package misses.
+checked here against a decimal solve, and `shannon_entropy` against decimal
+logarithms.  Below alpha = 1e-12, where no
+Clopper-Pearson bound is stated and the package refuses alpha, the rows
+marked xfail pin scipy's answers.
 """
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from scipy.stats import beta, binom
 
-from oracles import decimal_shannon_root
+from oracles import decimal_shannon_entropy, decimal_shannon_root, far_binomial_tail
 
 from bitalias.confidence import ci_clopper_pearson, ci_width, plan_devices_exact
-from bitalias.entropy import limits_from_shannon_entropy
+from bitalias.entropy import limits_from_shannon_entropy, shannon_entropy
 from bitalias.special import binomial_cdf, binomial_sf
 
 # n: (stated bound, stride of the k grid, the scan's worst k for the cdf; the
@@ -45,6 +48,49 @@ def test_binomial_tails_meet_the_stated_bound(n):
     sf = np.array([binomial_sf(int(k), n, 0.5) for k in ks])
     assert np.abs(cdf / binom.cdf(ks, n, 0.5) - 1).max() <= bound
     assert np.abs(sf / binom.sf(ks - 1, n, 0.5) - 1).max() <= bound
+
+
+# d: the stated bound on the relative error of a tail off the centre, for n
+# below 10^d (and at least 10^(d - 1), or, at d = 7, up to 10^7 inclusive)
+OFF_CENTRE_BOUNDS = {2: 2e-13, 3: 3e-12, 4: 5e-11, 5: 6e-10, 6: 7e-9, 7: 9e-8}
+
+
+def _off_centre_tails(count=3000, seed=20):
+    """``count`` seeded (n, p, k, lower, reference tail), with n log-uniform in
+    [1, 10^7], p uniform in (0.01, 0.99) and the reference in [1e-300, 1e-3].
+    k is where the Chernoff bound exp(-n KL(k/n || p)) on the tail beyond k
+    meets a target log-uniform in [1e-300, 1e-3]; some tails miss the range."""
+    rng = np.random.default_rng(seed)
+    n = np.round(10.0 ** rng.uniform(0, 7, 2 * count))
+    p = rng.uniform(0.01, 0.99, n.size)
+    lower = rng.random(n.size) < 0.5
+    q = np.where(lower, 1 - p, p)  # the alias of the mirrored count n - X for a lower tail
+    nats = rng.uniform(3, 300, n.size) * math.log(10)
+    low, high = q, np.ones_like(q)  # bisect the share a = k/n in (q, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # at a = 1, nan: not below
+        for _ in range(60):
+            a = (low + high) / 2
+            below = n * (a * np.log(a / q) + (1 - a) * np.log((1 - a) / (1 - q))) < nats
+            low, high = np.where(below, a, low), np.where(below, high, a)
+    m = np.minimum(np.ceil(high * n), n)
+    rows = []
+    for n_, p_, k_, lower_ in zip(n.astype(int).tolist(), p.tolist(),
+                                  np.where(lower, n - m, m).astype(int).tolist(), lower.tolist()):
+        want = far_binomial_tail(k_, n_, p_, lower_)
+        if 1e-300 <= want <= 1e-3:
+            rows.append((n_, p_, k_, lower_, want))
+            if len(rows) == count:
+                return rows
+    raise AssertionError(f"only {len(rows)} tails in range")
+
+
+def test_binomial_tails_off_the_centre_meet_the_stated_bounds():
+    worst = dict.fromkeys(OFF_CENTRE_BOUNDS, 0.0)
+    for n, p, k, lower, want in _off_centre_tails():
+        got = (binomial_cdf if lower else binomial_sf)(k, n, p)
+        decade = min(7, max(2, len(str(n))))
+        worst[decade] = max(worst[decade], abs(got / want - 1))
+    assert all(worst[d] <= bound for d, bound in OFF_CENTRE_BOUNDS.items()), worst
 
 
 # alpha: (stated bound on the lower end, on the upper end)
@@ -93,3 +139,12 @@ def test_shannon_limits_round_the_exact_band():
     floors = [*np.geomspace(3.1e-15, 0.99, 16), *(1 - np.geomspace(1e-2, 2**-53, 8))]
     for h in map(float, floors):
         assert limits_from_shannon_entropy(h).p_u == float(1 - decimal_shannon_root(h)), h
+
+
+def test_shannon_entropy_meets_the_stated_bound():
+    # seeded alias log-uniform from 1e-300 to 1/2, and its mirror 1 - p where
+    # that is below 1; log2 of a rounded 1 - p is off by 2.6e-2 at p = 4.9e-17
+    rng = np.random.default_rng(514)
+    small = 10.0 ** rng.uniform(-300, math.log10(0.5), 1000)
+    for p in map(float, [*small, *(1.0 - small[small > 2**-53])]):
+        assert abs(Decimal(shannon_entropy(p)) / decimal_shannon_entropy(p) - 1) <= 4e-16, p

@@ -488,6 +488,7 @@ _RULES = {
     "unreachable": (CapacityError, "width {} unreachable below 10000000 devices"),
     "alpha": (DomainError, "alpha must lie in (0, 1), got {}"),
     "underflow": (DomainError, "alpha must be >= 1e-323, where alpha/2 > 0, got {}"),
+    "cp-floor": (DomainError, "alpha must be >= 1e-12 for clopper_pearson, got {}"),
     "probability": (DomainError, "{} must lie in {}, got {}"),
     "real": (DomainError, "{} must be a real number, got {!r}"),
     "choice": (DomainError, "{} must be one of {}, got {!r}"),
@@ -533,7 +534,8 @@ def _rule_cases():
                           binomial_cdf, ci_clopper_pearson, ci_normal, ci_wilson, ci_width,
                           confidence_interval, limits_from_min_entropy,
                           limits_from_shannon_entropy, monte_carlo_validate, plan_devices_exact,
-                          plan_devices_frr, plan_devices_normal, render_report)
+                          plan_devices_frr, plan_devices_normal, render_report,
+                          worst_case_width)
     from bitalias.validate import CoverageParams, QualificationParams
     cli = {  # name -> argv of n
         "check-n": lambda n: ["check", "--x", "0", "--n", str(n)],
@@ -587,6 +589,30 @@ def _rule_cases():
                  partial(ci_clopper_pearson, 5, 10), partial(plan_devices_normal, 0.1)):
         yield pytest.param(partial(call, 5e-324), underflow, id=f"{call.func.__name__}-alpha")
     yield pytest.param(partial(ci_normal, 5, 10, 0.0), _says("alpha", 0.0), id="ci_normal-alpha-0")
+    # Clopper-Pearson states no bound below alpha = 1e-12, where it would print
+    # 6424 devices for 6432, a width of 0.660681 for 0.321361 and a coverage of 1
+    cp = "clopper_pearson"
+    floor = {  # name -> call of alpha
+        "ci_clopper_pearson": partial(ci_clopper_pearson, 5, 10),
+        "confidence_interval": partial(confidence_interval, cp, 5, 10),
+        "ci_width": partial(ci_width, cp, 0.5, 680),
+        "worst_case_width": partial(worst_case_width, cp, 680),
+        "plan_devices_exact": partial(plan_devices_exact, cp, 0.1),
+        "analyze_counts": lambda alpha: analyze_counts(PositionCounts(680, (5,)), AnalysisConfig(
+            limits=(0.45, 0.55), alpha=alpha, ci_method=cp)),
+        "monte_carlo_validate": lambda alpha: monte_carlo_validate(
+            "coverage", CoverageParams(cp, 0.5, 680, alpha), 1000, 1),
+    }
+    for name, call in floor.items():
+        yield pytest.param(partial(call, 1e-15), _says("cp-floor", 1e-15), id=f"{name}-cp-alpha")
+    for name, argv in (
+            ("plan-width", ["plan", "width", "--width", "0.1", "--method", cp, "--alpha", "1e-15"]),
+            ("analyze", ["analyze", "--counts", partial(_counts_file, 680), "--ci-method", cp,
+                         "--alpha", "1e-17"]),
+            ("curve", ["curve", "--method", cp, "--grid", "680", "--alpha", "1e-17"]),
+            ("validate-coverage", _validate("coverage", "--alpha", 1e-17))):
+        alpha = float(argv[argv.index("--alpha") + 1])
+        yield pytest.param(argv, _says("cp-floor", alpha), id=f"{name}-cp-alpha")
     # (z / width)^2 passes the cap between the first two widths and overflows a
     # float below about 1.2e-154
     planners = {"plan_devices_normal": plan_devices_normal,

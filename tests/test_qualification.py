@@ -8,37 +8,11 @@ from bitalias import qualification as qual
 from bitalias.qualification import (AcceptanceRegion, AliasLimits,
                                     acceptance_probability, acceptance_region,
                                     early_stop_decision, early_stop_p_values,
-                                    p_value_lower, p_value_upper,
                                     plan_devices_frr)
 from bitalias.response import PositionCounts
 from bitalias.simulate import rng_stream
 
-from oracles import exact_binomial_cdf
-
 LIMITS = AliasLimits(0.45, 0.55)
-
-
-class TestPValues:
-    def test_upper_at_full_count(self):
-        assert p_value_upper(10, 10, 0.55) == 1.0
-
-    def test_lower_at_zero_count(self):
-        assert p_value_lower(0, 50, 0.45) == 1.0
-
-    def test_balanced_count_rejects_both_sides(self):
-        assert p_value_upper(340, 680, 0.55) < 0.005
-        assert p_value_lower(340, 680, 0.45) < 0.005
-
-    def test_upper_matches_exact_tail(self):
-        assert p_value_upper(3, 10, 0.55) == pytest.approx(
-            exact_binomial_cdf(3, 10, 0.55), abs=1e-14)
-
-    @given(st.integers(1, 400), st.data(),
-           st.floats(min_value=0.01, max_value=0.99))
-    def test_mirror_symmetry(self, n, data, p):
-        x = data.draw(st.integers(0, n))
-        assert p_value_lower(x, n, p) == pytest.approx(
-            p_value_upper(n - x, n, 1.0 - p), abs=1e-12)
 
 
 class TestAcceptanceRegion:

@@ -56,14 +56,36 @@ def children(*args, cwd):
                           capture_output=True, text=True)
 
 
-def test_children_measure_returns_exit_times_rss_and_output():
+def _children_module():
     spec = importlib.util.spec_from_file_location("children", SCRIPTS / "children.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_children_measure_returns_exit_times_rss_and_output():
+    module = _children_module()
     code, wall, cpu, rss, output, digest = module.measure(["check", "--x", "300", "--n", "680"])
     assert code == 1 and output.startswith("x=300 n=680")
     assert wall > 0 and cpu > 0 and rss > 0
     assert module.measure(["check", "--x", "300", "--n", "680"])[5] == digest
+
+
+# A: 10 to 19, with quartiles 12.25 and 16.75, so an interquartile range of 4.5
+_A = [float(v) for v in range(10, 20)]
+
+
+@pytest.mark.parametrize("b, word", [
+    ([v - 5 for v in _A], "gain"),  # lower in 10 of 10, medians 5 apart
+    ([v + 5 for v in _A], "loss"),
+    ([v - 5 for v in _A[:9]] + [30.0], "gain"),  # lower in 9 of 10
+    ([v - 5 for v in _A[:8]] + [30.0, 30.0], "unresolved"),  # lower in 8 of 10
+    ([v - 4.5 for v in _A], "unresolved"),  # medians exactly the range apart
+    ([v - 1 for v in _A], "unresolved"),
+    (_A, "unresolved"),
+], ids=["gain", "loss", "gain-9-of-10", "8-of-10", "gap-at-range", "small-gap", "same"])
+def test_children_ab_verdict(b, word):
+    assert _children_module().verdict(_A, b) == word
 
 
 # Each check runs children.py as its own process: Linux counts a parent's
@@ -98,7 +120,7 @@ def test_children_ab_of_one_tree_with_itself(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines[3:6]] == ["wall_s", "cpu_s", "peak_rss_mb"]
-    assert all(line.endswith(" of 10") for line in lines[3:6])
+    assert all(re.search(r" of 10, (gain|loss|unresolved)$", line) for line in lines[3:6])
     assert lines[6:] == ["outputs: same, exit 0"]
 
 
