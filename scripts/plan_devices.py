@@ -9,22 +9,19 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from bitalias import (AliasLimits, plan_devices_exact, plan_devices_frr,
-                      plan_devices_normal, worst_case_width)
+from bitalias import METHODS, AliasLimits, ci_width, plan_devices_exact, plan_devices_frr
 
 
 def main() -> None:
     alpha = 0.01
     width = 0.1
     print(f"target width {width} at alpha {alpha} (interval 0.5 +- {width / 2}):")
-    plan = plan_devices_normal(width, alpha)
-    print(f"  normal approximation  {plan.devices:>6} devices")
-    for method in ("wilson", "clopper_pearson"):
-        plan = plan_devices_exact(method, width, alpha)
-        w_at = worst_case_width(method, plan.devices, alpha)
-        w_before = worst_case_width(method, plan.devices - 2, alpha)
-        print(f"  {method:<21} {plan.devices:>6} devices "
-              f"(width {w_at:.5f}; {plan.devices - 2} gives {w_before:.5f})")
+    for method in METHODS:
+        # the normal approximation plans every count, the others even counts
+        n, step = plan_devices_exact(method, width, alpha).devices, 1 if method == "normal" else 2
+        w_at, w_before = (ci_width(method, 0.5, m, alpha) for m in (n, n - step))
+        print(f"  {method:<21} {n:>6} devices "
+              f"(width {w_at:.5f}; {n - step} gives {w_before:.5f})")
 
     limits = AliasLimits(0.45, 0.55)
     inner = (0.48, 0.52)

@@ -12,8 +12,7 @@ import argparse
 import os
 import sys
 
-from .confidence import (ALIAS_GRID, DEVICE_GRID, METHODS, ci_width, plan_devices_exact,
-                         plan_devices_normal)
+from .confidence import ALIAS_GRID, DEVICE_GRID, METHODS, ci_width, plan_devices_exact
 from .errors import BitAliasError
 
 # Each command imports only the modules it runs: a child compiles every line it imports.
@@ -92,10 +91,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_plan(args) -> int:
     if args.goal == "width":
-        if args.method == "normal":
-            plan = plan_devices_normal(args.width, args.alpha)
-        else:
-            plan = plan_devices_exact(args.method, args.width, args.alpha)
+        plan = plan_devices_exact(args.method, args.width, args.alpha)
         print(f"devices={plan.devices} method={plan.method} "
               f"target_width={plan.target_width} alpha={plan.alpha}")
         return 0

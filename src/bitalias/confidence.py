@@ -7,7 +7,8 @@ at least nominal coverage and underpins the qualification test.  Significance
 is always split half per tail; there is no one-sided mode.
 
 A width curve is ``ci_width`` over a grid: over ``DEVICE_GRID`` at a fixed
-alias, or over ``ALIAS_GRID`` at a fixed device count.
+alias, or over ``ALIAS_GRID`` at a fixed device count.  A width plan is the
+first count at which the device curve at alias 0.5 meets a target.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class Interval(Record):
     """A two-sided confidence interval for a binomial proportion.
 
     ``width`` is taken after the bounds are clamped to [0, 1]; ``ci_width``
-    gives the width before clamping, which the width curves plot.
+    gives the width before clamping, which the width curves and plans use.
     """
 
     lower: float
@@ -181,10 +182,12 @@ def confidence_interval(method: str, x, n, alpha) -> Interval:
 def ci_width(method: str, p_hat: float, n: float, alpha: float) -> float:
     """Interval width at a (possibly non-integer) expected count p_hat * n.
 
-    This is the quantity the width curves plot; the Clopper-Pearson branch
-    extends the count-based definition continuously through real-valued
-    counts and refuses alpha below 1e-12, as ``ci_clopper_pearson`` does;
-    the normal branch reports the width before clamping.
+    This is the quantity the width curves plot and ``plan_devices_exact``
+    inverts at p_hat = 0.5, the one definition of width for both; the
+    Clopper-Pearson branch extends the count-based definition continuously
+    through real-valued counts and refuses alpha below 1e-12, as
+    ``ci_clopper_pearson`` does; the normal branch reports the width before
+    clamping.
     """
     _as_choice(method, "method", METHODS)
     p_hat = _as_probability(p_hat, "p_hat")
@@ -204,50 +207,26 @@ DEVICE_GRID = tuple(sorted({int(round(2.0 * 5000.0 ** (i / 119))) for i in range
 ALIAS_GRID = tuple(round(i * 0.01, 2) for i in range(101))
 
 
-def plan_devices_normal(target_width, alpha) -> PlanResult:
-    """First-cut device count from the normal approximation at alias 0.5:
-    ceil((z / target_width)^2).  Above the device cap ``_first`` raises the
-    exact planners' CapacityError (z / target_width is clamped before squaring)."""
-    target_width = _as_probability(target_width, "target_width", bounds="(0, 1)")
-    alpha = _check_alpha(alpha)
-    need = math.ceil(min(_z_for(alpha) / target_width, DEVICE_CAP) ** 2)
-    return PlanResult(devices=_first(need.__le__, need, f"width {target_width}"), alpha=alpha,
-                      method="normal", target_width=target_width)
-
-
-def worst_case_width(method: str, n: int, alpha: float) -> float:
-    """Width at the balanced count x = n/2, where the width curve peaks.
-
-    Defined for even n: only there is the worst-case alias 0.5 realizable as
-    an integer count.  Odd counts sit slightly off the peak and understate it.
-    """
-    n = _as_devices(n, 2)
-    if n % 2:
-        raise DomainError(f"worst-case width needs an even device count, got {n}")
-    return confidence_interval(method, n // 2, n, alpha).width
-
-
 def plan_devices_exact(method: str, target_width, alpha) -> PlanResult:
-    """Smallest device count whose worst-case width meets the target.
+    """Smallest device count N with ``ci_width(method, 0.5, N, alpha)`` <= target:
+    the count at which the device curve at alias 0.5, the worst case, meets it.
 
-    Candidates are even counts, so the balanced worst case is realizable at
-    every probe.  Outward probes from a start (rounded up to even), then binary
-    search, end on a bracket that certifies the result N: width(N) <= target <
-    width(N - 2), with N - 2 probed, or N = 2.  Wilson starts at the normal
-    count (z/w)^2; Clopper-Pearson, whose width at n/2 is about z/sqrt(n) + 1/n,
-    at ((z + sqrt(z^2 + 4w)) / 2w)^2, at most 6 devices above the answer at
+    Wilson and Clopper-Pearson probe even counts, where alias 0.5 is the
+    realizable count N/2; the normal approximation probes every count.  Outward
+    probes from a start (rounded up to the grid), then binary search, end on a
+    bracket that certifies N: width(N) <= target < width(N - step), with
+    N - step probed, or N = step.  Normal and Wilson start at (z/w)^2;
+    Clopper-Pearson, whose width at alias 0.5 is about z/sqrt(n) + 1/n, at
+    ((z + sqrt(z^2 + 4w)) / 2w)^2, at most 6 devices above the answer at
     alpha >= 0.01; it refuses alpha below 1e-12, as ``ci_clopper_pearson``
     does.  Targets unreachable below the device cap raise CapacityError.
     """
-    _as_choice(method, "method", ("wilson", "clopper_pearson"))
-    target_width = _as_probability(target_width, "target_width", bounds="(0, 1)")
+    method = _as_choice(method, "method", METHODS)
+    w = _as_probability(target_width, "target_width", bounds="(0, 1)")
     alpha = _check_alpha(alpha)
-
-    def ok(n: int) -> bool:
-        return worst_case_width(method, n, alpha) <= target_width
-
-    z, w = _z_for(alpha), target_width
-    root = z / w if method == "wilson" else (z + math.sqrt(z * z + 4.0 * w)) / (2.0 * w)
+    z, step = _z_for(alpha), 1 if method == "normal" else 2
+    root = (z + math.sqrt(z * z + 4.0 * w)) / (2.0 * w) if method == "clopper_pearson" else z / w
     guess = math.ceil(min(root, DEVICE_CAP) ** 2)  # _first clamps it to the cap
-    n = _first(ok, guess + guess % 2, f"width {w}", 2)
-    return PlanResult(devices=n, alpha=alpha, method=method, target_width=target_width)
+    n = _first(lambda n: ci_width(method, 0.5, n, alpha) <= w, guess + guess % step,
+               f"width {w}", step)
+    return PlanResult(devices=n, alpha=alpha, method=method, target_width=w)

@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from .confidence import METHODS, _first, _normal_half, _z_for, confidence_interval
+from .errors import DomainError
 from .qualification import AliasLimits, _as_limits, acceptance_region
 from .simulate import rng_stream
 from .special import (Record, _as_choice, _as_count, _as_devices, _as_probability,
@@ -68,6 +69,9 @@ def monte_carlo_validate(kind: str, params, trials: int, seed: int,
     cell its own reproducible randomness from one campaign seed.
     """
     _as_choice(kind, "kind", KINDS)
+    record = CoverageParams if kind == "coverage" else QualificationParams
+    if not isinstance(params, record):
+        raise DomainError(f"kind {kind!r} needs {record.__name__}, got {type(params).__name__}")
     trials = _as_count(trials, "trials", 1000)
     rng = rng_stream(seed, task)
     if kind == "coverage":

@@ -14,8 +14,7 @@ import pytest
 
 from bitalias.analysis import CSV_HEADER, AnalysisConfig, analyze, render_report
 from bitalias.cli import main
-from bitalias.confidence import (ci_wilson, confidence_interval,
-                                 plan_devices_exact, plan_devices_normal)
+from bitalias.confidence import ci_wilson, confidence_interval, plan_devices_exact
 from bitalias.entropy import (limits_from_min_entropy, min_entropy_from_limits,
                               shannon_entropy)
 from bitalias.formats import load_measurements, write_counts
@@ -33,7 +32,7 @@ LIMITS = AliasLimits(0.45, 0.55)
 
 def test_criterion_1_device_planning_counts():
     start = time.perf_counter()
-    normal = plan_devices_normal(0.1, 0.01).devices
+    normal = plan_devices_exact("normal", 0.1, 0.01).devices
     cp = plan_devices_exact("clopper_pearson", 0.1, 0.01).devices
     wilson = plan_devices_exact("wilson", 0.1, 0.01).devices
     elapsed = time.perf_counter() - start

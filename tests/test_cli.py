@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -131,6 +132,16 @@ class TestPlanCommand:
         assert main(["plan", "width", "--width", "0.01", "--method", "normal",
                      "--alpha", "1e-20"]) == 0
         assert "devices=871618" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method", ("normal", "wilson", "clopper_pearson"))
+    @pytest.mark.parametrize("width", ("0.1", "0.003"))
+    def test_width_plan_meets_the_width_that_curve_prints(self, capsys, method, width):
+        assert main(["plan", "width", "--width", width, "--method", method]) == 0
+        n = re.search(r"devices=(\d+)", capsys.readouterr().out).group(1)
+        assert main(["curve", "--method", method, "--sweep", "devices", "--p-hat", "0.5",
+                     "--grid", n]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[0] == n and float(row[1]) <= float(width)
 
     def test_frr_planning_smoke(self, capsys):
         rc = main(["plan", "frr", "--inner-low", "0.3", "--inner-high", "0.7",
@@ -534,8 +545,7 @@ def _rule_cases():
                           binomial_cdf, ci_clopper_pearson, ci_normal, ci_wilson, ci_width,
                           confidence_interval, limits_from_min_entropy,
                           limits_from_shannon_entropy, monte_carlo_validate, plan_devices_exact,
-                          plan_devices_frr, plan_devices_normal, render_report,
-                          worst_case_width)
+                          plan_devices_frr, render_report)
     from bitalias.validate import CoverageParams, QualificationParams
     cli = {  # name -> argv of n
         "check-n": lambda n: ["check", "--x", "0", "--n", str(n)],
@@ -586,7 +596,7 @@ def _rule_cases():
         yield pytest.param(["plan", "width", "--width", "0.1", "--method", method, "--alpha",
                             "5e-324"], underflow, id=f"plan-width-{method}-alpha")
     for call in (partial(ci_wilson, 5, 10), partial(ci_normal, 5, 10),
-                 partial(ci_clopper_pearson, 5, 10), partial(plan_devices_normal, 0.1)):
+                 partial(ci_clopper_pearson, 5, 10), partial(plan_devices_exact, "normal", 0.1)):
         yield pytest.param(partial(call, 5e-324), underflow, id=f"{call.func.__name__}-alpha")
     yield pytest.param(partial(ci_normal, 5, 10, 0.0), _says("alpha", 0.0), id="ci_normal-alpha-0")
     # Clopper-Pearson states no bound below alpha = 1e-12, where it would print
@@ -596,7 +606,6 @@ def _rule_cases():
         "ci_clopper_pearson": partial(ci_clopper_pearson, 5, 10),
         "confidence_interval": partial(confidence_interval, cp, 5, 10),
         "ci_width": partial(ci_width, cp, 0.5, 680),
-        "worst_case_width": partial(worst_case_width, cp, 680),
         "plan_devices_exact": partial(plan_devices_exact, cp, 0.1),
         "analyze_counts": lambda alpha: analyze_counts(PositionCounts(680, (5,)), AnalysisConfig(
             limits=(0.45, 0.55), alpha=alpha, ci_method=cp)),
@@ -615,8 +624,7 @@ def _rule_cases():
         yield pytest.param(argv, _says("cp-floor", alpha), id=f"{name}-cp-alpha")
     # (z / width)^2 passes the cap between the first two widths and overflows a
     # float below about 1.2e-154
-    planners = {"plan_devices_normal": plan_devices_normal,
-                **{f"plan_devices_exact-{m}": partial(plan_devices_exact, m) for m in _METHODS[1:]}}
+    planners = {f"plan_devices_exact-{m}": partial(plan_devices_exact, m) for m in _METHODS}
     for width in _WIDTHS:
         for method in _METHODS:
             yield pytest.param(["plan", "width", "--width", str(width), "--method", method],
@@ -655,8 +663,7 @@ def _rule_cases():
         "confidence_interval": (lambda b: confidence_interval(b, 5, 10, 0.01), "method",
                                 _METHODS),
         "ci_width": (lambda b: ci_width(b, 0.5, 10, 0.01), "method", _METHODS),
-        "plan_devices_exact": (lambda b: plan_devices_exact(b, 0.1, 0.01), "method",
-                               _METHODS[1:]),
+        "plan_devices_exact": (lambda b: plan_devices_exact(b, 0.1, 0.01), "method", _METHODS),
         "AnalysisConfig-ci_method": (lambda b: AnalysisConfig(limits=limits, ci_method=b),
                                      "ci_method", _METHODS),
         "AnalysisConfig-output_format": (
@@ -678,9 +685,6 @@ def _rule_cases():
     for name, (call, what, choices) in names.items():
         yield pytest.param(partial(call, "bogus"), _says("choice", what, choices, "bogus"),
                            id=f"{name}-bogus")
-    yield pytest.param(partial(plan_devices_exact, "normal", 0.1, 0.01),
-                       _says("choice", "method", _METHODS[1:], "normal"),
-                       id="plan_devices_exact-normal")
     yield pytest.param(partial(plan_devices_frr, limits, (0.40, 0.52), 0.01, 0.01),
                        (DomainError, "inner band must satisfy p_l < p_k < p_v < p_u, got "
                         "(0.45, 0.4, 0.52, 0.55)"), id="plan_devices_frr-inner")

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bitalias.confidence import (ALIAS_GRID, DEVICE_GRID, _z_for, ci_clopper_pearson, ci_normal,
-                                 ci_width, ci_wilson, confidence_interval, plan_devices_exact,
-                                 plan_devices_normal, worst_case_width)
+from bitalias.confidence import (ALIAS_GRID, DEVICE_GRID, METHODS, _z_for, ci_clopper_pearson,
+                                 ci_normal, ci_width, ci_wilson, confidence_interval,
+                                 plan_devices_exact)
 from bitalias.errors import CapacityError
 from bitalias.special import std_normal_quantile
 
@@ -158,15 +158,15 @@ class TestWidthCurve:
         assert len(ALIAS_GRID) == 101
 
 
-class TestPlanDevicesNormal:
+class TestNormalPlan:
     def test_direct_formula_at_half_width(self):
         # ceil((z/0.05)^2) with the full-precision quantile; the rounded
         # 4-digit z would give 2655 instead
-        assert plan_devices_normal(0.05, 0.01).devices == \
+        assert plan_devices_exact("normal", 0.05, 0.01).devices == \
             math.ceil((Z995 / 0.05) ** 2) == 2654
 
     def test_wide_target_needs_z_squared(self):
-        plan = plan_devices_normal(0.999, 0.01)
+        plan = plan_devices_exact("normal", 0.999, 0.01)
         assert plan.devices == math.ceil((Z995 / 0.999) ** 2)
         assert plan.devices >= Z995**2 // 1
 
@@ -193,10 +193,11 @@ class TestTinyAlpha:
         assert ci_width("normal", 0.5, 10, alpha) == pytest.approx(2 * z * math.sqrt(0.025),
                                                                    rel=1e-14)
         if (z / 0.01) ** 2 <= 1e7:
-            assert plan_devices_normal(0.01, alpha).devices == pytest.approx((z / 0.01) ** 2, abs=1)
+            assert plan_devices_exact("normal", 0.01, alpha).devices == \
+                pytest.approx((z / 0.01) ** 2, abs=1)
         else:  # 1.4e7 devices at alpha = 1e-300, above the device cap
             with pytest.raises(CapacityError):
-                plan_devices_normal(0.01, alpha)
+                plan_devices_exact("normal", 0.01, alpha)
         for method in ("normal", "wilson"):
             widths = [ci_width(method, 0.5, n, alpha) for n in (2, 20, 200)]
             assert widths == sorted(widths, reverse=True)
@@ -212,25 +213,29 @@ class TestPlanDevicesExact:
         w = ci_wilson(10, 20, 0.01).width
         assert plan_devices_exact("wilson", w, 0.01).devices == 20
 
-    def test_result_is_certified_boundary(self):
-        for method in ("wilson", "clopper_pearson"):
-            plan = plan_devices_exact(method, 0.1, 0.01)
-            n = plan.devices
-            assert worst_case_width(method, n, 0.01) <= 0.1
-            assert worst_case_width(method, n - 2, 0.01) > 0.1
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("width, alpha", [(0.9, 0.5), (0.3, 1e-6), (0.1, 0.01),
+                                              (0.05, 0.05), (0.01, 0.01), (0.0021, 1e-3)])
+    def test_plan_is_the_first_count_meeting_the_curve_width(self, method, width, alpha):
+        # the planned N meets the target on the width curve at alias 0.5 and
+        # the grid count below it misses: Wilson and Clopper-Pearson plan
+        # even counts, the normal approximation every count
+        n, step = plan_devices_exact(method, width, alpha).devices, 1 if method == "normal" else 2
+        assert ci_width(method, 0.5, n, alpha) <= width
+        assert n == step or ci_width(method, 0.5, n - step, alpha) > width
 
     def test_normal_plan_obeys_the_device_cap(self):
         # (z / w)^2 at alpha 0.01 passes 10^7 between this width and
         # 0.00081454, which test_one_message_per_rule sends
-        assert plan_devices_normal(0.00081455, 0.01).devices == 9999970
+        assert plan_devices_exact("normal", 0.00081455, 0.01).devices == 9999970
 
     def test_searches_up_to_the_device_cap(self):
         # The answer lies between 2**23 and the 10**7 cap, where doubling
         # alone never probes.
         n = plan_devices_exact("wilson", 0.00086, 0.01).devices
         assert 2**23 < n <= 10**7
-        assert worst_case_width("wilson", n, 0.01) <= 0.00086
-        assert worst_case_width("wilson", n - 2, 0.01) > 0.00086
+        assert ci_width("wilson", 0.5, n, 0.01) <= 0.00086
+        assert ci_width("wilson", 0.5, n - 2, 0.01) > 0.00086
         # (z / width)^2 is about 1.04e7, just above the cap
         with pytest.raises(CapacityError):
             plan_devices_exact("wilson", 0.0008, 0.01)

@@ -11,7 +11,7 @@ import bitalias
 from bitalias.cli import main
 from bitalias.simulate import ALIAS_PROFILES
 
-PUBLIC_NAMES = 68
+PUBLIC_NAMES = 66
 
 
 class TestLazyExports:

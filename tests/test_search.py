@@ -226,15 +226,17 @@ def test_region_costs_a_handful_of_tail_calls(monkeypatch, n, limits):
     assert len(calls) <= 8
 
 
-# worst_case_width calls of the benchmark's plan-scale width queries, each one
-# a probe of the outward search or the bisection
+# ci_width calls of the benchmark's plan-scale width queries, each one a probe
+# of the outward search or the bisection; the normal start (z/w)^2 is the
+# answer, so its probes are the answer and the count below
 @pytest.mark.parametrize("method, width, answer, count", [
     ("clopper_pearson", 0.01, 66546, 4),
     ("clopper_pearson", 0.001, 6636894, 4),
     ("wilson", 0.001, 6634890, 6),
+    ("normal", 0.001, 6634897, 2),
 ])
 def test_width_plan_probe_counts_pinned(monkeypatch, method, width, answer, count):
-    calls = _counting(monkeypatch, conf, "worst_case_width")
+    calls = _counting(monkeypatch, conf, "ci_width")
     assert plan_devices_exact(method, width, 0.01).devices == answer
     assert len(calls) == count
 

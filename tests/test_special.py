@@ -327,8 +327,7 @@ def _bad_argument_calls():
     the special functions' arguments across every public entry point that
     takes them."""
     from bitalias.analysis import AnalysisConfig, analyze_counts
-    from bitalias.confidence import (Interval, ci_clopper_pearson, ci_normal, ci_width,
-                                     ci_wilson, worst_case_width)
+    from bitalias.confidence import Interval, ci_clopper_pearson, ci_normal, ci_width, ci_wilson
     from bitalias.entropy import (EntropySpec, limits_from_min_entropy,
                                   limits_from_shannon_entropy, min_entropy_from_limits)
     from bitalias.qualification import (AcceptanceRegion, AliasLimits, acceptance_region,
@@ -417,11 +416,15 @@ def _bad_argument_calls():
     for label, bad in (("text", "5000"), ("fraction", 5000.5), ("none", None), ("few", 999)):
         yield pytest.param(lambda bad=bad: monte_carlo_validate("coverage", coverage, bad, 1),
                            id=f"monte_carlo_validate-trials-{label}")
+    # each kind takes its own record, not the other kind's
+    qualification = QualificationParams(limits=limits, **fields)
+    for kind, params in (("coverage", qualification), ("far", coverage)):
+        yield pytest.param(lambda kind=kind, params=params: monte_carlo_validate(
+            kind, params, 1000, 1), id=f"monte_carlo_validate-{kind}-params")
     for label, bad in (("none", None), ("text", "abc"), ("inf", math.inf), ("nan", math.nan),
                        ("fraction", 0.5)):
         yield pytest.param(lambda bad=bad: ci_width("wilson", 0.5, bad, 0.01),
                            id=f"ci_width-n-{label}")
-    yield pytest.param(lambda: worst_case_width("wilson", 7, 0.01), id="worst_case_width-n-odd")
     yield pytest.param(lambda: Interval(0.6, 0.4, 0.01, "wilson"), id="Interval-reversed")
     yield pytest.param(lambda: ci_width("wilson", None, 20, 0.01), id="ci_width-p_hat-none")
     yield pytest.param(lambda: rng_stream(-1), id="rng_stream-negative")
