@@ -216,6 +216,11 @@ def invocations() -> list[tuple[str, list[str]]]:
         ("curve-cp-alpha-1e-17", ["curve", "--method", "clopper_pearson", "--sweep", "devices",
                                   "--grid", "680", "--alpha", "1e-17"]),
         ("curve-normal-alias", ["curve", "--sweep", "alias", "--method", "normal"]),
+        # grid tokens that are no number, each named by the rule it breaks
+        ("curve-grid-comma", ["curve", "--grid", ","]),
+        ("curve-grid-empty-token", ["curve", "--grid", "5,,"]),
+        ("curve-grid-1e3", ["curve", "--grid", "1e3"]),
+        ("curve-alias-grid-text", ["curve", "--sweep", "alias", "--grid", "x"]),
         ("curve-out", ["curve", "--method", "clopper_pearson", "--out", "curve.csv"]),
         ("simulate-csv", ["simulate", "--devices", "20", "--positions", "16", "--repeats", "3",
                           "--seed", "1", "--noise", "0.1", "--out", "sim.csv"]),
@@ -241,6 +246,10 @@ def invocations() -> list[tuple[str, list[str]]]:
         ("simulate-binary-blocks", ["simulate", "--devices", "300", "--positions", "77",
                                     "--repeats", "3", "--alias", "linear", "--noise", "0.1",
                                     "--seed", "7", "--format", "binary", "--out", "sim.puf"]),
+        ("simulate-seed-negative", ["simulate", "--devices", "2", "--positions", "2",
+                                    "--seed", "-1", "--out", "sim.csv"]),
+        ("validate-seed-negative", ["validate", "--kind", "far", "--p", "0.5", "--devices", "10",
+                                    "--seed", "-1"]),
         ("no-command", []),
         ("help", ["--help"]),
     ]

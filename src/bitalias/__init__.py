@@ -21,10 +21,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "analysis": ("AnalysisConfig", "AnalysisResult", "AnalysisSummary", "EarlyStopConfig",
                  "PositionReport", "analyze", "analyze_counts", "render_report"),
-    "confidence": ("METHODS", "Interval", "PlanResult", "ci_clopper_pearson", "ci_normal",
-                   "ci_width", "ci_wilson", "confidence_interval", "plan_devices_exact"),
-    "entropy": ("EntropySpec", "limits_from_min_entropy", "limits_from_shannon_entropy",
-                "limits_from_spec", "min_entropy_from_limits", "shannon_entropy"),
+    "confidence": ("METHODS", "Interval", "PlanResult", "ci_width", "confidence_interval",
+                   "plan_devices_exact"),
+    "entropy": ("EntropySpec", "limits_from_spec", "min_entropy_from_limits",
+                "shannon_entropy"),
     "errors": ("BitAliasError", "CapacityError", "ConvergenceError", "DomainError",
                "FormatError", "PerfectEntropyError"),
     "formats": ("load_counts", "load_measurement_counts", "load_measurements",

@@ -14,6 +14,7 @@ import sys
 
 from .confidence import ALIAS_GRID, DEVICE_GRID, METHODS, ci_width, plan_devices_exact
 from .errors import BitAliasError
+from .special import _as_count, _as_real
 
 # Each command imports only the modules it runs: a child compiles every line it imports.
 
@@ -141,13 +142,26 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _grid_count(token: str) -> int:
+    """A --grid device count, read as int() reads it.  Text that is no integer
+    raises _as_count's message; an integer of more digits than int() converts
+    keeps int()'s."""
+    try:
+        return int(token)
+    except ValueError:
+        if token.strip().lstrip("+-").isdigit():
+            raise
+        return _as_count(token, "n")
+
+
 def _cmd_curve(args) -> int:
     method, alpha = args.method, args.alpha
+    tokens = None if args.grid is None else args.grid.split(",")
     if args.sweep == "devices":
-        grid = DEVICE_GRID if args.grid is None else map(int, args.grid.split(","))
+        grid = DEVICE_GRID if tokens is None else map(_grid_count, tokens)
         lines = ["n,width", *(f"{n},{ci_width(method, args.p_hat, n, alpha):.6g}" for n in grid)]
     else:
-        grid = ALIAS_GRID if args.grid is None else map(float, args.grid.split(","))
+        grid = ALIAS_GRID if tokens is None else (_as_real(p, "p_hat") for p in tokens)
         lines = ["p_hat,width",
                  *(f"{p:.6g},{ci_width(method, p, args.devices, alpha):.6g}" for p in grid)]
     _emit(("\n".join(lines) + "\n").encode("ascii"), args.out)
@@ -275,7 +289,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (BitAliasError, OSError, ValueError) as exc:
-        # ValueError also covers malformed numeric tokens in --grid
+        # ValueError also covers a --grid integer past int()'s digit limit
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -115,68 +115,48 @@ class PlanResult(Record):
     beta: float | None = None
 
 
-def ci_normal(x, n, alpha) -> Interval:
-    """Normal approximation interval: alias +- z * sqrt(alias(1-alias)/n).
+def confidence_interval(method: str, x, n, alpha) -> Interval:
+    """The ``method`` interval for x 1s out of n devices: one of ``METHODS``.
 
-    Bounds are clamped into [0, 1] for reporting; ``ci_width`` gives the
-    width before clamping.  The interval degenerates to a point at alias 0
-    or 1 (the well-known failure mode of this estimator).
-    """
-    x, n = _check_counts(x, n)
-    alpha = _check_alpha(alpha)
-    p = x / n
-    half = _normal_half(p, n, _z_for(alpha))
-    return Interval(lower=max(0.0, p - half), upper=min(1.0, p + half),
-                    alpha=alpha, method="normal")
+    normal: alias +- z * sqrt(alias(1-alias)/n), its bounds clamped into
+    [0, 1]; ``ci_width`` gives the width before clamping.  It degenerates to
+    a point at alias 0 or 1, the well-known failure mode of this estimator.
 
+    wilson: Wilson's score interval, whose bounds fall in [0, 1] without
+    clamping.  The boundary counts use the closed-form root pair, where 0 and
+    1 are exact roots of the score quadratic; the general expression would
+    land one ulp inside and lose them.
 
-def ci_wilson(x, n, alpha) -> Interval:
-    """Wilson's score interval; bounds fall in [0, 1] without clamping.
-
-    The boundary counts use the closed-form root pair, where 0 and 1 are
-    exact roots of the score quadratic; the general expression would land one
-    ulp inside and lose them.
-    """
-    x, n = _check_counts(x, n)
-    alpha = _check_alpha(alpha)
-    z = _z_for(alpha)
-    z2 = z * z
-    if x == 0:
-        lower, upper = 0.0, z2 / (n + z2)
-    elif x == n:
-        lower, upper = n / (n + z2), 1.0
-    else:
-        center, half = _wilson(x / n, n, z)
-        lower, upper = center - half, center + half
-    return Interval(lower=lower, upper=upper, alpha=alpha, method="wilson")
-
-
-def ci_clopper_pearson(x, n, alpha) -> Interval:
-    """Exact interval from beta quantiles, at least nominal coverage.
-
-    The boundary counts pin their outer bound: x = 0 forces lower = 0 and
-    x = n forces upper = 1.
-
-    Against scipy at n = 10 and 680 over every x, and at 66546 over every x
-    within 3000 of an end and every 13th between, each bound is within
-    1.8e-10 relative for alpha from 1e-6 to 0.999, and within 7.3e-9 at
-    alpha = 1e-9; at alpha = 1e-12 the lower bound is within 3.0e-8.  The
-    upper bound solves I = 1 - alpha/2, so it degrades as alpha shrinks
-    (6.6e-6 at alpha = 1e-12), and would read 1.0 below about 2.2e-16: every
+    clopper_pearson: the exact interval from beta quantiles, at least nominal
+    coverage.  x = 0 forces lower = 0 and x = n forces upper = 1.  Against
+    scipy at n = 10 and 680 over every x, and at 66546 over every x within
+    3000 of an end and every 13th between, each bound is within 1.8e-10
+    relative for alpha from 1e-6 to 0.999, and within 7.3e-9 at alpha = 1e-9;
+    at alpha = 1e-12 the lower bound is within 3.0e-8.  The upper bound
+    solves I = 1 - alpha/2, so it degrades as alpha shrinks (6.6e-6 at
+    alpha = 1e-12), and would read 1.0 below about 2.2e-16: every
     Clopper-Pearson entry refuses alpha below 1e-12.
     """
+    method = _as_choice(method, "method", METHODS)
     x, n = _check_counts(x, n)
     alpha = _check_alpha(alpha)
-    lower, upper = _clopper_pearson(x, n, alpha)
-    return Interval(lower=lower, upper=upper, alpha=alpha, method="clopper_pearson")
-
-
-_CI_BY_METHOD = dict(zip(METHODS, (ci_normal, ci_wilson, ci_clopper_pearson)))
-
-
-def confidence_interval(method: str, x, n, alpha) -> Interval:
-    """Dispatch to one of the three estimators by name."""
-    return _CI_BY_METHOD[_as_choice(method, "method", METHODS)](x, n, alpha)
+    if method == "clopper_pearson":
+        lower, upper = _clopper_pearson(x, n, alpha)
+    elif method == "normal":
+        p = x / n
+        half = _normal_half(p, n, _z_for(alpha))
+        lower, upper = max(0.0, p - half), min(1.0, p + half)
+    else:
+        z = _z_for(alpha)
+        z2 = z * z
+        if x == 0:
+            lower, upper = 0.0, z2 / (n + z2)
+        elif x == n:
+            lower, upper = n / (n + z2), 1.0
+        else:
+            center, half = _wilson(x / n, n, z)
+            lower, upper = center - half, center + half
+    return Interval(lower=lower, upper=upper, alpha=alpha, method=method)
 
 
 def ci_width(method: str, p_hat: float, n: float, alpha: float) -> float:
@@ -186,7 +166,7 @@ def ci_width(method: str, p_hat: float, n: float, alpha: float) -> float:
     inverts at p_hat = 0.5, the one definition of width for both; the
     Clopper-Pearson branch extends the count-based definition continuously
     through real-valued counts and refuses alpha below 1e-12, as
-    ``ci_clopper_pearson`` does; the normal branch reports the width before
+    ``confidence_interval`` does; the normal branch reports the width before
     clamping.
     """
     _as_choice(method, "method", METHODS)
@@ -218,7 +198,7 @@ def plan_devices_exact(method: str, target_width, alpha) -> PlanResult:
     N - step probed, or N = step.  Normal and Wilson start at (z/w)^2;
     Clopper-Pearson, whose width at alias 0.5 is about z/sqrt(n) + 1/n, at
     ((z + sqrt(z^2 + 4w)) / 2w)^2, at most 6 devices above the answer at
-    alpha >= 0.01; it refuses alpha below 1e-12, as ``ci_clopper_pearson``
+    alpha >= 0.01; it refuses alpha below 1e-12, as ``confidence_interval``
     does.  Targets unreachable below the device cap raise CapacityError.
     """
     method = _as_choice(method, "method", METHODS)

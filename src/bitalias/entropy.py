@@ -29,27 +29,6 @@ class EntropySpec(Record):
                                                    bounds="(0, 1]"))
 
 
-def _band(h, what: str, upper) -> AliasLimits:
-    """The band (1 - p_u, p_u) for a floor of h bits of ``what``, where p_u =
-    upper(h); a full bit, or a p_u that rounds to 1, has none."""
-    h = _as_probability(h, what, bounds="(0, 1]")
-    if h == 1.0:
-        raise PerfectEntropyError(f"a full bit of {what} per position needs alias exactly 0.5; "
-                                  "no finite test can verify it")
-    p_u = upper(h)
-    if p_u >= 1.0:
-        raise DomainError(f"{what} floor {_excerpt(h)} rounds to the band (0, 1)")
-    return AliasLimits(p_l=1.0 - p_u, p_u=p_u)
-
-
-def limits_from_min_entropy(h_inf) -> AliasLimits:
-    """Alias limits equivalent to a min-entropy floor: p_u = 2**-h, p_l = 1 - p_u.
-
-    A full bit is unreachable, and below about 8e-17 bits 2**-h rounds to 1.
-    """
-    return _band(h_inf, "min-entropy", lambda h: 2.0 ** -h)
-
-
 def min_entropy_from_limits(p) -> float:
     """Per-position min-entropy in bits: -log2 of the likelier outcome.
 
@@ -73,19 +52,10 @@ def shannon_entropy(p) -> float:
     return -p * math.log2(p) - (1.0 - p) * log2_q
 
 
-def limits_from_shannon_entropy(h) -> AliasLimits:
-    """Alias limits equivalent to a Shannon-entropy floor: p_u = 1 - q, rounded
-    to the nearest double, for the q in (0, 0.5] whose entropy is h bits.
-
-    A full bit is unreachable, and below about 3e-15 bits p_u rounds to 1.
-    """
-    return _band(h, "Shannon entropy", _shannon_upper)
-
-
 def _shannon_upper(h: float) -> float:
-    """p_u as ``limits_from_shannon_entropy`` states it.  There is no closed
-    form: Newton's method in 60-digit decimals (where 1 - q keeps q's first
-    25 digits) starts at or below q, as Topsoe's bound on the entropy,
+    """p_u of a Shannon floor, as ``limits_from_spec`` states it.  There is no
+    closed form: Newton's method in 60-digit decimals (where 1 - q keeps q's
+    first 25 digits) starts at or below q, as Topsoe's bound on the entropy,
     H(q) <= (4q(1 - q))**(1/ln 4), puts it, and rises to q, as H is concave."""
     from decimal import Decimal, localcontext
 
@@ -102,6 +72,18 @@ def _shannon_upper(h: float) -> float:
 
 
 def limits_from_spec(spec: EntropySpec) -> AliasLimits:
-    """Resolve an entropy requirement to alias limits."""
-    convert = limits_from_min_entropy if spec.kind == "min" else limits_from_shannon_entropy
-    return convert(spec.value)
+    """Alias limits (1 - p_u, p_u) equivalent to an entropy floor of h bits.
+
+    min: p_u = 2**-h.  shannon: p_u = 1 - q, rounded to the nearest double,
+    for the q in (0, 0.5] whose entropy is h bits.  A full bit needs alias
+    exactly 0.5 and is refused; so is a floor whose p_u rounds to 1, below
+    about 8e-17 bits of min-entropy or 3e-15 bits of Shannon entropy.
+    """
+    h, what = spec.value, "min-entropy" if spec.kind == "min" else "Shannon entropy"
+    if h == 1.0:
+        raise PerfectEntropyError(f"a full bit of {what} per position needs alias exactly 0.5; "
+                                  "no finite test can verify it")
+    p_u = 2.0 ** -h if spec.kind == "min" else _shannon_upper(h)
+    if p_u >= 1.0:
+        raise DomainError(f"{what} floor {_excerpt(h)} rounds to the band (0, 1)")
+    return AliasLimits(p_l=1.0 - p_u, p_u=p_u)

@@ -28,7 +28,7 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
     Distinct paths give statistically independent streams; identical paths
     give bit-identical output across runs and platforms.
     """
-    parts = [_as_count(p, "seed path entry") for p in (seed, *path)]
+    parts = [_as_count(seed, "seed"), *(_as_count(p, "seed path entry") for p in path)]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(parts)))
 
 

@@ -14,8 +14,8 @@ import pytest
 
 from bitalias.analysis import CSV_HEADER, AnalysisConfig, analyze, render_report
 from bitalias.cli import main
-from bitalias.confidence import ci_wilson, confidence_interval, plan_devices_exact
-from bitalias.entropy import (limits_from_min_entropy, min_entropy_from_limits,
+from bitalias.confidence import confidence_interval, plan_devices_exact
+from bitalias.entropy import (EntropySpec, limits_from_spec, min_entropy_from_limits,
                               shannon_entropy)
 from bitalias.formats import load_measurements, write_counts
 from bitalias.qualification import (AliasLimits, acceptance_probability,
@@ -45,8 +45,8 @@ def test_criterion_1_device_planning_counts():
 
 
 def test_criterion_2_wilson_widths_at_20():
-    w_half = ci_wilson(10, 20, 0.01).width
-    w_zero = ci_wilson(0, 20, 0.01).width
+    w_half = confidence_interval("wilson", 10, 20, 0.01).width
+    w_zero = confidence_interval("wilson", 0, 20, 0.01).width
     print(f"criterion 2: PASS - width(p=0.5)={w_half:.6f} width(p=0)={w_zero:.6f}")
     assert w_half == pytest.approx(0.499, abs=1e-3)
     assert w_zero == pytest.approx(0.249, abs=1e-3)
@@ -89,7 +89,7 @@ def test_criterion_5_early_stop_forecast():
 
 
 def test_criterion_6_entropy_fixtures():
-    limits = limits_from_min_entropy(0.9)
+    limits = limits_from_spec(EntropySpec("min", 0.9))
     h_min = min_entropy_from_limits(0.55)
     h_sh = shannon_entropy(0.55)
     print(f"criterion 6: PASS - p_u={limits.p_u:.5f} p_l={limits.p_l:.5f} "

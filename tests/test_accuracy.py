@@ -3,16 +3,18 @@
 The `special` module docstring bounds the relative error of the binomial
 tails at p = 0.5, within three standard deviations of the median, and per
 decade of n off the centre, where scipy's tiniest tails are themselves off
-and the reference is `oracles.far_binomial_tail`; `ci_clopper_pearson`'s docstring bounds the relative error of each interval
-end at n = 10, 680 and 66546.  Each stated bound is the worst error of a scan
-of every count (of every count below 3000 and above n - 3000, and every 13th
+and the reference is `oracles.far_binomial_tail`; `confidence_interval`'s
+docstring bounds the relative error of each Clopper-Pearson interval end at
+n = 10, 680 and 66546.  Each stated bound is the worst error of a scan of
+every count (of every count below 3000 and above n - 3000, and every 13th
 between, at n = 66546).  These grids sample that scan and include its worst
 points, so a later change may tighten a bound here but never loosen one.
-`limits_from_shannon_entropy` rounds the exact band to the nearest double,
-checked here against a decimal solve, and `shannon_entropy` against decimal
-logarithms.  Below alpha = 1e-12, where no
-Clopper-Pearson bound is stated and the package refuses alpha, the rows
-marked xfail pin scipy's answers.
+`beta_quantile`'s bound over its stated domain is checked the same way, on
+seeded draws and the scan's worst points.  `limits_from_spec` rounds a
+Shannon floor's exact band to the nearest double, checked here against a
+decimal solve, and `shannon_entropy` against decimal logarithms.  Below
+alpha = 1e-12, where no Clopper-Pearson bound is stated and the package
+refuses alpha, the rows marked xfail pin scipy's answers.
 """
 
 import math
@@ -24,9 +26,9 @@ from scipy.stats import beta, binom
 
 from oracles import decimal_shannon_entropy, decimal_shannon_root, far_binomial_tail
 
-from bitalias.confidence import ci_clopper_pearson, ci_width, plan_devices_exact
-from bitalias.entropy import limits_from_shannon_entropy, shannon_entropy
-from bitalias.special import binomial_cdf, binomial_sf
+from bitalias.confidence import ci_width, confidence_interval, plan_devices_exact
+from bitalias.entropy import EntropySpec, limits_from_spec, shannon_entropy
+from bitalias.special import beta_quantile, binomial_cdf, binomial_sf
 
 # n: (stated bound, stride of the k grid, the scan's worst k for the cdf; the
 # sf's is n - k)
@@ -108,7 +110,7 @@ CP_COUNTS = {
 def test_clopper_pearson_meets_the_stated_bounds(n):
     x = np.array(CP_COUNTS[n])
     for alpha, (lower_bound, upper_bound) in CP_BOUNDS.items():
-        intervals = [ci_clopper_pearson(int(v), n, alpha) for v in x]
+        intervals = [confidence_interval("clopper_pearson", int(v), n, alpha) for v in x]
         lower = np.array([iv.lower for iv in intervals])
         upper = np.array([iv.upper for iv in intervals])
         assert lower[0] == 0.0 and upper[-1] == 1.0
@@ -116,6 +118,34 @@ def test_clopper_pearson_meets_the_stated_bounds(n):
         want_upper = beta.isf(alpha / 2, x[:-1] + 1, n - x[:-1])
         assert np.abs(lower[1:] / want_lower - 1).max() <= lower_bound, alpha
         assert np.abs(upper[:-1] / want_upper - 1).max() <= upper_bound, alpha
+
+
+# beta_quantile's stated bound where the quantile is at least 1e-10, and below;
+# the scan's worst point of each
+BETA_QUANTILE_BOUNDS = (4e-6, 2.3e-2)
+BETA_QUANTILE_WORST = [(1 - 5e-13, 1, 16370), (5e-13, 2, 2332883)]
+
+
+def _beta_quantile_draws(count=2000, seed=20):
+    """``count`` seeded (q, a, b) over beta_quantile's stated domain, and the
+    worst points: n log-uniform in [1, 10^7], a log-uniform in [1, n] and
+    mirrored to n + 1 - a for half, b = n + 1 - a, and q log-uniform in
+    [5e-13, 1/2] and mirrored to 1 - q for half."""
+    rng = np.random.default_rng(seed)
+    n = np.floor(10.0 ** rng.uniform(0, 7, count))
+    a = np.clip(np.floor(10.0 ** rng.uniform(0, np.log10(n + 1))), 1, n)
+    a = np.where(rng.random(count) < 0.5, n + 1 - a, a)
+    q = 10.0 ** rng.uniform(math.log10(5e-13), math.log10(0.5), count)
+    q = np.where(rng.random(count) < 0.5, 1 - q, q)
+    shapes = zip(q.tolist(), a.astype(int).tolist(), (n + 1 - a).astype(int).tolist())
+    return [*shapes, *BETA_QUANTILE_WORST]
+
+
+def test_beta_quantile_meets_the_stated_bound():
+    for q, a, b in _beta_quantile_draws():
+        want = float(beta.ppf(q, a, b))
+        bound = BETA_QUANTILE_BOUNDS[want < 1e-10]
+        assert abs(beta_quantile(q, a, b) / want - 1) <= bound, (q, a, b)
 
 
 # references from scipy's beta.ppf and beta.isf: the smallest even counts whose
@@ -138,7 +168,8 @@ def test_shannon_limits_round_the_exact_band():
     # from the smallest floor with a band of doubles to the largest below a bit
     floors = [*np.geomspace(3.1e-15, 0.99, 16), *(1 - np.geomspace(1e-2, 2**-53, 8))]
     for h in map(float, floors):
-        assert limits_from_shannon_entropy(h).p_u == float(1 - decimal_shannon_root(h)), h
+        want = float(1 - decimal_shannon_root(h))
+        assert limits_from_spec(EntropySpec("shannon", h)).p_u == want, h
 
 
 def test_shannon_entropy_meets_the_stated_bound():

@@ -504,6 +504,8 @@ _RULES = {
     "real": (DomainError, "{} must be a real number, got {!r}"),
     "choice": (DomainError, "{} must be one of {}, got {!r}"),
     "floor": (DomainError, "{} floor {} rounds to the band (0, 1)"),
+    "integer": (DomainError, "{} must be an integer, got {!r}"),
+    "seed": (DomainError, "seed must be >= 0, got {}"),
 }
 
 
@@ -542,10 +544,9 @@ def _rule_cases():
     gives a path there, writing the file first if it is an input."""
     from bitalias import (AliasLimits, AnalysisConfig, EntropySpec, Interval, PopulationSpec,
                           acceptance_probability, acceptance_region, analyze_counts,
-                          binomial_cdf, ci_clopper_pearson, ci_normal, ci_wilson, ci_width,
-                          confidence_interval, limits_from_min_entropy,
-                          limits_from_shannon_entropy, monte_carlo_validate, plan_devices_exact,
-                          plan_devices_frr, render_report)
+                          binomial_cdf, ci_width, confidence_interval, limits_from_spec,
+                          monte_carlo_validate, plan_devices_exact, plan_devices_frr,
+                          render_report)
     from bitalias.validate import CoverageParams, QualificationParams
     cli = {  # name -> argv of n
         "check-n": lambda n: ["check", "--x", "0", "--n", str(n)],
@@ -595,15 +596,17 @@ def _rule_cases():
     for method in _METHODS:
         yield pytest.param(["plan", "width", "--width", "0.1", "--method", method, "--alpha",
                             "5e-324"], underflow, id=f"plan-width-{method}-alpha")
-    for call in (partial(ci_wilson, 5, 10), partial(ci_normal, 5, 10),
-                 partial(ci_clopper_pearson, 5, 10), partial(plan_devices_exact, "normal", 0.1)):
-        yield pytest.param(partial(call, 5e-324), underflow, id=f"{call.func.__name__}-alpha")
-    yield pytest.param(partial(ci_normal, 5, 10, 0.0), _says("alpha", 0.0), id="ci_normal-alpha-0")
+    for method in _METHODS:
+        yield pytest.param(partial(confidence_interval, method, 5, 10, 5e-324), underflow,
+                           id=f"confidence_interval-{method}-alpha")
+    yield pytest.param(partial(plan_devices_exact, "normal", 0.1, 5e-324), underflow,
+                       id="plan_devices_exact-alpha")
+    yield pytest.param(partial(confidence_interval, "normal", 5, 10, 0.0), _says("alpha", 0.0),
+                       id="confidence_interval-alpha-0")
     # Clopper-Pearson states no bound below alpha = 1e-12, where it would print
     # 6424 devices for 6432, a width of 0.660681 for 0.321361 and a coverage of 1
     cp = "clopper_pearson"
     floor = {  # name -> call of alpha
-        "ci_clopper_pearson": partial(ci_clopper_pearson, 5, 10),
         "confidence_interval": partial(confidence_interval, cp, 5, 10),
         "ci_width": partial(ci_width, cp, 0.5, 680),
         "plan_devices_exact": partial(plan_devices_exact, cp, 0.1),
@@ -640,15 +643,24 @@ def _rule_cases():
                            _says("probability", *entropy, value), id=f"EntropySpec-{kind}-{value}")
     # floors whose band (1 - p_u, p_u) rounds to (0, 1): 2**-h rounds to 1
     # below about 8e-17 bits, and the Shannon band below about 3e-15
-    for kind, what, value, convert in (("min", "min-entropy", 1e-17, limits_from_min_entropy),
-                                       ("shannon", "Shannon entropy", 1e-15,
-                                        limits_from_shannon_entropy)):
+    for kind, what, value in (("min", "min-entropy", 1e-17), ("shannon", "Shannon entropy", 1e-15)):
         yield pytest.param(["check", "--x", "5", "--n", "10", f"--{kind}-entropy", str(value)],
                            _says("floor", what, value), id=f"check-{kind}-entropy-{value}")
-        yield pytest.param(partial(convert, value), _says("floor", what, value),
-                           id=f"{convert.__name__}-{value}")
-    simulate = ["simulate", "--devices", "2", "--positions", "2", "--seed", "1", "--out",
-                lambda folder: str(folder / "x.csv"), "--alias"]
+        yield pytest.param(partial(limits_from_spec, EntropySpec(kind, value)),
+                           _says("floor", what, value), id=f"limits_from_spec-{kind}-{value}")
+    # a --grid token is read by the checker of its abscissa
+    for grid, token in ((",", ""), ("5,,", ""), ("1e3", "1e3")):
+        yield pytest.param(["curve", "--grid", grid], _says("integer", "n", token),
+                           id=f"curve-grid-{grid}")
+    yield pytest.param(["curve", "--sweep", "alias", "--grid", "x"], _says("real", "p_hat", "x"),
+                       id="curve-alias-grid-x")
+    simulate = ["simulate", "--devices", "2", "--positions", "2", "--out",
+                lambda folder: str(folder / "x.csv"), "--seed"]
+    yield pytest.param([*simulate, "-1"], _says("seed", -1), id="simulate-seed--1")
+    simulate += ["1", "--alias"]
+    for kind in _KINDS:
+        yield pytest.param(_validate(kind, "--seed", -1), _says("seed", -1),
+                           id=f"validate-{kind}-seed--1")
     yield pytest.param([*simulate, "zebra"],
                        _says("choice", "alias profile", ("balanced", "linear"), "zebra"),
                        id="simulate-alias-zebra")

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bitalias.confidence import (ALIAS_GRID, DEVICE_GRID, METHODS, _z_for, ci_clopper_pearson,
-                                 ci_normal, ci_width, ci_wilson, confidence_interval,
-                                 plan_devices_exact)
+from bitalias.confidence import (ALIAS_GRID, DEVICE_GRID, METHODS, _z_for, ci_width,
+                                 confidence_interval, plan_devices_exact)
 from bitalias.errors import CapacityError
 from bitalias.special import std_normal_quantile
 
@@ -19,7 +18,7 @@ Z975 = 1.9599639845400536
 
 class TestCiNormal:
     def test_degenerate_at_zero_count(self):
-        iv = ci_normal(0, 10, 0.05)
+        iv = confidence_interval("normal", 0, 10, 0.05)
         assert (iv.lower, iv.upper) == (0.0, 0.0)
         assert iv.width == 0.0  # the notorious too-narrow pathology
 
@@ -27,13 +26,13 @@ class TestCiNormal:
         assert ci_width("normal", 332 / 664, 664, 0.01) == pytest.approx(0.1, abs=5e-4)
 
     def test_hand_expansion(self):
-        iv = ci_normal(5, 10, 0.05)
+        iv = confidence_interval("normal", 5, 10, 0.05)
         half = Z975 * math.sqrt(0.025)
         assert iv.lower == pytest.approx(0.5 - half, abs=1e-12)
         assert iv.upper == pytest.approx(0.5 + half, abs=1e-12)
 
     def test_clamps_but_reports_analytic_width(self):
-        iv = ci_normal(1, 10, 0.001)
+        iv = confidence_interval("normal", 1, 10, 0.001)
         assert iv.lower == 0.0
         assert ci_width("normal", 1 / 10, 10, 0.001) > iv.width
 
@@ -41,14 +40,14 @@ class TestCiNormal:
 class TestCiWilson:
     def test_bounds_inside_unit_interval_without_clamping(self):
         for x, n in ((0, 1), (1, 1), (0, 20), (20, 20), (7, 13)):
-            iv = ci_wilson(x, n, 0.01)
+            iv = confidence_interval("wilson", x, n, 0.01)
             assert 0.0 <= iv.lower <= iv.upper <= 1.0
 
     @given(st.integers(1, 500), st.data(),
            st.sampled_from([0.001, 0.01, 0.05, 0.2]))
     def test_matches_quadratic_root_oracle(self, n, data, alpha):
         x = data.draw(st.integers(0, n))
-        iv = ci_wilson(x, n, alpha)
+        iv = confidence_interval("wilson", x, n, alpha)
         z = std_normal_quantile(1.0 - alpha / 2)
         lo, hi = wilson_bounds_by_roots(x, n, z)
         assert iv.lower == pytest.approx(lo, abs=1e-10)
@@ -57,13 +56,13 @@ class TestCiWilson:
 
 class TestCiClopperPearson:
     def test_zero_count_pins_lower(self):
-        assert ci_clopper_pearson(0, 5, 0.05).lower == 0.0
+        assert confidence_interval("clopper_pearson", 0, 5, 0.05).lower == 0.0
 
     def test_full_count_pins_upper(self):
-        assert ci_clopper_pearson(5, 5, 0.05).upper == 1.0
+        assert confidence_interval("clopper_pearson", 5, 5, 0.05).upper == 1.0
 
     def test_balanced_count_at_680(self):
-        iv = ci_clopper_pearson(340, 680, 0.01)
+        iv = confidence_interval("clopper_pearson", 340, 680, 0.01)
         assert abs(iv.lower - 0.45) < 0.002
         assert abs(iv.upper - 0.55) < 0.002
         # independent binomial-tail bisection oracle
@@ -134,8 +133,8 @@ class TestWidthOrdering:
 
 class TestWidthCurve:
     def test_single_point_equals_direct_call(self):
-        assert ci_width("wilson", 0.5, 20, 0.01) == pytest.approx(ci_wilson(10, 20, 0.01).width,
-                                                                  abs=1e-12)
+        assert ci_width("wilson", 0.5, 20, 0.01) == pytest.approx(
+            confidence_interval("wilson", 10, 20, 0.01).width, abs=1e-12)
 
     def test_wilson_reaches_target_at_658(self):
         assert ci_width("wilson", 0.5, 658, 0.01) <= 0.1
@@ -185,10 +184,10 @@ class TestTinyAlpha:
     def test_intervals_and_planners_accept_tiny_alpha(self, alpha):
         from scipy.stats import norm
         z = norm.isf(0.5 * alpha)
-        wilson = ci_wilson(5, 10, alpha)
+        wilson = confidence_interval("wilson", 5, 10, alpha)
         assert 0.0 < wilson.lower < 0.5 < wilson.upper < 1.0
-        assert wilson.width > ci_wilson(5, 10, 1e-16).width
-        normal = ci_normal(5, 10, alpha)
+        assert wilson.width > confidence_interval("wilson", 5, 10, 1e-16).width
+        normal = confidence_interval("normal", 5, 10, alpha)
         assert (normal.lower, normal.upper) == (0.0, 1.0)
         assert ci_width("normal", 0.5, 10, alpha) == pytest.approx(2 * z * math.sqrt(0.025),
                                                                    rel=1e-14)
@@ -205,12 +204,12 @@ class TestTinyAlpha:
     def test_smallest_alpha_with_a_positive_half(self):
         # 1e-323 is twice the smallest subnormal, so alpha/2 is still exact
         assert _z_for(1e-323) == pytest.approx(38.467, abs=5e-4)
-        assert ci_wilson(5, 10, 1e-323).lower > 0.0
+        assert confidence_interval("wilson", 5, 10, 1e-323).lower > 0.0
 
 
 class TestPlanDevicesExact:
     def test_roundtrip_through_width_at_20(self):
-        w = ci_wilson(10, 20, 0.01).width
+        w = confidence_interval("wilson", 10, 20, 0.01).width
         assert plan_devices_exact("wilson", w, 0.01).devices == 20
 
     @pytest.mark.parametrize("method", METHODS)
@@ -243,6 +242,6 @@ class TestPlanDevicesExact:
 
 class TestDeterminism:
     def test_identical_inputs_identical_intervals(self):
-        a = ci_clopper_pearson(37, 113, 0.02)
-        b = ci_clopper_pearson(37, 113, 0.02)
+        a = confidence_interval("clopper_pearson", 37, 113, 0.02)
+        b = confidence_interval("clopper_pearson", 37, 113, 0.02)
         assert (a.lower, a.upper) == (b.lower, b.upper)

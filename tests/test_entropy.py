@@ -4,20 +4,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bitalias.entropy import (EntropySpec, limits_from_min_entropy,
-                              limits_from_shannon_entropy, limits_from_spec,
-                              min_entropy_from_limits, shannon_entropy)
+from bitalias.entropy import (EntropySpec, limits_from_spec, min_entropy_from_limits,
+                              shannon_entropy)
 from bitalias.errors import PerfectEntropyError
 
 
 class TestLimitsFromMinEntropy:
     def test_full_bit_is_unreachable(self):
         with pytest.raises(PerfectEntropyError):
-            limits_from_min_entropy(1.0)
+            limits_from_spec(EntropySpec("min", 1.0))
 
     @given(st.floats(min_value=1e-6, max_value=1 - 1e-9))
     def test_roundtrip(self, h):
-        limits = limits_from_min_entropy(h)
+        limits = limits_from_spec(EntropySpec("min", h))
         assert min_entropy_from_limits(limits.p_u) == pytest.approx(h, abs=1e-12)
 
 
@@ -65,17 +64,17 @@ class TestShannonEntropy:
 
 class TestShannonInversion:
     def test_reported_fixture_inverts(self):
-        limits = limits_from_shannon_entropy(0.9928)
+        limits = limits_from_spec(EntropySpec("shannon", 0.9928))
         assert limits.p_u == pytest.approx(0.55, abs=1e-3)
 
     @given(st.floats(min_value=0.01, max_value=0.999))
     def test_roundtrip(self, h):
-        limits = limits_from_shannon_entropy(h)
+        limits = limits_from_spec(EntropySpec("shannon", h))
         assert shannon_entropy(limits.p_u) == pytest.approx(h, abs=1e-9)
 
     def test_full_bit_is_unreachable(self):
         with pytest.raises(PerfectEntropyError):
-            limits_from_shannon_entropy(1.0)
+            limits_from_spec(EntropySpec("shannon", 1.0))
 
 
 class TestLimitsFromSpec:

@@ -11,7 +11,7 @@ import bitalias
 from bitalias.cli import main
 from bitalias.simulate import ALIAS_PROFILES
 
-PUBLIC_NAMES = 66
+PUBLIC_NAMES = 61
 
 
 class TestLazyExports:
@@ -45,12 +45,19 @@ def test_simulate_help_names_every_profile(capsys):
     assert re.search(r"profile \(([^)]*)\)", text).group(1) == ", ".join(sorted(ALIAS_PROFILES))
 
 
-def test_names_the_layer_tracer_wraps_exist():
+def test_names_the_benchmark_uses_exist():
     # perfbench/layers.py replaces these (module, name) pairs by timing
-    # wrappers, and its summary fails on a layer that is never measured
-    source = (Path(__file__).parents[1] / "perfbench" / "layers.py").read_text()
-    wrapped = next(ast.literal_eval(node.value) for node in ast.parse(source).body
+    # wrappers, and its summary fails on a layer that is never measured;
+    # layers.py and generate.py import public names from the package
+    perfbench = Path(__file__).parents[1] / "perfbench"
+    trees = {name: ast.parse((perfbench / name).read_text())
+             for name in ("layers.py", "generate.py")}
+    wrapped = next(ast.literal_eval(node.value) for node in trees["layers.py"].body
                    if isinstance(node, ast.Assign) and node.targets[0].id == "WRAPPED")
     assert len(wrapped) > 10
     for module_name, name, _ in wrapped:
         assert callable(getattr(importlib.import_module(f"bitalias.{module_name}"), name))
+    for file, tree in trees.items():
+        imported = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                    and node.module == "bitalias" for alias in node.names]
+        assert imported and set(imported) <= set(bitalias.__all__), file

@@ -327,9 +327,8 @@ def _bad_argument_calls():
     the special functions' arguments across every public entry point that
     takes them."""
     from bitalias.analysis import AnalysisConfig, analyze_counts
-    from bitalias.confidence import Interval, ci_clopper_pearson, ci_normal, ci_width, ci_wilson
-    from bitalias.entropy import (EntropySpec, limits_from_min_entropy,
-                                  limits_from_shannon_entropy, min_entropy_from_limits)
+    from bitalias.confidence import Interval, ci_width, confidence_interval
+    from bitalias.entropy import EntropySpec, min_entropy_from_limits
     from bitalias.qualification import (AcceptanceRegion, AliasLimits, acceptance_region,
                                         early_stop_p_values, test_position)
     from bitalias.response import PositionCounts
@@ -338,9 +337,9 @@ def _bad_argument_calls():
     limits = (0.45, 0.55)
     # name -> (call taking x and n, whether n = 0 is a valid count)
     by_counts = {
-        "ci_normal": (lambda x, n: ci_normal(x, n, 0.01), False),
-        "ci_wilson": (lambda x, n: ci_wilson(x, n, 0.01), False),
-        "ci_clopper_pearson": (lambda x, n: ci_clopper_pearson(x, n, 0.01), False),
+        **{f"confidence_interval-{method}": (
+            lambda x, n, method=method: confidence_interval(method, x, n, 0.01), False)
+           for method in ("normal", "wilson", "clopper_pearson")},
         "test_position": (lambda x, n: test_position(x, n, limits, 0.01), False),
         "early_stop_p_values": (lambda x, n: early_stop_p_values(x, n, limits), False),
         "binomial_cdf": (lambda x, n: binomial_cdf(x, n, 0.5), True),
@@ -366,17 +365,14 @@ def _bad_argument_calls():
                            id=f"acceptance_region-limits-{label}")
     for label, bad in (("none", None), ("text", "abc"), ("above-one", 1.5), ("nan", math.nan)):
         yield pytest.param(lambda bad=bad: EntropySpec("min", bad), id=f"EntropySpec-{label}")
-        yield pytest.param(lambda bad=bad: limits_from_min_entropy(bad),
-                           id=f"limits_from_min_entropy-{label}")
-        yield pytest.param(lambda bad=bad: limits_from_shannon_entropy(bad),
-                           id=f"limits_from_shannon_entropy-{label}")
+        yield pytest.param(lambda bad=bad: EntropySpec("shannon", bad),
+                           id=f"EntropySpec-shannon-{label}")
         yield pytest.param(lambda bad=bad: PopulationSpec(2, 3, 1, seed=0, flip_noise=bad),
                            id=f"PopulationSpec-flip_noise-{label}")
     for label, bad in (("above-one", 1.5), ("below-zero", -0.1), ("nan", math.nan),
                        ("list-nan", [0.5, math.nan, 0.5]), ("list-above-one", [0.5, 1.5, 0.5])):
         yield pytest.param(lambda bad=bad: PopulationSpec(2, 3, 1, seed=0, alias=bad),
                            id=f"PopulationSpec-alias-{label}")
-    yield pytest.param(lambda: limits_from_min_entropy(0.0), id="limits_from_min_entropy-zero")
     yield pytest.param(lambda: min_entropy_from_limits(1.2), id="min_entropy_from_limits-1.2")
     yield pytest.param(lambda: PopulationSpec(5, 5, 1, seed=1, alias=[0.5]),
                        id="PopulationSpec-alias-length")
