@@ -10,8 +10,19 @@ prints one JSON line per invocation: its id, its argv, the exit code, the
 sha256 of stdout, the last line of stderr and the sha256 of every file the
 invocation wrote.  OUT must be empty or absent.
 
+Every invocation sees COLUMNS=80, since argparse sizes help text from it.  A
+JSON report is hashed after rounding each float to 12 significant digits, as
+its full-precision floats come from libm.  A help id's line names the Python
+minor version that printed it, since argparse's layout changes between them.
+
 The lines hold no absolute path or timing, so two runs of one tree print the
-same lines, and "same outputs" between two trees is a ``diff`` of their runs:
+same lines.  ``tests/cli_corpus.jsonl`` holds this tree's lines, which tier-1
+compares with ``run_in_process`` (the same lines without child processes);
+a change to any output rewrites it with
+
+    python scripts/cli_corpus.py OUT > tests/cli_corpus.jsonl
+
+and "same outputs" between two trees is a ``diff`` of their runs:
 
     python scripts/cli_corpus.py /tmp/a > a.jsonl
     python other-tree/scripts/cli_corpus.py /tmp/b > b.jsonl
@@ -19,11 +30,15 @@ same lines, and "same outputs" between two trees is a ``diff`` of their runs:
 """
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import traceback
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -34,10 +49,12 @@ from workloads import PLAN_QUERIES  # the benchmark's plan-scale queries
 
 METHODS = ("normal", "wilson", "clopper_pearson")
 REPORTS = ("text", "json", "csv")
-PAPER, BINARY, TIED, COUNTS, README, BAD, COUNTS_1E20, COUNTS_HUGE = (
+(PAPER, BINARY, TIED, COUNTS, README, BAD, COUNTS_1E20, COUNTS_HUGE, CAMPAIGN_CSV,
+ CAMPAIGN_BINARY) = (
     f"../fixtures/{name}" for name in
     ("paper.csv", "paper.puf", "tied.puf", "counts.csv", "readme.csv", "bad.csv",
-     "counts-1e20.csv", "counts-huge.csv"))
+     "counts-1e20.csv", "counts-huge.csv", "campaign.csv", "campaign.puf"))
+WIDE_LIMITS = ["--p-low", "0.3", "--p-high", "0.7"]
 # an integer of 401 digits, past any float
 HUGE = "1" + "0" * 400
 # files whose one bad token or number is thousands of characters long, each
@@ -69,6 +86,10 @@ def write_fixtures(folder: Path) -> None:
     tied = simulate_population(PopulationSpec(devices=64, positions=77, repeats=4,
                                               seed=3, alias=0.5, flip_noise=0.1))
     write_measurements(tied, folder / "tied.puf", "binary")
+    campaign = simulate_population(PopulationSpec(devices=64, positions=77, repeats=4,
+                                                  seed=11, alias="linear", flip_noise=0.2))
+    write_measurements(campaign, folder / "campaign.csv", "csv")
+    write_measurements(campaign, folder / "campaign.puf", "binary")
     (folder / "readme.csv").write_bytes(b"2,3,2\n0,1,0\n0,1,1\n1,1,0\n1,0,0\n")
     (folder / "bad.csv").write_bytes(b"2,3,1\n0,1,0\n0,2,1\n")
     # device counts that overflow a float, or the incomplete beta's prefactor
@@ -91,6 +112,14 @@ def invocations() -> list[tuple[str, list[str]]]:
                                                   "--format", report]))
     for method in METHODS:
         runs.append((f"analyze-tied-{method}", ["analyze", TIED, "--ci-method", method]))
+    # a second tied campaign, noisier and with a linear alias profile, as CSV
+    # and as binary, under wide limits
+    for fmt, path in (("csv", CAMPAIGN_CSV), ("binary", CAMPAIGN_BINARY)):
+        for report in ("text", "csv"):
+            runs.append((f"analyze-campaign-{fmt}-{report}",
+                         ["analyze", path, "--format", report, "--early-stop-alpha", "0.01",
+                          *WIDE_LIMITS]))
+        runs.append((f"early-stop-campaign-{fmt}", ["early-stop", path, *WIDE_LIMITS]))
     runs += [
         ("analyze-readme", ["analyze", README]),
         ("analyze-early-stop-text", ["analyze", PAPER, "--early-stop-alpha", "0.01"]),
@@ -147,6 +176,8 @@ def invocations() -> list[tuple[str, list[str]]]:
         ("check-n-0", ["check", "--x", "0", "--n", "0"]),
         ("curve-grid-0", ["curve", "--grid", "0"]),
         ("curve-grid-10000001", ["curve", "--grid", "10000001"]),
+        # past int()'s default limit of 4300 digits
+        ("curve-grid-5001-digits", ["curve", "--grid", "1" * 5001]),
         ("curve-alias-devices-0", ["curve", "--sweep", "alias", "--devices", "0"]),
         ("validate-devices-0", ["validate", "--kind", "far", "--p", "0.5", "--devices", "0",
                                 "--seed", "1", "--trials", "1000"]),
@@ -216,6 +247,10 @@ def invocations() -> list[tuple[str, list[str]]]:
         ("curve-cp-alpha-1e-17", ["curve", "--method", "clopper_pearson", "--sweep", "devices",
                                   "--grid", "680", "--alpha", "1e-17"]),
         ("curve-normal-alias", ["curve", "--sweep", "alias", "--method", "normal"]),
+        ("curve-normal-devices", ["curve", "--method", "normal", "--sweep", "devices"]),
+        ("curve-wilson-alias", ["curve", "--method", "wilson", "--sweep", "alias"]),
+        ("curve-clopper_pearson-alias", ["curve", "--method", "clopper_pearson",
+                                         "--sweep", "alias"]),
         # grid tokens that are no number, each named by the rule it breaks
         ("curve-grid-comma", ["curve", "--grid", ","]),
         ("curve-grid-empty-token", ["curve", "--grid", "5,,"]),
@@ -259,20 +294,59 @@ def invocations() -> list[tuple[str, list[str]]]:
     return runs
 
 
-def sha256(data: bytes) -> str:
+def fingerprint(data: bytes, json_report: bool) -> str:
+    """sha256 of data; of a JSON report, after rounding its floats to 12 digits."""
+    if json_report and data:
+        rounded = json.loads(data, parse_float=lambda text: float(f"{float(text):.12g}"))
+        data = json.dumps(rounded).encode()
     return hashlib.sha256(data).hexdigest()
 
 
-def run(out: Path, ident: str, argv: list[str]) -> dict:
+def record(ident: str, argv: list[str], code: int, stdout: bytes, stderr: str,
+           cwd: Path) -> dict:
+    """The line of one invocation that ran in cwd, in either mode."""
+    json_report = "json" in argv
+    lines = stderr.strip().splitlines()
+    line = {"id": ident, "argv": argv, "exit": code,
+            "stdout_sha256": fingerprint(stdout, json_report),
+            "stderr_last": lines[-1] if lines else "",
+            "files": {path.name: fingerprint(path.read_bytes(), json_report)
+                      for path in sorted(cwd.iterdir())}}
+    if ident.startswith("help"):
+        line["python"] = "%d.%d" % sys.version_info[:2]
+    return line
+
+
+def run_child(out: Path, ident: str, argv: list[str]) -> dict:
     cwd = out / ident
     cwd.mkdir()
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
     proc = subprocess.run([sys.executable, "-m", "bitalias", *argv], cwd=cwd, env=env,
                           stdin=subprocess.DEVNULL, capture_output=True)
-    lines = proc.stderr.decode(errors="replace").strip().splitlines()
-    return {"id": ident, "argv": argv, "exit": proc.returncode,
-            "stdout_sha256": sha256(proc.stdout), "stderr_last": lines[-1] if lines else "",
-            "files": {path.name: sha256(path.read_bytes()) for path in sorted(cwd.iterdir())}}
+    return record(ident, argv, proc.returncode, proc.stdout,
+                  proc.stderr.decode(errors="replace"), cwd)
+
+
+def run_in_process(out: Path, ident: str, argv: list[str]) -> dict:
+    """``run_child``'s line from ``bitalias.cli.main`` in this process, run in
+    OUT/<id> with COLUMNS=80; the working directory and COLUMNS are restored."""
+    from bitalias.cli import main
+
+    cwd = out / ident
+    cwd.mkdir()
+    home, stdout, stderr = os.getcwd(), io.StringIO(), io.StringIO()
+    os.chdir(cwd)
+    try:
+        with patch.dict(os.environ, COLUMNS="80"), redirect_stdout(stdout), \
+                redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except Exception:  # a child prints the traceback and exits 1
+                code = 1
+                stderr.write(traceback.format_exc())
+    finally:
+        os.chdir(home)
+    return record(ident, argv, code, stdout.getvalue().encode(), stderr.getvalue(), cwd)
 
 
 def main() -> None:
@@ -290,7 +364,7 @@ def main() -> None:
     write_fixtures(out / "fixtures")
     for ident, argv in runs:
         if not chosen or ident in chosen:
-            print(json.dumps(run(out, ident, argv)), flush=True)
+            print(json.dumps(run_child(out, ident, argv)), flush=True)
 
 
 if __name__ == "__main__":

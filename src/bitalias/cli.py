@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .confidence import ALIAS_GRID, DEVICE_GRID, METHODS, ci_width, plan_devices_exact
 from .errors import BitAliasError
-from .special import _as_count, _as_real
+from .special import _as_count, _as_devices, _as_real
 
 # Each command imports only the modules it runs: a child compiles every line it imports.
 
@@ -143,15 +144,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _grid_count(token: str) -> int:
-    """A --grid device count, read as int() reads it.  Text that is no integer
-    raises _as_count's message; an integer of more digits than int() converts
-    keeps int()'s."""
+    """A --grid device count, read as int() reads it but at any length."""
     try:
-        return int(token)
+        n = int(token)
     except ValueError:
-        if token.strip().lstrip("+-").isdigit():
-            raise
-        return _as_count(token, "n")
+        if not re.fullmatch(r"\s*[+-]?\d+\s*", token):
+            return _as_count(token, "n")  # raises: text that is no integer
+        from decimal import Decimal  # past int()'s digit limit, which Decimal lacks
+        n = int(Decimal(token))
+    return _as_devices(n)
 
 
 def _cmd_curve(args) -> int:
@@ -281,15 +282,13 @@ def main(argv=None) -> int:
     # loads, unless it has (an in-process call), and keep a user's setting
     if "numpy" not in sys.modules:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.func(args)
     except (BitAliasError, OSError, ValueError) as exc:
-        # ValueError also covers a --grid integer past int()'s digit limit
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

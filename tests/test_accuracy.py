@@ -9,7 +9,8 @@ n = 10, 680 and 66546.  Each stated bound is the worst error of a scan of
 every count (of every count below 3000 and above n - 3000, and every 13th
 between, at n = 66546).  These grids sample that scan and include its worst
 points, so a later change may tighten a bound here but never loosen one.
-`beta_quantile`'s bound over its stated domain is checked the same way, on
+Its bound at every n up to 10^7, which follows from `beta_quantile`'s, is
+checked at a seeded scan's worst points.  `beta_quantile`'s bound over its stated domain is checked the same way, on
 seeded draws and the scan's worst points.  `limits_from_spec` rounds a
 Shannon floor's exact band to the nearest double, checked here against a
 decimal solve, and `shannon_entropy` against decimal logarithms.  Below
@@ -118,6 +119,19 @@ def test_clopper_pearson_meets_the_stated_bounds(n):
         want_upper = beta.isf(alpha / 2, x[:-1] + 1, n - x[:-1])
         assert np.abs(lower[1:] / want_lower - 1).max() <= lower_bound, alpha
         assert np.abs(upper[:-1] / want_upper - 1).max() <= upper_bound, alpha
+
+
+# (x, n, alpha, interval end, its stated bound at every n): the worst points of
+# a scan of n up to 10^7, with alpha from 1e-12 to 0.999
+CP_WORST = [(2, 2332884, 1e-12, "lower", 2.3e-2), (0, 169038, 1e-12, "upper", 8e-6)]
+
+
+@pytest.mark.parametrize("x, n, alpha, end, bound", CP_WORST, ids=["lower", "upper"])
+def test_clopper_pearson_meets_the_stated_bound_at_every_n(x, n, alpha, end, bound):
+    interval = confidence_interval("clopper_pearson", x, n, alpha)
+    want = (beta.ppf(alpha / 2, x, n - x + 1) if end == "lower"
+            else beta.isf(alpha / 2, x + 1, n - x))
+    assert abs(getattr(interval, end) / want - 1) <= bound
 
 
 # beta_quantile's stated bound where the quantile is at least 1e-10, and below;

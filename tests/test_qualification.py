@@ -66,6 +66,13 @@ class TestTestPosition:
         v = qual.test_position(340, 680, LIMITS, 0.01)
         assert v.accepted == (v.p_value_upper < 0.005 and v.p_value_lower < 0.005)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 24")
+    def test_tail_equal_to_half_alpha_rejects(self):
+        # P[X <= 1] at n = 4, p = 0.5 is 5/16, exactly alpha/2, and a tail
+        # must lie strictly below alpha/2; binomial_cdf rounds it below
+        assert not qual.test_position(1, 4, (0.05, 0.5), 0.625).accepted
+        assert acceptance_region(4, (0.05, 0.5), 0.625).is_empty
+
 
 class TestAcceptanceProbability:
     def test_zero_at_degenerate_alias(self):

@@ -1,14 +1,14 @@
 import hashlib
 import importlib.util
 import json
+import os
+import random
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-
-from bitalias.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -30,25 +30,48 @@ def test_width_curves_csv_bytes(tmp_path):
             for path in tmp_path.iterdir()} == WIDTH_CURVE_FILES
 
 
-def test_cli_corpus_lines(tmp_path, capsys):
-    ids = ["check-accept", "plan-width-capacity", "curve-out", "help-plan-frr"]
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GOLDEN = ROOT / "tests" / "cli_corpus.jsonl"
+
+
+def _assert_golden(lines):
+    """Each line equals the golden file's line of its id, a help id's only on
+    the Python minor version that wrote it."""
+    golden = {line["id"]: line for line in map(json.loads, GOLDEN.read_text().splitlines())}
+    version = "%d.%d" % sys.version_info[:2]
+    differing = sorted(line["id"] for line in lines
+                       if golden[line["id"]].get("python", version) == version
+                       and line != golden[line["id"]])
+    assert not differing, f"{len(differing)} ids differ: {', '.join(differing)}"
+
+
+def test_cli_corpus_in_process_matches_the_golden_file(tmp_path):
+    # rewritten by `python scripts/cli_corpus.py OUT > tests/cli_corpus.jsonl`;
+    # a shuffled order shows that no state leaks from one id to the next
+    corpus = _script("cli_corpus")
+    runs = corpus.invocations()
+    random.Random(41).shuffle(runs)
+    corpus.write_fixtures(tmp_path / "fixtures")
+    lines = [corpus.run_in_process(tmp_path, ident, argv) for ident, argv in runs]
+    assert sorted(line["id"] for line in lines) == sorted(
+        json.loads(line)["id"] for line in GOLDEN.read_text().splitlines())
+    _assert_golden(lines)
+
+
+def test_cli_corpus_children_print_the_golden_lines(tmp_path):
+    ids = ["analyze-out-json", "check-accept", "help-plan-frr"]  # in corpus order
     proc = subprocess.run([sys.executable, str(SCRIPTS / "cli_corpus.py"), str(tmp_path), *ids],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "COLUMNS": "50"})
     assert proc.returncode == 0, proc.stderr
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [line["id"] for line in lines] == ids
-    for line in lines:
-        assert set(line) == {"id", "argv", "exit", "stdout_sha256", "stderr_last", "files"}
-        assert len(line["stdout_sha256"]) == 64
-    check, capacity, curve, help_ = lines
-    assert check["argv"] == ["check", "--x", "340", "--n", "680"] and check["exit"] == 0
-    assert capacity["exit"] == 2
-    assert main(capacity["argv"]) == 2
-    assert capacity["stderr_last"] == capsys.readouterr().err.splitlines()[-1]
-    assert curve["stdout_sha256"] == hashlib.sha256(b"").hexdigest()
-    assert curve["files"] == {"curve.csv": hashlib.sha256(
-        (tmp_path / "curve-out" / "curve.csv").read_bytes()).hexdigest()}
-    assert (help_["exit"], help_["stderr_last"], help_["files"]) == (0, "", {})
+    _assert_golden(lines)
 
 
 def children(*args, cwd):
@@ -56,15 +79,8 @@ def children(*args, cwd):
                           capture_output=True, text=True)
 
 
-def _children_module():
-    spec = importlib.util.spec_from_file_location("children", SCRIPTS / "children.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_children_measure_returns_exit_times_rss_and_output():
-    module = _children_module()
+    module = _script("children")
     code, wall, cpu, rss, output, digest = module.measure(["check", "--x", "300", "--n", "680"])
     assert code == 1 and output.startswith("x=300 n=680")
     assert wall > 0 and cpu > 0 and rss > 0
@@ -85,7 +101,7 @@ _A = [float(v) for v in range(10, 20)]
     (_A, "unresolved"),
 ], ids=["gain", "loss", "gain-9-of-10", "8-of-10", "gap-at-range", "small-gap", "same"])
 def test_children_ab_verdict(b, word):
-    assert _children_module().verdict(_A, b) == word
+    assert _script("children").verdict(_A, b) == word
 
 
 # Each check runs children.py as its own process: Linux counts a parent's
